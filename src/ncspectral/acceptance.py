@@ -34,14 +34,21 @@ def _irrational_theta(n):
 
 
 def _random_one_form(rng, n=4, nmodes=3):
+    """A draw whose mode, or its negative, its component already has is
+    skipped after its coefficient is drawn, so every draw takes the same
+    random numbers and a seed without such a draw keeps its potential."""
     entries = []
+    taken = set()
     for _ in range(nmodes):
         alpha = int(rng.integers(1, n + 1))
         l = tuple(int(x) for x in rng.integers(-2, 3, size=n))
         if not any(l):
             continue
-        entries.append((alpha, l, complex(rng.normal(scale=0.4),
-                                          rng.normal(scale=0.4))))
+        c = complex(rng.normal(scale=0.4), rng.normal(scale=0.4))
+        if (alpha, l) in taken or (alpha, tuple(-x for x in l)) in taken:
+            continue
+        taken.add((alpha, l))
+        entries.append((alpha, l, c))
     return nt.OneFormTorus.from_entries(n, entries)
 
 

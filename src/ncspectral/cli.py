@@ -8,7 +8,9 @@ Exit codes: 0 ok, 2 schema error, 3 tolerance failure, 4 unsupported input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,6 +27,10 @@ EXIT_UNSUPPORTED = 4
 
 
 class SchemaError(ValueError):
+    pass
+
+
+class NonFiniteError(ArithmeticError):
     pass
 
 
@@ -46,19 +52,37 @@ def _cnum(x) -> dict | float:
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(
+            "the report holds a non-finite number (overflow or NaN)") from exc
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SchemaError(f"cannot write report to {path}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither inf nor NaN."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise SchemaError(f"cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise SchemaError(f"{text!r} is not a finite number")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -104,6 +128,11 @@ def _run_torus(args) -> dict:
                          parsed["diophantine_asserted"], parsed["A"])
     if n not in (2, 4):
         raise UnsupportedError(f"torus action implemented for n in {{2, 4}}, got {n}")
+    modes = sum(len(comp.coeffs) for comp in A.components)
+    if modes > args.trunc:
+        raise UnsupportedError(
+            f"potential has {modes} modes after skew completion, over the "
+            f"cap {args.trunc}")
     moments = cutoff_moments(_cutoff_spec(args), [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)
     report = {
@@ -123,12 +152,13 @@ def _run_torus(args) -> dict:
                                 for q, v in zip((2, 3, 4), sums))
         report["zeta0_shift_power_sums"] = {
             "value": zshift_sums, "provenance": "alternating power sums"}
-    rep = nt.torus_action(A, theta, n, moments, args.lam,
-                          diophantine_asserted=flag)
     report["zeta0_shift"] = {
-        "value": nt.zeta0_shift(A, theta, n, diophantine_asserted=flag),
+        "value": nt.zeta0_shift(A, theta, n, diophantine_asserted=flag,
+                                ym=ym),
         "provenance": "curvature closed form"}
-    report["expansion"] = rep.to_dict()
+    report["expansion"] = nt.torus_action(
+        A, theta, n, moments, args.lam, diophantine_asserted=flag,
+        ym=ym).to_dict()
     return report
 
 
@@ -181,6 +211,9 @@ def _run_action(args) -> dict:
         zeta0 = float(doc.get("zeta0", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
+    if not (math.isfinite(lam) and math.isfinite(zeta0)
+            and all(cmath.isfinite(c) for c in coeffs.values())):
+        raise SchemaError("non-finite number in the action document")
     moments = cutoff_moments(cutoff, sorted(coeffs))
     rep = assemble(coeffs, zeta0, moments, lam)
     return {"command": "action", "moments": moments.to_dict(),
@@ -207,12 +240,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-10,
+        p.add_argument("--tol", type=_finite_float, default=1e-10,
                        help="series / evaluation tolerance")
         p.add_argument("--max-terms", type=int, default=20000,
                        help="cap on regularized-trace series terms")
         p.add_argument("--trunc", type=int, default=200000,
-                       help="cap on expanded ladder words / lattice modes")
+                       help="cap on expanded ladder words (suq2) and on "
+                            "skew-completed potential modes (torus)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads (result is identical for any value)")
         p.add_argument("--out", default=None, help="write the report here")
@@ -228,16 +262,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_torus = sub.add_parser("torus", help="noncommutative-torus action")
     p_torus.add_argument("--input", required=True,
                          help="JSON potential {n, theta, diophantine_asserted, A}")
-    p_torus.add_argument("--lambda", dest="lam", type=float, required=True)
+    p_torus.add_argument("--lambda", dest="lam", type=_finite_float,
+                         required=True)
     p_torus.add_argument("--cutoff", default="exponential",
                          choices=["exponential", "gaussian"])
     common(p_torus)
 
     p_suq2 = sub.add_parser("suq2", help="SU_q(2) spectral action")
-    p_suq2.add_argument("--q", type=float, default=None)
+    p_suq2.add_argument("--q", type=_finite_float, default=None)
     p_suq2.add_argument("--one-form", required=True,
                         help="JSON one-form {q, one_form: [{x, y, coeff}]}")
-    p_suq2.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    p_suq2.add_argument("--lambda", dest="lam", type=_finite_float,
+                        default=1.0)
     p_suq2.add_argument("--cutoff", default="exponential",
                         choices=["exponential", "gaussian"])
     p_suq2.add_argument("--no-reality", action="store_true",
@@ -265,7 +301,7 @@ def main(argv=None) -> int:
             return _run_selftest(args)
         runner = {"zeta": _run_zeta, "torus": _run_torus,
                   "suq2": _run_suq2, "action": _run_action}[args.command]
-        report = runner(args)
+        _emit(runner(args), args.out)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -278,7 +314,9 @@ def main(argv=None) -> int:
     except (UnsupportedError, lz.PoleError, MemoryError, ValueError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    _emit(report, args.out)
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

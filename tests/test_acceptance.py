@@ -12,3 +12,15 @@ def test_criterion(num, name, func):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {num:2d} - {name}: {detail}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
+
+
+def test_random_one_form_skips_colliding_draws():
+    import numpy as np
+
+    from ncspectral.acceptance import _random_one_form
+
+    # 12 draws on [-2, 2]^4 in 4 components collide for many seeds
+    for seed in range(200):
+        A = _random_one_form(np.random.default_rng(seed), nmodes=12)
+        for comp in A.components:
+            assert (comp + comp.adjoint()).norm1() < 1e-12

@@ -123,6 +123,75 @@ class TestTorusCommand:
                              "--lambda", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("where", ["re", "im", "theta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_schema_error(self, tmp_path, capsys,
+                                              where, bad):
+        doc = torus_doc()
+        if where == "theta":
+            doc["theta"][0][1] = bad
+        else:
+            doc["A"][0][where] = bad
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    @pytest.mark.parametrize("field", ["l", "alpha"])
+    def test_non_integer_is_schema_error(self, tmp_path, capsys, field):
+        doc = torus_doc()
+        doc["A"][0][field] = [0, 1.5, 0, 0] if field == "l" else 1.7
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "torus", "--input", str(path),
+                               "--lambda", "10")
+        assert code == 2
+        assert "not an integer" in err
+
+    def test_overflow_is_tolerance_failure(self, tmp_path, capsys):
+        doc = torus_doc()
+        doc["A"][0]["re"] = 1e200
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "non-finite" in err
+
+    def test_mode_cap(self, tmp_path, capsys):
+        # two explicit entries, four modes after skew completion
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(torus_doc()))
+        code, _, err = run_cli(capsys, "torus", "--input", str(path),
+                               "--lambda", "10", "--trunc", "3")
+        assert code == 4
+        assert "cap" in err
+        code, _, _ = run_cli(capsys, "torus", "--input", str(path),
+                             "--lambda", "10", "--trunc", "4")
+        assert code == 0
+
+    def test_unwritable_output_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(torus_doc()))
+        code, _, err = run_cli(capsys, "torus", "--input", str(path),
+                               "--lambda", "10",
+                               "--out", str(tmp_path / "no" / "report.json"))
+        assert code == 2
+        assert "Traceback" not in err
+
+    def test_non_finite_lambda_rejected(self, tmp_path, capsys):
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(torus_doc()))
+        with pytest.raises(SystemExit) as exc:
+            main(["torus", "--input", str(path), "--lambda", "nan"])
+        assert exc.value.code == 2
+
     def test_unsupported_dimension(self, tmp_path, capsys):
         doc = {"n": 3, "theta": [[0.0] * 3 for _ in range(3)],
                "diophantine_asserted": True, "A": []}
@@ -211,6 +280,22 @@ class TestActionCommand:
         phi3, phi1 = math.sqrt(math.pi) / 4, math.sqrt(math.pi) / 2
         assert rep["expansion"]["total"] == pytest.approx(
             2 * phi3 * 8 - 0.5 * phi1 * 2)
+
+    @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0"])
+    def test_non_finite_input_is_schema_error(self, tmp_path, capsys, field):
+        doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
+               "coefficients": {"3": 2.0, "1": {"re": -0.5, "im": 0.0}},
+               "zeta0": 0.0}
+        if field == "coefficient":
+            doc["coefficients"]["1"]["im"] = math.nan
+        else:
+            doc[field] = math.inf
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
 
 def test_bad_thread_count(capsys):

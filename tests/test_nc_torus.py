@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncspectral.lattice_zeta import AssumptionError
 from ncspectral.action_assembly import cutoff_moments
 from ncspectral.nc_torus import (
+    PRUNE_EPS,
+    YM_CONSTANT,
     OneFormTorus,
     Theta,
     TorusElement,
@@ -63,12 +65,124 @@ def random_one_form(rng, n=4, nmodes=3):
     return OneFormTorus.from_entries(n, entries)
 
 
+# ---------------------------------------------------------------------------
+# oracles: the term-by-term routes the production code replaced
+
+
+def ff_trace_oracle(A, theta):
+    """tau(F_ab F^ab) by multiplying each F_ab F_ab out with weyl_mul."""
+    F = curvature(A, theta)
+    total = 0.0 + 0.0j
+    for a in range(1, A.n + 1):
+        for b in range(1, A.n + 1):
+            if a != b:
+                fab = F.component(a, b)
+                total += weyl_mul(fab, fab, theta).tau()
+    return total.real
+
+
+def cs_sums_oracle(A, theta, q):
+    """The closed power sums as loops over the component supports.
+
+    Returns (value, scale): scale sums |term| with every sine factor at
+    its bound 1 and the two parts of the q = 2 factor taken apart.
+    Reordering the float sum, and rounding in a factor whose exact value
+    is 0, move the value by a small multiple of machine epsilon times
+    this scale, not times the value itself.
+    """
+    comps = [A.component(a).coeffs for a in range(1, 5)]
+    total, scale = 0.0 + 0.0j, 0.0
+    if q == 2:
+        for a1 in range(4):
+            for a2 in range(4):
+                for l, v1 in comps[a1].items():
+                    v2 = comps[a2].get(tuple(-x for x in l))
+                    if v2 is None:
+                        continue
+                    cross, diag = l[a1] * l[a2], (a1 == a2) * sum(
+                        x * x for x in l)
+                    total += v1 * v2 * (cross - diag)
+                    scale += abs(v1 * v2) * (abs(cross) + diag)
+        weight = 2.0
+    elif q == 3:
+        for a1 in range(4):
+            for a3 in range(4):
+                for l1, w1 in comps[a1].items():
+                    for l2, w2 in comps[a1].items():
+                        l3 = tuple(-x - y for x, y in zip(l1, l2))
+                        w3 = comps[a3].get(l3)
+                        if w3 is None:
+                            continue
+                        s = math.sin(0.5 * theta.pairing(l1, l2))
+                        term = w3 * w2 * w1 * l1[a3]
+                        total, scale = total + term * s, scale + abs(term)
+        weight = -12.0
+    else:
+        for a1 in range(4):
+            for a2 in range(4):
+                for l1, w1 in comps[a2].items():
+                    for l2, w2 in comps[a1].items():
+                        for l3, w3 in comps[a2].items():
+                            l4 = tuple(-x - y - z
+                                       for x, y, z in zip(l1, l2, l3))
+                            w4 = comps[a1].get(l4)
+                            if w4 is None:
+                                continue
+                            s1 = math.sin(0.5 * theta.pairing(
+                                l1, tuple(x + y for x, y in zip(l2, l3))))
+                            s2 = math.sin(0.5 * theta.pairing(l2, l3))
+                            term = w4 * w3 * w2 * w1
+                            total += term * s1 * s2
+                            scale += abs(term)
+        weight = 8.0
+    c = abs(weight) * YM_CONSTANT
+    return weight * YM_CONSTANT * total.real, c * scale
+
+
+def potential4(entries, empty=0):
+    """n = 4 potential from (alpha, mode, coeff) draws: component `empty`
+    (1-4, or 0 for none) stays empty, a repeated mode or its negative is
+    skipped, and a zero mode keeps only its imaginary part."""
+    seen, kept = set(), []
+    for alpha, l, c in entries:
+        neg = tuple(-x for x in l)
+        if alpha == empty or (alpha, l) in seen or (alpha, neg) in seen:
+            continue
+        seen.add((alpha, l))
+        kept.append((alpha, l, 1j * c.imag if not any(l) else c))
+    return OneFormTorus.from_entries(4, kept)
+
+
+def skew_theta(upper):
+    th = np.zeros((4, 4))
+    th[np.triu_indices(4, 1)] = upper
+    return Theta(th - th.T)
+
+
 # strategy: small sparse elements of the 2-torus algebra
 modes2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 coeff = st.complex_numbers(min_magnitude=0.0, max_magnitude=2.0,
                            allow_nan=False, allow_infinity=False)
 elements2 = st.dictionaries(modes2, coeff, min_size=0, max_size=5).map(
     lambda d: TorusElement(2, d))
+
+# strategy: n = 4 potentials on modes in [-1, 1]^4, where sums of modes
+# land on other modes (and on modes of other components) all the time
+modes4 = st.tuples(*[st.integers(-1, 1)] * 4)
+potentials4 = st.builds(
+    potential4,
+    st.lists(st.tuples(st.integers(1, 4), modes4, coeff), max_size=9),
+    st.integers(0, 4))
+thetas4 = st.one_of(
+    st.just(Theta.zero(4)),
+    st.builds(skew_theta, st.lists(
+        st.floats(-7.0, 7.0, allow_nan=False), min_size=6, max_size=6)))
+# colliding modes: one mode in every component, and l1 + l2 + l3 + l4 = 0
+# inside one component; component 4 empty
+COLLIDING = potential4(
+    [(a, (1, 0, 0, 0), 0.3 + 0.1j * a) for a in (1, 2, 3)]
+    + [(1, (0, 1, 0, 0), 0.2j), (1, (1, 1, 0, 0), -0.4),
+       (2, (0, 1, 1, 0), 0.5 - 0.2j), (3, (-1, 1, 0, 0), 0.1 + 0.3j)])
 
 
 class TestWeylAlgebra:
@@ -356,6 +470,65 @@ class TestNoTadpole:
                                           diophantine_asserted=True)))
         order = math.log(shifts[0] / shifts[1]) / math.log(10.0)
         assert order > 1.9
+
+
+class TestOracleRoutes:
+    """Production Yang-Mills and power sums against the term-by-term
+    routes they replaced, at rel 1e-12."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(potentials4, thetas4)
+    @example(COLLIDING, Theta.zero(4))
+    @example(COLLIDING, irrational_theta(4))
+    @example(OneFormTorus.zero(4), irrational_theta(4))
+    def test_yang_mills_matches_ff_trace(self, A, theta):
+        # the oracle's weyl_mul prunes each of the 12 traces tau(F_ab F_ab)
+        # that comes out at or below PRUNE_EPS
+        assert yang_mills(A, theta) == pytest.approx(
+            ff_trace_oracle(A, theta), rel=1e-12, abs=12 * PRUNE_EPS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(potentials4, thetas4)
+    @example(COLLIDING, Theta.zero(4))
+    @example(COLLIDING, irrational_theta(4))
+    @example(OneFormTorus.zero(4), irrational_theta(4))
+    def test_cs_sums_match_loops(self, A, theta):
+        for q in (2, 3, 4):
+            want, scale = cs_sums_oracle(A, theta, q)
+            # 1e-300: products of tiny sines underflow in either route
+            assert abs(cs_sums(A, theta, q) - want) <= 1e-12 * scale + 1e-300
+
+    def test_colliding_example_exercises_every_sum(self):
+        # the fixed example is only worth having if no sum is trivially 0
+        theta = irrational_theta(4)
+        assert not COLLIDING.component(4).coeffs
+        for q in (2, 3, 4):
+            assert cs_sums_oracle(COLLIDING, theta, q)[1] > 0.0
+        # theta = 0 kills every sine, so q = 3 and 4 vanish exactly
+        for q in (3, 4):
+            assert cs_sums(COLLIDING, Theta.zero(4), q) == 0.0
+
+    def test_mode_index_with_wide_entries(self):
+        from ncspectral.nc_torus import _ModeIndex
+        big = 10 ** 15
+        modes = np.array([[big, -big, 0, 1], [-big, big, 0, -1],
+                          [big, big, big, big], [0, 0, 0, 0]])
+        index = _ModeIndex(modes)
+        queries = np.concatenate([modes[::-1], [[big, -big, 0, -1],
+                                                [1, 0, 0, 0]]])
+        assert index.find(queries).tolist() == [3, 2, 1, 0, -1, -1]
+
+    def test_blocks_do_not_change_the_sums(self, monkeypatch):
+        import ncspectral.nc_torus as nt
+        theta = irrational_theta(4)
+        whole = [cs_sums(COLLIDING, theta, q) for q in (2, 3, 4)]
+        monkeypatch.setattr(nt, "BLOCK_TERMS", 7)
+        # several blocks per sum: the union has more than 7 modes
+        assert len(nt._mode_table(COLLIDING)[0]) > 7
+        for q, value in zip((2, 3, 4), whole):
+            want, scale = cs_sums_oracle(COLLIDING, theta, q)
+            assert cs_sums(COLLIDING, theta, q) == pytest.approx(
+                value, abs=1e-13 * scale)
 
 
 class TestTorusAction:
