@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -106,14 +107,15 @@ def _run_zeta(args) -> dict:
     report = {"command": "zeta", "n": args.n, "tolerance": args.tol}
     if args.residue:
         report["residue"] = {"value": ev.residue(), "provenance": "analytic"}
-        report["pole_fit"] = {"value": lz.epstein_pole_fit(args.n),
+        report["pole_fit"] = {"value": lz.epstein_pole_fit(args.n,
+                                                           tol=args.tol),
                               "provenance": "pole fit near s = n"}
     else:
         s = _parse_complex(args.s)
         value = ev.value(s)
         report["s"] = _cnum(s)
         report["value"] = {"value": _cnum(value),
-                           "provenance": "incomplete-gamma continuation",
+                           "provenance": ev.last_route,
                            "tail_bound": ev.last_error_bound}
     return report
 
@@ -291,8 +293,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args leaves it unchanged."""
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.threads < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return EXIT_SCHEMA

@@ -8,7 +8,10 @@ symmetrically at t = 1:
         = sum'_k [ G(s/2, pi|k|^2) + G((n-s)/2, pi|k|^2) ] - 2/s - 2/(n-s),
 
 with G(a, x) = Gamma(a, x) / x^a.  The representation is entire except for
-the explicit pole at s = n and manifestly symmetric under s -> n - s.
+the explicit pole at s = n and manifestly symmetric under s -> n - s.  The
+same split, read as a Mellin integral of theta(t)^n - 1 over [1, inf), is
+evaluated first in float64 by Gauss-Laguerre quadrature; the mpmath
+incomplete-gamma sum takes over wherever that bound is not small enough.
 
 Residues of polynomial-weighted sums sum' P(k) |k|^{-s-r} are pure surface
 integrals: a homogeneous term of degree d contributes its sphere moment
@@ -19,9 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from scipy.special import rgamma, roots_laguerre
 
 _MP_DPS = 30
 
@@ -70,13 +76,77 @@ def radial_counts(n: int, mmax: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Epstein zeta
 
+ROUTE_QUADRATURE = "theta-integral Gauss-Laguerre quadrature"
+ROUTE_CONTINUATION = "incomplete-gamma continuation"
+
+# Gauss-Laguerre node counts: the value comes from the larger rule and the
+# gap to the smaller one measures its quadrature error.  Chosen against the
+# mpmath route over n in {1, 2, 3, 4, 6}, Re s in [-6, n + 6],
+# |Im s| <= 25 (scipy 1.17): more nodes is not better, because scipy's
+# nodes carry a relative error of up to about 1e-14 that depends on the
+# count (60, 80, 90 and 130 worse, 55 and 70 best).
+_LAGUERRE_NODES = (55, 70)
+# The bound is this factor times the larger of the node gap and the
+# round-off estimate, which counts one unit in the last place of the
+# largest bracket term.  scipy's complex rgamma alone is off by up to about
+# 20 units for |Im s| <= 10 (45 near |Im s| = 25, where the node gap takes
+# over); over 3241 points checked against mpmath the largest error was 22
+# times the larger of the two.
+_BOUND_SAFETY = 32.0
+# theta(t) - 1 = 2 sum_k exp(-pi k^2 t); at t >= 1 the k = 7 term is below
+# exp(-48 pi) relative to the k = 1 term
+_THETA_TERMS = 6
+_LOG_PI = math.log(math.pi)
+
+
+@lru_cache(maxsize=len(_LAGUERRE_NODES))
+def _laguerre_rule(nodes: int):
+    u, w = roots_laguerre(nodes)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
+def _theta_rule(n: int, nodes: int):
+    """(log t_i, W_i) for int_1^inf (theta(t)^n - 1) f(t) dt ~ sum W_i f(t_i).
+
+    t = 1 + u/pi turns the integral into int_0^inf e^{-u} g(u) du with
+    g = (theta^n - 1) e^u / pi, which tends to 2n e^{-pi}/pi as u grows, so
+    the Laguerre weight carries the exponential decay.
+    """
+    u, w = _laguerre_rule(nodes)
+    t = 1.0 + u / math.pi
+    k2 = np.arange(1, _THETA_TERMS + 1) ** 2
+    theta_m1 = 2.0 * np.exp(-math.pi * np.outer(t, k2)).sum(axis=1)
+    weights = w * np.expm1(n * np.log1p(theta_m1)) * np.exp(u) / math.pi
+    return np.log(t), weights
+
+
+class EpsteinValues(NamedTuple):
+    """Values of Z_n, the error bound of each and the route that made it."""
+
+    values: np.ndarray
+    bounds: np.ndarray
+    routes: tuple
+
 
 class EpsteinEvaluator:
     """Meromorphic continuation of Z_n(s), n in 1..6.
 
-    The shell cutoff is grown adaptively until two successive evaluations
-    agree within a tenth of the target tolerance; shells beyond the cutoff
-    are suppressed like exp(-pi m), so the reported bound is conservative.
+    Two routes share the theta split at t = 1.  The float64 route writes it
+    as the Mellin integral
+
+        pi^{-s/2} Gamma(s/2) Z_n(s)
+            = int_1^inf (theta(t)^n - 1)(t^{s/2-1} + t^{(n-s)/2-1}) dt
+              - 2/s - 2/(n-s)
+
+    and evaluates it with two Gauss-Laguerre rules at once for an array of
+    s.  Its bound is a safety factor times the larger of the gap between the
+    rules and the float64 round-off, which grows with pi^{s/2}/Gamma(s/2+1)
+    (like e^{pi |Im s|/4}).  Any s whose bound is not below a tenth of the
+    tolerance goes to the mpmath incomplete-gamma route, whose shell cutoff
+    grows until two successive evaluations agree within a tenth of the
+    tolerance.
     """
 
     def __init__(self, n: int, tol: float = 1e-10):
@@ -87,9 +157,11 @@ class EpsteinEvaluator:
         self.n = n
         self.tol = tol
         self.split = 1.0  # symmetric theta split point
-        self._mmax = 16
-        self._counts = radial_counts(n, self._mmax)
+        self._mmax = 0
+        self._counts = None
+        self._rules = [_theta_rule(n, nodes) for nodes in _LAGUERRE_NODES]
         self.last_error_bound = 0.0
+        self.last_route = None
 
     def _grow(self, mmax: int) -> None:
         if mmax > self._mmax:
@@ -116,17 +188,69 @@ class EpsteinEvaluator:
     # increments below this are working-precision noise, not evidence
     _BOUND_FLOOR = 1e-25
 
-    def value(self, s: complex) -> complex:
-        """Continued value of Z_n(s); raises PoleError at s = n."""
-        s = complex(s)
-        n = self.n
-        if abs(s - n) < 1e-12:
-            raise PoleError(f"Z_{n} has its unique pole at s = {n}",
-                            residue=self.residue())
+    def _check_tolerance(self) -> None:
         if 0.1 * self.tol <= self._BOUND_FLOOR:
             raise ToleranceError(
                 f"tolerance {self.tol:g} is below the evaluator's "
                 f"certifiable floor")
+
+    def value(self, s: complex) -> complex:
+        """Continued value of Z_n(s); raises PoleError at s = n.
+
+        The bound and the route are left in last_error_bound and last_route.
+        """
+        out = self.values([s])
+        self.last_error_bound = float(out.bounds[0])
+        self.last_route = out.routes[0]
+        return complex(out.values[0])
+
+    def values(self, s) -> EpsteinValues:
+        """Z_n at every point of s, quadrature first, mpmath where needed."""
+        s = np.asarray(s, dtype=complex).ravel()
+        n = self.n
+        if np.any(np.abs(s - n) < 1e-12):
+            raise PoleError(f"Z_{n} has its unique pole at s = {n}",
+                            residue=self.residue())
+        self._check_tolerance()
+        vals, bounds = self._quadrature(s)
+        routes = [ROUTE_QUADRATURE] * len(s)
+        # NaN bounds (overflow far out in s) fail the test and fall back too
+        for i in np.flatnonzero(~(bounds < 0.1 * self.tol)):
+            vals[i], bounds[i] = self.value_incomplete_gamma(s[i])
+            routes[i] = ROUTE_CONTINUATION
+        return EpsteinValues(vals, bounds, tuple(routes))
+
+    def _quadrature(self, s: np.ndarray):
+        """Float64 values at s and their bounds (see the class docstring)."""
+        n = self.n
+        half = s / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            coarse, fine = (
+                weights * (np.exp(np.outer(half - 1, log_t))
+                           + np.exp(np.outer((n - s) / 2 - 1, log_t)))
+                for log_t, weights in self._rules)
+            integral = fine.sum(axis=1)
+            # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
+            pref = np.exp(half * _LOG_PI) * rgamma(half + 1)
+            pole = s / (n - s)
+            vals = pref * (half * integral - 1 - pole)
+            gap = np.abs(pref * half * (integral - coarse.sum(axis=1)))
+            largest = np.maximum(
+                np.maximum(np.abs(half) * np.abs(fine).sum(axis=1), 1.0),
+                np.abs(pole))
+            roundoff = np.finfo(float).eps * largest * np.abs(pref)
+            bounds = _BOUND_SAFETY * np.maximum(gap, roundoff)
+        return vals, bounds
+
+    def value_incomplete_gamma(self, s: complex) -> tuple:
+        """(Z_n(s), bound) from the mpmath incomplete-gamma shells.
+
+        Independent of the quadrature route; its fallback, and the oracle
+        the tests compare the quadrature with.
+        """
+        s = complex(s)
+        n = self.n
+        self._check_tolerance()
         with mp.workdps(_MP_DPS):
             ms = mp.mpc(s)
             prev = None
@@ -139,8 +263,7 @@ class EpsteinEvaluator:
                 if prev is not None:
                     bound = max(float(abs(val - prev)), self._BOUND_FLOOR)
                     if bound < 0.1 * self.tol:
-                        self.last_error_bound = bound
-                        return complex(val)
+                        return complex(val), bound
                 if mmax > 400:
                     raise ToleranceError(
                         f"Epstein evaluation did not converge for s = {s}")
@@ -169,18 +292,8 @@ class EpsteinEvaluator:
         return complex(partial + tail)
 
 
-_EVALUATORS: dict = {}
-
-
-def _evaluator(n: int, tol: float = 1e-10) -> EpsteinEvaluator:
-    key = (n, tol)
-    if key not in _EVALUATORS:
-        _EVALUATORS[key] = EpsteinEvaluator(n, tol)
-    return _EVALUATORS[key]
-
-
 def epstein_value(n: int, s: complex, tol: float = 1e-10) -> complex:
-    return _evaluator(n, tol).value(s)
+    return EpsteinEvaluator(n, tol).value(s)
 
 
 def epstein_residue(n: int) -> float:
@@ -191,9 +304,8 @@ def epstein_residue(n: int) -> float:
 
 def epstein_pole_fit(n: int, offsets=(0.1, 0.05, 0.025), tol: float = 1e-10) -> float:
     """Extrapolate (s - n) Z_n(s) to s = n by a quadratic fit near the pole."""
-    ev = _evaluator(n, tol)
     xs = np.array(offsets, dtype=float)
-    ys = np.array([(x) * ev.value(n + x).real for x in xs])
+    ys = xs * EpsteinEvaluator(n, tol).values(n + xs).values.real
     coeffs = np.polyfit(xs, ys, 2)
     return float(coeffs[-1])
 

@@ -818,11 +818,22 @@ def shell_fit_weight3(T: LadderElem, ctx: QContext, shells: int = 40,
 # JSON interface
 
 
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {x} in the one-form")
+    return x
+
+
+def _coeff(item) -> complex:
+    c = item.get("coeff", {"re": 1.0, "im": 0.0})
+    return complex(_finite(c.get("re", 0.0)), _finite(c.get("im", 0.0)))
+
+
 def _parse_pbw(doc_list) -> PBWElem:
     out = PBWElem({})
     for mono in doc_list:
-        c = mono.get("coeff", {"re": 1.0, "im": 0.0})
-        coeff = complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))
+        coeff = _coeff(mono)
         out = out + coeff * PBWElem.monomial(
             int(mono.get("a", 0)), int(mono.get("b", 0)),
             int(mono.get("bstar", 0)))
@@ -830,16 +841,14 @@ def _parse_pbw(doc_list) -> PBWElem:
 
 
 def load_one_form(doc: dict):
-    """Parse {"q": real, "one_form": [{x, y, coeff}]} into (q, pairs)."""
+    """Parse {"q": real, "one_form": [{x, y, coeff}]} into (q, pairs).
+
+    Every number must be finite.
+    """
     try:
-        q = float(doc["q"]) if "q" in doc else None
-        pairs = []
-        for item in doc["one_form"]:
-            x = _parse_pbw(item["x"])
-            y = _parse_pbw(item["y"])
-            c = item.get("coeff", {"re": 1.0, "im": 0.0})
-            coeff = complex(float(c.get("re", 0.0)), float(c.get("im", 0.0)))
-            pairs.append((x, y, coeff))
+        q = _finite(doc["q"]) if "q" in doc else None
+        pairs = [(_parse_pbw(item["x"]), _parse_pbw(item["y"]), _coeff(item))
+                 for item in doc["one_form"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed one-form document: {exc}") from exc
     return q, pairs

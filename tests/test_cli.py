@@ -78,6 +78,35 @@ class TestZetaCommand:
         code, _, err = run_cli(capsys, "zeta", "--n", "2", "--s", "zzz")
         assert code == 2
 
+    @pytest.mark.parametrize("s,route", [
+        ("0.5", "theta-integral Gauss-Laguerre quadrature"),
+        ("0.76+24.2j", "incomplete-gamma continuation")])
+    def test_route_and_bound_reported(self, capsys, s, route):
+        code, out, _ = run_cli(capsys, "zeta", "--n", "2", f"--s={s}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"]["provenance"] == route
+        assert doc["value"]["tail_bound"] < 0.1 * doc["tolerance"]
+
+    def test_residue_honours_tolerance(self, capsys):
+        code, out, err = run_cli(capsys, "zeta", "--n", "2", "--residue",
+                                 "--tol", "1e-60")
+        assert code == 3
+        assert out == ""
+        assert "tolerance" in err
+
+    def test_successive_calls_do_not_share_options(self, capsys):
+        code, out, _ = run_cli(capsys, "zeta", "--n", "4", "--residue",
+                               "--tol", "1e-9")
+        assert code == 0
+        assert "pole_fit" in json.loads(out)
+        code, out, _ = run_cli(capsys, "zeta", "--n", "2", "--s=0.5")
+        assert code == 0
+        doc = json.loads(out)
+        assert "pole_fit" not in doc and "residue" not in doc
+        assert doc["tolerance"] == 1e-10
+        assert doc["n"] == 2
+
 
 class TestTorusCommand:
     def test_full_run(self, tmp_path, capsys):
@@ -256,6 +285,22 @@ class TestSuq2Command:
         bare = json.loads(out_bare)
         assert full["zeta0"]["value"] == pytest.approx(
             2 * bare["zeta0"]["value"], abs=1e-10)
+
+    @pytest.mark.parametrize("where", ["coeff", "monomial", "q"])
+    def test_non_finite_input_is_schema_error(self, tmp_path, capsys, where):
+        doc = json.loads(json.dumps(ASTAR_DA))
+        if where == "coeff":
+            doc["one_form"][0]["coeff"]["re"] = math.nan
+        elif where == "monomial":
+            doc["one_form"][0]["x"][0]["coeff"]["im"] = math.inf
+        else:
+            doc["q"] = math.nan
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_word_cap(self, tmp_path, capsys):
         path = tmp_path / "astar_da.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from ncspectral.lattice_zeta import (
+    ROUTE_CONTINUATION,
+    ROUTE_QUADRATURE,
     AssumptionError,
     EpsteinEvaluator,
     LatticePoly,
@@ -90,6 +92,83 @@ class TestEpsteinValue:
                     * mpmath.gamma((n - s) / 2) / mpmath.gamma(s / 2))
                 errs.append(abs(ev.value(s) - pref * ev.value(n - s)))
         assert max(errs) < 1e-8
+
+
+def _oracle(n, s):
+    """The mpmath incomplete-gamma route, tolerance floored at 1e-14."""
+    return EpsteinEvaluator(n, tol=1e-14).value_incomplete_gamma(s)[0]
+
+
+class TestEpsteinQuadrature:
+    """The float64 route against the mpmath route kept as its oracle."""
+
+    @staticmethod
+    def _check(n, s, tol):
+        out = EpsteinEvaluator(n, tol=tol).values([s])
+        err = abs(out.values[0] - _oracle(n, s))
+        assert err <= tol
+        if out.routes[0] == ROUTE_QUADRATURE:
+            assert out.bounds[0] < 0.1 * tol
+            assert out.bounds[0] >= err
+
+    def test_against_oracle(self):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def points(draw):
+            n = draw(st.sampled_from([1, 2, 3, 4, 6]))
+            s = complex(draw(st.floats(-6.0, n + 6.0)),
+                        draw(st.floats(-25.0, 25.0)))
+            return n, s
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(points(), st.sampled_from([1e-10, 1e-12]))
+        # where the error comes closest to the bound
+        @example((2, 0.8289859647397578 + 0.07909216736459124j), 1e-10)
+        @example((2, 1.324180109981516 - 0.6444870905344775j), 1e-10)
+        @example((6, -3.2076551051187936 + 1.7465726266094035j), 1e-12)
+        def run(point, tol):
+            n, s = point
+            if abs(s - n) < 0.05:
+                return
+            self._check(n, s, tol)
+
+        run()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_strip_takes_quadrature(self, n):
+        points = [complex(re, im) for re in np.linspace(0.0, n, 7)
+                  for im in (-1.0, -0.4, 0.0, 0.5, 1.0)
+                  if abs(complex(re, im) - n) >= 0.1]
+        out = EpsteinEvaluator(n, tol=1e-10).values(points)
+        assert set(out.routes) == {ROUTE_QUADRATURE}
+        assert np.all(out.bounds < 1e-11)
+
+    def test_high_imaginary_part_falls_back(self):
+        s = 0.76 + 24.2j
+        ev = EpsteinEvaluator(2, tol=1e-10)
+        value = ev.value(s)
+        assert ev.last_route == ROUTE_CONTINUATION
+        assert ev.last_error_bound < 1e-11
+        assert value == pytest.approx(_oracle(2, s), abs=1e-10)
+
+    def test_batch_matches_single_values(self):
+        ev = EpsteinEvaluator(4, tol=1e-10)
+        points = [0.5 + 0.3j, 3.7 - 0.2j, 0.76 + 24.2j, -4.0]
+        out = ev.values(points)
+        assert out.routes[2] == ROUTE_CONTINUATION
+        for s, v in zip(points, out.values):
+            assert ev.value(s) == pytest.approx(v, rel=1e-14, abs=0)
+
+    def test_exact_special_values(self):
+        for n in (2, 4):
+            assert epstein_value(n, 0) == -1.0
+            assert epstein_value(n, -2) == 0.0
+
+    def test_pole_in_batch_raises(self):
+        with pytest.raises(PoleError):
+            EpsteinEvaluator(3).values([0.5, 3.0])
 
 
 class TestEpsteinResidue:
