@@ -1,7 +1,7 @@
 """Batch command line: zeta values, torus and SU_q(2) runs, assembly, selftest.
 
 Reports are JSON with sorted keys and fixed float formatting, so a run is
-byte-identical for a given configuration regardless of the worker count.
+byte-identical for a given configuration.
 Exit codes: 0 ok, 2 schema error, 3 tolerance failure, 4 unsupported input.
 """
 
@@ -13,7 +13,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acceptance
 from . import lattice_zeta as lz
@@ -33,16 +32,6 @@ class SchemaError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     pass
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, threaded when asked; results are merged in
-    input order so the report never depends on scheduling."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _cnum(x) -> dict | float:
@@ -94,10 +83,6 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"cannot read input file {path}: {exc}") from exc
 
 
-def _cutoff_spec(args) -> dict:
-    return {"family": args.cutoff}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,7 +120,7 @@ def _run_torus(args) -> dict:
         raise UnsupportedError(
             f"potential has {modes} modes after skew completion, over the "
             f"cap {args.trunc}")
-    moments = cutoff_moments(_cutoff_spec(args), [1, 2, 3, 4][:n])
+    moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)
     report = {
         "command": "torus",
@@ -145,8 +130,7 @@ def _run_torus(args) -> dict:
         "moments": moments.to_dict(),
     }
     if n == 4:
-        sums = _pmap(lambda q: nt.cs_sums(A, theta, q), (2, 3, 4),
-                     args.threads)
+        sums = [nt.cs_sums(A, theta, q) for q in (2, 3, 4)]
         report["power_sums"] = {
             str(q): {"value": v, "provenance": "closed finite sum"}
             for q, v in zip((2, 3, 4), sums)}
@@ -179,10 +163,9 @@ def _run_suq2(args) -> dict:
         raise UnsupportedError(
             f"one-form expands to {len(A.words)} ladder words, over the "
             f"cap {args.trunc}")
-    moments = cutoff_moments(_cutoff_spec(args), [1, 2, 3])
+    moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3])
     out = suq2.suq2_action(A, ctx, moments, args.lam,
-                           with_reality=not args.no_reality,
-                           parallel_map=lambda f, xs: _pmap(f, xs, args.threads))
+                           with_reality=not args.no_reality)
     report = {
         "command": "suq2",
         "q": q,
@@ -211,20 +194,18 @@ def _run_action(args) -> dict:
                   if isinstance(v, dict) else complex(v)
                   for k, v in doc["coefficients"].items()}
         zeta0 = float(doc.get("zeta0", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
     if not (math.isfinite(lam) and math.isfinite(zeta0)
             and all(cmath.isfinite(c) for c in coeffs.values())):
         raise SchemaError("non-finite number in the action document")
-    moments = cutoff_moments(cutoff, sorted(coeffs))
+    try:
+        moments = cutoff_moments(cutoff, sorted(coeffs))
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"malformed cutoff: {exc}") from exc
     rep = assemble(coeffs, zeta0, moments, lam)
     return {"command": "action", "moments": moments.to_dict(),
             "expansion": rep.to_dict()}
-
-
-def _run_selftest(args) -> int:
-    failures = acceptance.run_all(report=print)
-    return EXIT_TOLERANCE if failures else EXIT_OK
 
 
 class UnsupportedError(ValueError):
@@ -241,25 +222,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "torus and SU_q(2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_finite_float, default=1e-10,
-                       help="series / evaluation tolerance")
-        p.add_argument("--max-terms", type=int, default=20000,
-                       help="cap on regularized-trace series terms")
-        p.add_argument("--trunc", type=int, default=200000,
-                       help="cap on expanded ladder words (suq2) and on "
-                            "skew-completed potential modes (torus)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (result is identical for any value)")
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--format", choices=["json"], default="json")
+    shared = {
+        "--tol": dict(type=_finite_float, default=1e-10,
+                      help="series / evaluation tolerance"),
+        "--max-terms": dict(type=int, default=20000,
+                            help="cap on regularized-trace series terms"),
+        "--trunc": dict(type=int, default=200000,
+                        help="cap on expanded ladder words (suq2) or on "
+                             "skew-completed potential modes (torus)"),
+        "--out": dict(default=None, help="write the report here"),
+    }
+
+    def options(p, *names):
+        for name in names:
+            p.add_argument(name, **shared[name])
 
     p_zeta = sub.add_parser("zeta", help="Epstein zeta values and residues")
     p_zeta.add_argument("--n", type=int, required=True)
     p_zeta.add_argument("--s", default="0")
     p_zeta.add_argument("--residue", action="store_true",
                         help="report the residue at s = n instead of a value")
-    common(p_zeta)
+    options(p_zeta, "--tol", "--out")
 
     p_torus = sub.add_parser("torus", help="noncommutative-torus action")
     p_torus.add_argument("--input", required=True,
@@ -268,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          required=True)
     p_torus.add_argument("--cutoff", default="exponential",
                          choices=["exponential", "gaussian"])
-    common(p_torus)
+    options(p_torus, "--trunc", "--out")
 
     p_suq2 = sub.add_parser("suq2", help="SU_q(2) spectral action")
     p_suq2.add_argument("--q", type=_finite_float, default=None)
@@ -280,16 +263,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["exponential", "gaussian"])
     p_suq2.add_argument("--no-reality", action="store_true",
                         help="drop the real-structure doubling")
-    common(p_suq2)
+    options(p_suq2, "--tol", "--max-terms", "--trunc", "--out")
 
     p_action = sub.add_parser("action", help="assemble an expansion from "
                                              "coefficients and a cutoff")
     p_action.add_argument("--input", required=True,
                           help="JSON {cutoff, lambda, coefficients, zeta0}")
-    common(p_action)
+    options(p_action, "--out")
 
-    p_self = sub.add_parser("selftest", help="run the acceptance suite")
-    common(p_self)
+    sub.add_parser("selftest", help="run the acceptance suite")
     return parser
 
 
@@ -301,12 +283,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_SCHEMA
     try:
         if args.command == "selftest":
-            return _run_selftest(args)
+            failures = acceptance.run_all(report=print)
+            return EXIT_TOLERANCE if failures else EXIT_OK
         runner = {"zeta": _run_zeta, "torus": _run_torus,
                   "suq2": _run_suq2, "action": _run_action}[args.command]
         _emit(runner(args), args.out)

@@ -246,12 +246,17 @@ class EpsteinEvaluator:
         """(Z_n(s), bound) from the mpmath incomplete-gamma shells.
 
         Independent of the quadrature route; its fallback, and the oracle
-        the tests compare the quadrature with.
+        the tests compare the quadrature with.  The shells cancel down to
+        the value by about pi |Im s| / (4 ln 10) digits, so the working
+        precision grows with |Im s| on top of the digits the tolerance needs.
         """
         s = complex(s)
         n = self.n
         self._check_tolerance()
-        with mp.workdps(_MP_DPS):
+        dps = max(_MP_DPS,
+                  math.ceil(math.pi * abs(s.imag) / (4 * math.log(10)))
+                  + math.ceil(-math.log10(0.1 * self.tol)) + 5)
+        with mp.workdps(dps):
             ms = mp.mpc(s)
             prev = None
             block = self._theta_shells(s, 1, 16)

@@ -606,13 +606,15 @@ def load_potential(doc: dict):
     try:
         n = _integer(doc["n"])
         theta = Theta(doc["theta"])
-        flag = bool(doc.get("diophantine_asserted", False))
+        flag = doc.get("diophantine_asserted", False)
         entries = [(_integer(e["alpha"]), tuple(_integer(x) for x in e["l"]),
                     complex(_finite(e.get("re", 0.0)),
                             _finite(e.get("im", 0.0))))
                    for e in doc.get("A", [])]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed potential document: {exc}") from exc
+    if not isinstance(flag, bool):
+        raise ValueError("diophantine_asserted must be true or false")
     if theta.n != n:
         raise ValueError("theta size does not match n")
     A = OneFormTorus.from_entries(n, entries)

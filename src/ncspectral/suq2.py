@@ -144,7 +144,9 @@ def _monomial_word(m) -> tuple:
     return a_part + ("b",) * j + ("b*",) * k
 
 
-@lru_cache(maxsize=None)
+# a sweep over q adds entries under every q; evicting one mid-recursion
+# only costs its recomputation
+@lru_cache(maxsize=1 << 14)
 def _normalize_word(word: tuple, q: float) -> tuple:
     """Rewrite a word over {a, a*, b, b*} into canonical monomials.
 
@@ -503,17 +505,29 @@ def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
     return _tensor_sum(rt, ctx, combo)
 
 
-def _integral_weight3_power(A: LadderElem, power: int, ctx: QContext) -> complex:
-    """Integral of A^power against |D|^-3 without expanding A^power.
+def _integral_weight3_power(A: LadderElem, power: int) -> complex:
+    """Integral of A^power against |D|^-3 from the degree grading alone.
 
-    Only words built purely from a+ and a+* survive tau1 x tau1 after r, so
-    A is filtered before powering.
+    Only words built purely from a+ and a+* survive tau1 x tau1 after r, each
+    with weight 1 exactly when its degree is zero.  As w -> z^deg(w) is
+    multiplicative, the integral is 2 [z^0] P(z)^power for the Laurent
+    polynomial P(z) = sum_w c_w z^deg(w) of the filtered words; an odd
+    power of F makes it vanish.
     """
-    filtered = A.filter_letters(frozenset({AP, APS}))
-    acc = LadderElem.one()
+    if power * A.f_power % 2:
+        return 0.0 + 0.0j
+    poly: dict = {}
+    for w, c in A.filter_letters(frozenset({AP, APS})).words.items():
+        d = word_degree(w)
+        poly[d] = poly.get(d, 0.0) + c
+    acc = {0: 1.0}
     for _ in range(power):
-        acc = acc @ filtered
-    return 2.0 * sum(c for w, c in acc.words.items() if word_degree(w) == 0)
+        nxt: dict = {}
+        for d1, c1 in acc.items():
+            for d2, c2 in poly.items():
+                nxt[d1 + d2] = nxt.get(d1 + d2, 0.0) + c1 * c2
+        acc = nxt
+    return 2.0 * acc.get(0, 0.0)
 
 
 def _integral_weight2_square(A: LadderElem, ctx: QContext) -> complex:
@@ -684,26 +698,19 @@ def table_entry_ladder(n: int, tag: str, ctx: QContext) -> LadderElem:
 
 
 def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
-                lam: float, with_reality: bool = True,
-                parallel_map=None) -> dict:
+                lam: float, with_reality: bool = True) -> dict:
     """Expansion coefficients of the fluctuated triple for a one-form whose
     associated delta-one-form is A, plus the assembled value at scale lam.
 
-    Returns the seven working integrals and the ExpansionReport.  The six
-    base integrals are independent; `parallel_map` (an order-preserving map)
-    may evaluate them concurrently without changing the result.
+    Returns the six base integrals, the coefficients with the scale-invariant
+    term zeta0, and the ExpansionReport.
     """
-    tasks = (
-        lambda: nc_integral(A, 3, ctx),
-        lambda: nc_integral(A, 2, ctx),
-        lambda: nc_integral(A, 1, ctx),
-        lambda: _integral_weight3_power(A, 2, ctx),
-        lambda: _integral_weight3_power(A, 3, ctx),
-        lambda: _integral_weight2_square(A, ctx),
-    )
-    pmap = parallel_map if parallel_map is not None else (
-        lambda f, xs: [f(x) for x in xs])
-    ia3, ia2, ia1, ia23, ia33, ia22 = pmap(lambda job: job(), tasks)
+    ia3 = nc_integral(A, 3, ctx)
+    ia2 = nc_integral(A, 2, ctx)
+    ia1 = nc_integral(A, 1, ctx)
+    ia23 = _integral_weight3_power(A, 2)
+    ia33 = _integral_weight3_power(A, 3)
+    ia22 = _integral_weight2_square(A, ctx)
 
     if with_reality:
         c3 = 2.0
@@ -849,6 +856,6 @@ def load_one_form(doc: dict):
         q = _finite(doc["q"]) if "q" in doc else None
         pairs = [(_parse_pbw(item["x"]), _parse_pbw(item["y"]), _coeff(item))
                  for item in doc["one_form"]]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed one-form document: {exc}") from exc
     return q, pairs

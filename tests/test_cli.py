@@ -1,9 +1,14 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncspectral.cli import main
+from ncspectral.cli import _build_parser, main
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -123,19 +128,6 @@ class TestTorusCommand:
         assert doc["zeta0_shift"]["value"] == pytest.approx(
             doc["zeta0_shift_power_sums"]["value"], abs=1e-10)
 
-    def test_determinism_across_threads(self, tmp_path, capsys):
-        path = tmp_path / "A4.json"
-        path.write_text(json.dumps(torus_doc()))
-        outs = []
-        for threads in ("1", "4"):
-            out_path = tmp_path / f"report{threads}.json"
-            code, _, _ = run_cli(capsys, "torus", "--input", str(path),
-                                 "--lambda", "10", "--threads", threads,
-                                 "--out", str(out_path))
-            assert code == 0
-            outs.append(out_path.read_bytes())
-        assert outs[0] == outs[1]
-
     def test_missing_flag_is_schema_error(self, tmp_path, capsys):
         doc = torus_doc()
         doc["diophantine_asserted"] = False
@@ -144,6 +136,17 @@ class TestTorusCommand:
         code, _, err = run_cli(capsys, "torus", "--input", str(path),
                                "--lambda", "10")
         assert code == 2
+
+    def test_flag_must_be_boolean(self, tmp_path, capsys):
+        doc = torus_doc()
+        doc["diophantine_asserted"] = "false"
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 2
+        assert out == ""
+        assert "diophantine_asserted" in err
 
     def test_schema_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -253,11 +256,11 @@ class TestSuq2Command:
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
         reports = []
-        for threads in ("1", "3"):
-            out_path = tmp_path / f"suq2-{threads}.json"
+        for run in ("first", "second"):
+            out_path = tmp_path / f"suq2-{run}.json"
             code, _, _ = run_cli(capsys, "suq2", "--q", "0.3",
                                  "--one-form", str(path),
-                                 "--threads", threads, "--out", str(out_path))
+                                 "--out", str(out_path))
             assert code == 0
             reports.append(out_path.read_bytes())
         assert reports[0] == reports[1]
@@ -302,6 +305,17 @@ class TestSuq2Command:
         assert out == ""
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("where", ["x", "coeff"])
+    def test_wrong_type_is_schema_error(self, tmp_path, capsys, where):
+        doc = json.loads(json.dumps(ASTAR_DA))
+        doc["one_form"][0][where] = "a" if where == "x" else 1.0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
     def test_word_cap(self, tmp_path, capsys):
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
@@ -326,6 +340,16 @@ class TestActionCommand:
         assert rep["expansion"]["total"] == pytest.approx(
             2 * phi3 * 8 - 0.5 * phi1 * 2)
 
+    def test_coefficient_list_is_schema_error(self, tmp_path, capsys):
+        doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
+               "coefficients": [2.0, -0.5]}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "malformed" in err
+
     @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0"])
     def test_non_finite_input_is_schema_error(self, tmp_path, capsys, field):
         doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
@@ -343,10 +367,134 @@ class TestActionCommand:
         assert "non-finite" in err
 
 
-def test_bad_thread_count(capsys):
-    code, _, _ = run_cli(capsys, "zeta", "--n", "2", "--s", "0",
-                         "--threads", "0")
-    assert code == 2
+class TestOptionSurface:
+    """Each subcommand accepts exactly the options it reads."""
+
+    SURFACE = {
+        "zeta": {"--n", "--s", "--residue", "--tol", "--out"},
+        "torus": {"--input", "--lambda", "--cutoff", "--trunc", "--out"},
+        "suq2": {"--q", "--one-form", "--lambda", "--cutoff", "--no-reality",
+                 "--tol", "--max-terms", "--trunc", "--out"},
+        "action": {"--input", "--out"},
+        "selftest": set(),
+    }
+
+    def test_long_options_per_subcommand(self):
+        sub, = [a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        surface = {name: {o for a in p._actions for o in a.option_strings
+                          if o.startswith("--") and o != "--help"}
+                   for name, p in sub.choices.items()}
+        assert surface == self.SURFACE
+
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--n", "2", "--trunc", "5"],
+        ["zeta", "--n", "2", "--format", "json"],
+        ["torus", "--input", "A4.json", "--lambda", "1", "--threads", "2"],
+        ["torus", "--input", "A4.json", "--lambda", "1", "--tol", "1e-9"],
+        ["action", "--input", "action.json", "--max-terms", "10"],
+        ["selftest", "--out", "report.json"],
+    ])
+    def test_unread_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+# leaves and containers of arbitrary JSON, kept small; finite numbers stay
+# below 4 in size because any of them may land on an SU_q(2) monomial
+# exponent, and a monomial of total degree d expands into 2^d ladder words
+# before the --trunc cap is checked (1e300 fails int() at once)
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
+    | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, 1e300]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _field(valid):
+    """A field that is well formed nine times in ten, else any JSON value."""
+    return st.integers(0, 9).flatmap(lambda i: JSON if i == 0 else valid)
+
+
+def _document(fields):
+    """Documents with every field, with some fields, or any JSON value."""
+    full = st.fixed_dictionaries({k: _field(v) for k, v in fields.items()})
+    some = st.fixed_dictionaries({}, optional={k: _field(v)
+                                               for k, v in fields.items()})
+    return st.integers(0, 9).flatmap(
+        lambda i: JSON if i == 0 else some if i == 1 else full)
+
+
+NUMBER = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+COMPLEX = st.fixed_dictionaries({"re": _field(NUMBER)},
+                                optional={"im": _field(NUMBER)})
+
+def _torus_fields(n):
+    entry = st.fixed_dictionaries({
+        "alpha": _field(st.integers(1, n)),
+        "l": _field(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+        "re": _field(NUMBER), "im": _field(NUMBER)})
+    return _document({
+        "n": st.just(n), "theta": st.just(torus_doc(n)["theta"]),
+        "diophantine_asserted": st.booleans(),
+        "A": st.lists(_field(entry), max_size=3)})
+
+
+TORUS_DOC = st.sampled_from([2, 3, 4]).flatmap(_torus_fields)
+
+MONOMIAL = st.fixed_dictionaries({}, optional={
+    "a": _field(st.integers(-2, 2)), "b": _field(st.integers(0, 2)),
+    "bstar": _field(st.integers(0, 2)), "coeff": _field(COMPLEX)})
+SUQ2_DOC = _document({
+    "q": st.floats(0.1, 0.9),
+    "one_form": st.lists(_field(st.fixed_dictionaries({}, optional={
+        "x": _field(st.lists(_field(MONOMIAL), max_size=2)),
+        "y": _field(st.lists(_field(MONOMIAL), max_size=2)),
+        "coeff": _field(COMPLEX)})), max_size=2),
+})
+
+CUTOFF = st.one_of(
+    st.fixed_dictionaries({"family": st.sampled_from(
+        ["exponential", "gaussian", "other"])},
+        optional={"params": _field(st.fixed_dictionaries(
+            {"scale": _field(NUMBER)}))}),
+    st.fixed_dictionaries({"table": _field(st.lists(
+        st.lists(NUMBER, min_size=2, max_size=2), max_size=6))}))
+ACTION_DOC = _document({
+    "cutoff": CUTOFF,
+    "lambda": NUMBER,
+    "coefficients": st.dictionaries(
+        st.integers(0, 9).flatmap(lambda i: st.text(max_size=2) if i == 0
+                                  else st.integers(-1, 6).map(str)),
+        _field(NUMBER | COMPLEX), max_size=3),
+    "zeta0": NUMBER,
+})
+
+
+@pytest.mark.parametrize("command,flag,documents,extra", [
+    ("torus", "--input", TORUS_DOC, ["--lambda", "2"]),
+    ("suq2", "--one-form", SUQ2_DOC, []),
+    ("action", "--input", ACTION_DOC, []),
+])
+def test_generated_documents_keep_exit_contract(tmp_path, command, flag,
+                                                documents, extra):
+    path = tmp_path / "input.json"
+    out_path = tmp_path / "report.json"
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(documents)
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, flag, str(path), *extra,
+                         "--out", str(out_path)])
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+    run()
 
 
 class TestSelftestPlumbing:

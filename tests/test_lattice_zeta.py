@@ -153,6 +153,17 @@ class TestEpsteinQuadrature:
         assert ev.last_error_bound < 1e-11
         assert value == pytest.approx(_oracle(2, s), abs=1e-10)
 
+    def test_continuation_precision_follows_imaginary_part(self, monkeypatch):
+        # the shells cancel by ~pi |Im s| / (4 ln 10) digits; at 30 fixed
+        # digits this value came out as 5.2e68 + 1.9e69i
+        s = 300j
+        value, bound = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)
+        from ncspectral import lattice_zeta
+        monkeypatch.setattr(lattice_zeta, "_MP_DPS", 150)
+        reference = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)[0]
+        assert abs(value - reference) <= 1e-10
+        assert bound < 1e-11
+
     def test_batch_matches_single_values(self):
         ev = EpsteinEvaluator(4, tol=1e-10)
         points = [0.5 + 0.3j, 3.7 - 0.2j, 0.76 + 24.2j, -4.0]

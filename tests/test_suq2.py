@@ -486,17 +486,22 @@ class TestSpectralAction:
         ctx = QContext(q)
         rng = np.random.default_rng(23)
         gens = ["a", "a*", "b", "b*"]
+        forms = []
         for _ in range(4):
             pairs = []
             for _ in range(2):
                 x = gen(rng.choice(gens))
                 y = gen(rng.choice(gens))
                 pairs.append((x, y, complex(rng.normal(), rng.normal())))
-            A = one_form_from_pairs(pairs, ctx)
+            forms.append(one_form_from_pairs(pairs, ctx))
+        # F-flagged forms: the weight-3 power integral vanishes at odd powers
+        forms += [delta_one_form(gen("a*"), gen("a"), f_flag=True),
+                  LadderElem(forms[0].words, f_power=1)]
+        for A in forms:
             sq = A @ A
-            assert _integral_weight3_power(A, 2, ctx) == pytest.approx(
+            assert _integral_weight3_power(A, 2) == pytest.approx(
                 nc_integral(sq, 3, ctx), abs=1e-9)
-            assert _integral_weight3_power(A, 3, ctx) == pytest.approx(
+            assert _integral_weight3_power(A, 3) == pytest.approx(
                 nc_integral(sq @ A, 3, ctx), abs=1e-9)
             assert _integral_weight2_square(A, ctx) == pytest.approx(
                 nc_integral(sq, 2, ctx), abs=1e-9)
