@@ -158,11 +158,12 @@ def _run_suq2(args) -> dict:
     if q is None:
         raise SchemaError("q missing: pass --q or put it in the input file")
     ctx = suq2.QContext(q, tol=args.tol, max_terms=args.max_terms)
-    A = suq2.one_form_from_pairs(pairs, ctx)
-    if len(A.words) > args.trunc:
+    bound = suq2.ladder_word_bound(pairs)
+    if bound > args.trunc:
         raise UnsupportedError(
-            f"one-form expands to {len(A.words)} ladder words, over the "
+            f"one-form may expand to {bound:.6g} ladder words, over the "
             f"cap {args.trunc}")
+    A = suq2.one_form_from_pairs(pairs, ctx)
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3])
     out = suq2.suq2_action(A, ctx, moments, args.lam,
                            with_reality=not args.no_reality)
@@ -228,8 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-terms": dict(type=int, default=20000,
                             help="cap on regularized-trace series terms"),
         "--trunc": dict(type=int, default=200000,
-                        help="cap on expanded ladder words (suq2) or on "
-                             "skew-completed potential modes (torus)"),
+                        help="cap on a bound on the expanded ladder words "
+                             "(suq2) or on skew-completed potential modes "
+                             "(torus)"),
         "--out": dict(default=None, help="write the report here"),
     }
 

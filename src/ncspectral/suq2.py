@@ -737,11 +737,29 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     }
 
 
+def ladder_word_bound(pairs) -> float:
+    """Upper bound on the ladder words of one_form_from_pairs(pairs).
+
+    A monomial of degree |i| + j + k expands into 2^(|i| + j + k) words and
+    `@` concatenates words, so a pair (x, y) gives at most the product of the
+    two sums.  Computed in floats, so that huge exponents give inf rather
+    than huge integers.
+    """
+    def words(x: PBWElem) -> float:
+        return sum(2.0 ** min(abs(i) + j + k, 1000) for i, j, k in x.coeffs)
+    return sum(words(x) * words(y) for x, y, c in pairs if c != 0)
+
+
 def one_form_from_pairs(pairs, ctx: QContext) -> LadderElem:
-    """Associated delta-one-form of sum_i c_i pi(x_i) d pi(y_i)."""
+    """Associated delta-one-form of sum_i c_i pi(x_i) d pi(y_i).
+
+    A pair whose x, y or c is zero is skipped unexpanded, so the expansion
+    work stays within a multiple of `ladder_word_bound(pairs)`.
+    """
     total = LadderElem.zero()
     for x, y, c in pairs:
-        total = total + c * delta_one_form(x, y)
+        if c != 0 and x.coeffs and y.coeffs:
+            total = total + c * delta_one_form(x, y)
     return total
 
 
@@ -837,25 +855,32 @@ def _coeff(item) -> complex:
     return complex(_finite(c.get("re", 0.0)), _finite(c.get("im", 0.0)))
 
 
+def _exponent(x) -> int:
+    i = int(x)
+    if i != x:
+        raise ValueError(f"monomial exponent {x!r} is not an integer")
+    return i
+
+
 def _parse_pbw(doc_list) -> PBWElem:
     out = PBWElem({})
     for mono in doc_list:
         coeff = _coeff(mono)
         out = out + coeff * PBWElem.monomial(
-            int(mono.get("a", 0)), int(mono.get("b", 0)),
-            int(mono.get("bstar", 0)))
+            _exponent(mono.get("a", 0)), _exponent(mono.get("b", 0)),
+            _exponent(mono.get("bstar", 0)))
     return out
 
 
 def load_one_form(doc: dict):
     """Parse {"q": real, "one_form": [{x, y, coeff}]} into (q, pairs).
 
-    Every number must be finite.
+    Every number must be finite and every monomial exponent an integer.
     """
     try:
         q = _finite(doc["q"]) if "q" in doc else None
         pairs = [(_parse_pbw(item["x"]), _parse_pbw(item["y"]), _coeff(item))
                  for item in doc["one_form"]]
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed one-form document: {exc}") from exc
     return q, pairs

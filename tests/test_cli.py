@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncspectral import suq2
 from ncspectral.cli import _build_parser, main
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -316,6 +317,57 @@ class TestSuq2Command:
         assert out == ""
         assert "malformed" in err
 
+    @pytest.mark.parametrize("bad", [-1.5, 1.9, "1", math.inf])
+    def test_non_integer_exponent_is_schema_error(self, tmp_path, capsys,
+                                                  bad):
+        doc = json.loads(json.dumps(ASTAR_DA))
+        doc["one_form"][0]["x"][0]["a"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
+    @pytest.mark.parametrize("x,y,expected", [
+        # a^17 d a would expand into 2^18 words before any count
+        ([{"a": 17}], [{"a": 1}], 4),
+        # a pair with an empty side is zero and is not expanded at all
+        ([{"a": 40}], [], 0),
+        ([], [{"b": 40}], 0),
+    ])
+    def test_word_cap_checked_before_expansion(self, tmp_path, capsys,
+                                               monkeypatch, x, y, expected):
+        def no_expansion(*args):
+            raise AssertionError("monomial expanded")
+
+        monkeypatch.setattr(suq2, "rep_ladder", no_expansion)
+        doc = {"q": 0.5, "one_form": [{"x": x, "y": y}]}
+        path = tmp_path / "one_form.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--trunc", "1000")
+        assert code == expected
+        if expected == 4:
+            assert out == ""
+            assert "cap 1000" in err
+
+    def test_word_cap_is_on_the_bound(self, tmp_path, capsys):
+        # 1 d(b b*) has a bound of 4 words but 2 after the expansion, since
+        # the degree-0 words of b b* drop out of the derivation
+        doc = {"q": 0.5, "one_form": [{"x": [{}],
+                                       "y": [{"b": 1, "bstar": 1}]}]}
+        path = tmp_path / "one_form.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "suq2", "--one-form", str(path),
+                               "--trunc", "4")
+        assert code == 0
+        assert json.loads(out)["ladder_words"] == 2
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--trunc", "3")
+        assert code == 4
+        assert "4 ladder words" in err
+
     def test_word_cap(self, tmp_path, capsys):
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
@@ -349,6 +401,18 @@ class TestActionCommand:
         assert code == 2
         assert out == ""
         assert "malformed" in err
+
+    def test_negative_table_abscissa_is_unsupported(self, tmp_path, capsys):
+        # read off the first row, Phi(-1) = e^-1 would stand in for Phi(0)
+        table = [[t / 10.0, math.exp(-t / 10.0)] for t in range(-10, 200)]
+        doc = {"cutoff": {"table": table}, "lambda": 2.0,
+               "coefficients": {"2": 1.0}, "zeta0": 1.0}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "nonnegative" in err
 
     @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0"])
     def test_non_finite_input_is_schema_error(self, tmp_path, capsys, field):
@@ -401,13 +465,12 @@ class TestOptionSurface:
         assert exc.value.code == 2
 
 
-# leaves and containers of arbitrary JSON, kept small; finite numbers stay
-# below 4 in size because any of them may land on an SU_q(2) monomial
-# exponent, and a monomial of total degree d expands into 2^d ladder words
-# before the --trunc cap is checked (1e300 fails int() at once)
+# leaves and containers of arbitrary JSON, kept small; a number that lands
+# on an SU_q(2) monomial exponent may be large, because --trunc is checked
+# against a bound on the ladder words before any monomial is expanded
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 3) | st.text(max_size=3)
-    | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf, 1e300]),
+    st.none() | st.booleans() | st.integers(-40, 40) | st.text(max_size=3)
+    | st.floats(-40.0, 40.0) | st.sampled_from([math.nan, math.inf, 1e300]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=6)
@@ -444,9 +507,11 @@ def _torus_fields(n):
 
 TORUS_DOC = st.sampled_from([2, 3, 4]).flatmap(_torus_fields)
 
+EXPONENT = st.integers(0, 2) | st.integers(0, 40)
 MONOMIAL = st.fixed_dictionaries({}, optional={
-    "a": _field(st.integers(-2, 2)), "b": _field(st.integers(0, 2)),
-    "bstar": _field(st.integers(0, 2)), "coeff": _field(COMPLEX)})
+    "a": _field(EXPONENT | EXPONENT.map(lambda i: -i)),
+    "b": _field(EXPONENT), "bstar": _field(EXPONENT),
+    "coeff": _field(COMPLEX)})
 SUQ2_DOC = _document({
     "q": st.floats(0.1, 0.9),
     "one_form": st.lists(_field(st.fixed_dictionaries({}, optional={
