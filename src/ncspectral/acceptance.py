@@ -65,7 +65,7 @@ def crit_epstein_values():
 def crit_epstein_residues():
     errs = [abs(lz.epstein_pole_fit(2) - 2 * math.pi),
             abs(lz.epstein_pole_fit(4) - 2 * math.pi ** 2)]
-    return _check(errs, 1e-5, "pole fits vs 2pi, 2pi^2")
+    return _check(errs, 1e-5, "contour residues vs 2pi, 2pi^2")
 
 
 def crit_functional_equation():
@@ -78,7 +78,8 @@ def crit_functional_equation():
                 pref = complex(
                     mpmath.power(mpmath.pi, s - n / 2)
                     * mpmath.gamma((n - s) / 2) / mpmath.gamma(s / 2))
-                errs.append(abs(ev.value(s) - pref * ev.value(n - s)))
+                errs.append(abs(ev.value(s).value
+                                - pref * ev.value(n - s).value))
     return _check(errs, 1e-8, "20-point functional-equation sweep per n")
 
 

@@ -172,7 +172,8 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
                 raise DivergentMomentError(
                     f"tabulated moments need an integer k >= 1, not {k}")
         spline = interpolate.CubicSpline(ts, vs)
-        phi0 = float(vs[0]) if ts[0] <= 1e-12 else float(spline(0.0))
+        # the model is constant at Phi(t0) on [0, t0]
+        phi0 = float(vs[0])
         if ks and (vs[-1] <= 0 or vs[-2] <= vs[-1]):
             raise DivergentMomentError("tabulated cutoff tail is not decaying")
         for k in ks:

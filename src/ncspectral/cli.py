@@ -92,16 +92,17 @@ def _run_zeta(args) -> dict:
     report = {"command": "zeta", "n": args.n, "tolerance": args.tol}
     if args.residue:
         report["residue"] = {"value": ev.residue(), "provenance": "analytic"}
-        report["pole_fit"] = {"value": lz.epstein_pole_fit(args.n,
-                                                           tol=args.tol),
-                              "provenance": "pole fit near s = n"}
+        report["pole_fit"] = {
+            "value": lz.epstein_pole_fit(args.n, tol=args.tol),
+            "provenance": f"trapezoid rule, {lz.CONTOUR_NODES} nodes on "
+                          f"|s - n| = {lz.CONTOUR_RADIUS:g}"}
     else:
         s = _parse_complex(args.s)
-        value = ev.value(s)
+        out = ev.value(s)
         report["s"] = _cnum(s)
-        report["value"] = {"value": _cnum(value),
-                           "provenance": ev.last_route,
-                           "tail_bound": ev.last_error_bound}
+        report["value"] = {"value": _cnum(out.value),
+                           "provenance": out.route,
+                           "tail_bound": out.bound}
     return report
 
 

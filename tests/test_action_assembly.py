@@ -173,10 +173,22 @@ class TestTabulatedMoments:
         cutoff_moments({"table": [[t, math.exp(-t)] for t in ts]},
                        [1, 2, 3, 4])
         assert counts == {"splines": 1, "calls": 0}
-        # Phi(0) off the grid is the one point the spline is evaluated at
+        # a table starting past 0 takes Phi(0) = Phi(t0) from the table too
         cutoff_moments({"table": [[t, math.exp(-t)] for t in ts + 0.5]},
                        [1, 2, 3, 4])
-        assert counts == {"splines": 2, "calls": 1}
+        assert counts == {"splines": 2, "calls": 0}
+
+    def test_table_starting_past_zero_is_one_model(self):
+        # Phi(0) and the moments both read Phi as Phi(t0) on [0, t0]: each
+        # Phi_k is the head Phi(t0) t0^(k/2) / k plus the spline and tail
+        ts = np.linspace(1.0, 30.0, 300)
+        vs = np.exp(-ts)
+        m = cutoff_moments({"table": np.column_stack([ts, vs]).tolist()},
+                           list(range(1, 7)))
+        assert m.phi0 == vs[0]
+        for k in range(1, 7):
+            assert m.phi(k) == pytest.approx(_table_model_oracle(ts, vs, k),
+                                             rel=1e-12)
 
     def test_negative_abscissa_rejected(self):
         table = [[t, math.exp(-t)] for t in np.linspace(-1.0, 10.0, 50)]

@@ -63,7 +63,9 @@ class TestZetaCommand:
         doc = json.loads(out)
         assert doc["residue"]["value"] == pytest.approx(2 * math.pi ** 2)
         assert doc["pole_fit"]["value"] == pytest.approx(2 * math.pi ** 2,
-                                                         abs=1e-5)
+                                                         abs=1e-10)
+        assert doc["pole_fit"]["provenance"] == (
+            "trapezoid rule, 16 nodes on |s - n| = 0.5")
 
     def test_complex_argument(self, capsys):
         code, out, _ = run_cli(capsys, "zeta", "--n", "2", "--s", "1.5+0.3j")
@@ -84,11 +86,24 @@ class TestZetaCommand:
         code, _, err = run_cli(capsys, "zeta", "--n", "2", "--s", "zzz")
         assert code == 2
 
+    # n = 3 has no L-series product: quadrature, then the shells
     @pytest.mark.parametrize("s,route", [
         ("0.5", "theta-integral Gauss-Laguerre quadrature"),
         ("0.76+24.2j", "incomplete-gamma continuation")])
     def test_route_and_bound_reported(self, capsys, s, route):
-        code, out, _ = run_cli(capsys, "zeta", "--n", "2", f"--s={s}")
+        code, out, _ = run_cli(capsys, "zeta", "--n", "3", f"--s={s}")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"]["provenance"] == route
+        assert doc["value"]["tail_bound"] < 0.1 * doc["tolerance"]
+
+    @pytest.mark.parametrize("s,tol,route", [
+        ("0.5", "1e-10", "Dirichlet L-series, float64 Euler-Maclaurin"),
+        ("0.76+24.2j", "1e-12", "Dirichlet L-series, mpmath"),
+        ("0", "1e-10", "theta-integral Gauss-Laguerre quadrature")])
+    def test_l_series_routes_reported(self, capsys, s, tol, route):
+        code, out, _ = run_cli(capsys, "zeta", "--n", "2", f"--s={s}",
+                               "--tol", tol)
         assert code == 0
         doc = json.loads(out)
         assert doc["value"]["provenance"] == route

@@ -5,8 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from ncspectral import lattice_zeta
 from ncspectral.lattice_zeta import (
     ROUTE_CONTINUATION,
+    ROUTE_L_SERIES,
+    ROUTE_L_SERIES_MPMATH,
     ROUTE_QUADRATURE,
     AssumptionError,
     EpsteinEvaluator,
@@ -55,8 +58,8 @@ class TestEpsteinValue:
     @pytest.mark.parametrize("n,s", [(3, 5.5), (4, 6.0), (2, 3.2)])
     def test_direct_vs_continued(self, n, s):
         ev = EpsteinEvaluator(n)
-        assert ev.value(s).real == pytest.approx(ev.value_direct(s, 150).real,
-                                                 abs=1e-6)
+        assert ev.value(s).value.real == pytest.approx(
+            ev.value_direct(s, 150).real, abs=1e-6)
 
     def test_pole_raises_with_residue(self):
         with pytest.raises(PoleError) as err:
@@ -67,7 +70,8 @@ class TestEpsteinValue:
         # Z_1(s) = 2 zeta(s): two independent continuations must agree
         ev = EpsteinEvaluator(1)
         for s in (0.0, -0.5, 0.5 + 1.0j, 3.0, 2.0 - 0.4j):
-            assert ev.value(s) == pytest.approx(2 * riemann_zeta(s), abs=1e-9)
+            assert ev.value(s).value == pytest.approx(2 * riemann_zeta(s),
+                                                      abs=1e-9)
 
     def test_unreachable_tolerance_raises(self):
         from ncspectral.lattice_zeta import ToleranceError
@@ -90,7 +94,8 @@ class TestEpsteinValue:
                 pref = complex(
                     mpmath.power(mpmath.pi, s - n / 2)
                     * mpmath.gamma((n - s) / 2) / mpmath.gamma(s / 2))
-                errs.append(abs(ev.value(s) - pref * ev.value(n - s)))
+                errs.append(abs(ev.value(s).value
+                                - pref * ev.value(n - s).value))
         assert max(errs) < 1e-8
 
 
@@ -99,17 +104,41 @@ def _oracle(n, s):
     return EpsteinEvaluator(n, tol=1e-14).value_incomplete_gamma(s)[0]
 
 
+# the zeta-grid benchmark ops (seed 4242) that took the incomplete-gamma
+# route before the L-series existed: (n, s, tol)
+SHELL_OPS_SEED_4242 = (
+    (4, 1.1972791107224947 - 15.62567225088153j, 1e-12),
+    (4, 2.8027208892775053 + 15.62567225088153j, 1e-12),
+    (2, 0.5219197816473828 - 14.788587618420292j, 1e-12),
+    (2, 1.4780802183526172 + 14.788587618420292j, 1e-12),
+    (2, 0.3061076322821719 - 24.973966693997696j, 1e-10),
+    (2, 1.6938923677178281 + 24.973966693997696j, 1e-10),
+)
+
+
+def _disc(n, s):
+    """Where the L-series identities are 0 * inf and the quadrature stays."""
+    return abs(s) < 0.1 or (n == 4 and abs(s - 2) < 0.1)
+
+
 class TestEpsteinQuadrature:
-    """The float64 route against the mpmath route kept as its oracle."""
+    """The float64 routes and the mpmath L-series against the mpmath
+    incomplete-gamma route kept as their oracle."""
 
     @staticmethod
     def _check(n, s, tol):
         out = EpsteinEvaluator(n, tol=tol).values([s])
-        err = abs(out.values[0] - _oracle(n, s))
+        value, oracle_bound = EpsteinEvaluator(
+            n, tol=1e-14).value_incomplete_gamma(s)
+        err = abs(out.values[0] - value)
         assert err <= tol
-        if out.routes[0] == ROUTE_QUADRATURE:
-            assert out.bounds[0] < 0.1 * tol
-            assert out.bounds[0] >= err
+        assert out.bounds[0] < 0.1 * tol
+        # both bounds hold, so their sum covers the difference
+        assert err <= out.bounds[0] + oracle_bound, out.routes[0]
+        if s == 0:
+            assert out.values[0] == -1.0
+        elif s.imag == 0 and s.real < 0 and s.real % 2 == 0:
+            assert out.values[0] == 0.0
 
     def test_against_oracle(self):
         from hypothesis import example, given, settings
@@ -124,7 +153,7 @@ class TestEpsteinQuadrature:
 
         @settings(max_examples=40, deadline=None, derandomize=True)
         @given(points(), st.sampled_from([1e-10, 1e-12]))
-        # where the error comes closest to the bound
+        # where the error of the quadrature came closest to its bound
         @example((2, 0.8289859647397578 + 0.07909216736459124j), 1e-10)
         @example((2, 1.324180109981516 - 0.6444870905344775j), 1e-10)
         @example((6, -3.2076551051187936 + 1.7465726266094035j), 1e-12)
@@ -136,41 +165,108 @@ class TestEpsteinQuadrature:
 
         run()
 
+    def test_l_series_against_oracle(self):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        @st.composite
+        def points(draw):
+            n = draw(st.sampled_from([1, 2, 4, 6]))
+            s = complex(draw(st.floats(-6.0, n + 6.0)),
+                        draw(st.floats(-25.0, 25.0)))
+            return n, s
+
+        def with_examples(test):
+            for n, s, tol in SHELL_OPS_SEED_4242:
+                test = example((n, s), tol)(test)
+            for n in (1, 2, 4, 6):
+                for s in (0j, -2 + 0j, -4 + 0j, -6 + 0j):
+                    test = example((n, s), 1e-12)(test)
+            return test
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(points(), st.sampled_from([1e-10, 1e-12]))
+        @with_examples
+        def run(point, tol):
+            n, s = point
+            if abs(s - n) < 0.05:
+                return
+            self._check(n, s, tol)
+
+        run()
+
+    def test_l_series_bound_on_a_dense_grid(self):
+        # the float64 tier alone, whatever the tolerance would ask for
+        worst = 0.0
+        for n in (1, 2, 4, 6):
+            oracle = EpsteinEvaluator(n, tol=1e-14)
+            for re in np.linspace(-6.0, n + 6.0, 5):
+                for im in (0.5, -6.0, 13.0, -22.0):
+                    s = complex(re, im)
+                    value, bound = lattice_zeta._l_series(n, s)
+                    ref, ref_bound = oracle.value_incomplete_gamma(s)
+                    worst = max(worst, abs(value - ref) / (bound + ref_bound))
+        assert worst <= 1.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_strip_takes_quadrature(self, n):
+        # the strip stays in float64: the L-series for n in {1, 2, 4, 6},
+        # the quadrature for n = 3 and in the discs around s = 0 and 2
         points = [complex(re, im) for re in np.linspace(0.0, n, 7)
                   for im in (-1.0, -0.4, 0.0, 0.5, 1.0)
                   if abs(complex(re, im) - n) >= 0.1]
         out = EpsteinEvaluator(n, tol=1e-10).values(points)
-        assert set(out.routes) == {ROUTE_QUADRATURE}
+        assert list(out.routes) == [
+            ROUTE_QUADRATURE if n == 3 or _disc(n, s) else ROUTE_L_SERIES
+            for s in points]
         assert np.all(out.bounds < 1e-11)
 
     def test_high_imaginary_part_falls_back(self):
+        # n = 3 has no L-series product, so the shells are its fallback
         s = 0.76 + 24.2j
-        ev = EpsteinEvaluator(2, tol=1e-10)
-        value = ev.value(s)
-        assert ev.last_route == ROUTE_CONTINUATION
-        assert ev.last_error_bound < 1e-11
-        assert value == pytest.approx(_oracle(2, s), abs=1e-10)
+        out = EpsteinEvaluator(3, tol=1e-10).values([s])
+        assert out.routes == (ROUTE_CONTINUATION,)
+        assert out.bounds[0] < 1e-11
+        assert out.values[0] == pytest.approx(_oracle(3, s), abs=1e-10)
 
     def test_continuation_precision_follows_imaginary_part(self, monkeypatch):
         # the shells cancel by ~pi |Im s| / (4 ln 10) digits; at 30 fixed
         # digits this value came out as 5.2e68 + 1.9e69i
         s = 300j
         value, bound = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)
-        from ncspectral import lattice_zeta
         monkeypatch.setattr(lattice_zeta, "_MP_DPS", 150)
         reference = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)[0]
         assert abs(value - reference) <= 1e-10
         assert bound < 1e-11
 
     def test_batch_matches_single_values(self):
-        ev = EpsteinEvaluator(4, tol=1e-10)
-        points = [0.5 + 0.3j, 3.7 - 0.2j, 0.76 + 24.2j, -4.0]
+        ev = EpsteinEvaluator(4, tol=1e-12)
+        points = [0.5 + 0.3j, 9.5 - 1.0j, 0.76 + 24.2j, -4.0, 0.0, 2.05]
         out = ev.values(points)
-        assert out.routes[2] == ROUTE_CONTINUATION
-        for s, v in zip(points, out.values):
-            assert ev.value(s) == pytest.approx(v, rel=1e-14, abs=0)
+        assert out.routes == (ROUTE_L_SERIES, ROUTE_L_SERIES,
+                              ROUTE_L_SERIES_MPMATH, ROUTE_L_SERIES,
+                              ROUTE_QUADRATURE, ROUTE_QUADRATURE)
+        for s, v, b, r in zip(points, *out):
+            one = ev.value(s)
+            assert one.value == pytest.approx(v, rel=1e-14, abs=0)
+            assert one.bound == pytest.approx(b, rel=1e-14, abs=0)
+            assert one.route == r
+
+    def test_l_series_needs_no_laguerre_tables(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("Laguerre tables built")
+
+        monkeypatch.setattr(lattice_zeta, "_theta_rule", no_tables)
+        for n in (1, 2, 4, 6):
+            ev = EpsteinEvaluator(n)
+            ev.values([0.5 + 0.3j, n + 1.5, -3.0 + 0.2j])
+            epstein_pole_fit(n)
+
+    def test_far_out_overflow_falls_back(self):
+        # 4^(s/2) overflows float64 in beta; mpmath takes the point
+        out = EpsteinEvaluator(2).values([2100.0])
+        assert out.routes == (ROUTE_L_SERIES_MPMATH,)
+        assert out.values[0] == pytest.approx(4.0, rel=1e-15)
 
     def test_exact_special_values(self):
         for n in (2, 4):
@@ -191,6 +287,10 @@ class TestEpsteinResidue:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pole_fit_agrees(self, n):
         assert epstein_pole_fit(n) == pytest.approx(epstein_residue(n), abs=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_contour_residue(self, n):
+        assert abs(epstein_pole_fit(n) - epstein_residue(n)) <= 1e-10
 
 
 class TestSphereMoment:
