@@ -116,10 +116,9 @@ def _run_torus(args) -> dict:
                          parsed["diophantine_asserted"], parsed["A"])
     if n not in (2, 4):
         raise UnsupportedError(f"torus action implemented for n in {{2, 4}}, got {n}")
-    modes = sum(len(comp.coeffs) for comp in A.components)
-    if modes > args.trunc:
+    if A.mode_count > args.trunc:
         raise UnsupportedError(
-            f"potential has {modes} modes after skew completion, over the "
+            f"potential has {A.mode_count} modes after skew completion, over the "
             f"cap {args.trunc}")
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)

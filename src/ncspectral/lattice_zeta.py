@@ -45,6 +45,8 @@ from scipy.special import bernoulli, factorial, loggamma, rgamma, roots_laguerre
 _MP_DPS = 30
 # the mpmath L-series gives up beyond this working precision
 _MP_MAX_DPS = 100
+# digits the incomplete-gamma route may use: |Im s| to ~390 at tol 1e-10
+_GAMMAINC_MAX_DPS = 150
 
 
 class PoleError(ArithmeticError):
@@ -316,7 +318,7 @@ class EpsteinEvaluator:
     with |Im s| log N, and the error of the functional-equation factor.  An
     s whose bound is not below a tenth of the tolerance takes the same
     identity in mpmath, whose bound is the change between two working
-    precisions.
+    precisions plus the rounding to a double.
 
     For n = 3 and 5, which have no such product, and in discs of radius
     _DISC around s = 0 and (n = 4) s = 2, where the identities are 0 * inf,
@@ -441,12 +443,23 @@ class EpsteinEvaluator:
             bounds = _BOUND_SAFETY * np.maximum(gap, roundoff)
         return vals, bounds
 
+    def _rounded(self, val, change: float, s: complex) -> tuple:
+        """(val as a double, change + the rounding of each part, |part|
+        2^-53); ToleranceError where that bound is not below tol."""
+        value = complex(val)
+        bound = change + (abs(value.real) + abs(value.imag)) * 2.0 ** -53
+        if not bound < self.tol:
+            raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
+                                 f" it within {self.tol:g} (bound {bound:.3g})")
+        return value, bound
+
     def _value_l_series_mpmath(self, s: complex) -> tuple:
         """(Z_n(s), bound) from the L-series in mpmath, n in {1, 2, 4, 6}.
 
         Evaluated at the digits 0.1 tol needs plus five, then at ten more
         (and ten more again while they differ by 0.1 tol or more); the
-        bound is the change between the last two, floored at _BOUND_FLOOR.
+        bound is the change between the last two, floored at _BOUND_FLOOR,
+        plus the rounding (_rounded).
         """
         s = complex(s)
         dps = math.ceil(-math.log10(0.1 * self.tol)) + 5
@@ -457,7 +470,7 @@ class EpsteinEvaluator:
             if prev is not None:
                 bound = max(float(abs(val - prev)), self._BOUND_FLOOR)
                 if bound < 0.1 * self.tol:
-                    return complex(val), bound
+                    return self._rounded(val, bound, s)
             prev = val
             dps += 10
         raise ToleranceError(
@@ -470,7 +483,8 @@ class EpsteinEvaluator:
         and the oracle the tests compare every route with.  The shells
         cancel down to the value by about pi |Im s| / (4 ln 10) digits, so
         the working precision grows with |Im s| on top of the digits the
-        tolerance needs.
+        tolerance needs, up to _GAMMAINC_MAX_DPS.  The bound is the change
+        between the last two shell cutoffs plus the rounding (_rounded).
         """
         s = complex(s)
         n = self.n
@@ -478,6 +492,9 @@ class EpsteinEvaluator:
         dps = max(_MP_DPS,
                   math.ceil(math.pi * abs(s.imag) / (4 * math.log(10)))
                   + math.ceil(-math.log10(0.1 * self.tol)) + 5)
+        if dps > _GAMMAINC_MAX_DPS:
+            raise ToleranceError(f"Z_{n}({s}) needs {dps} working digits, "
+                                 f"over the ceiling of {_GAMMAINC_MAX_DPS}")
         with mp.workdps(dps):
             ms = mp.mpc(s)
             prev = None
@@ -490,7 +507,7 @@ class EpsteinEvaluator:
                 if prev is not None:
                     bound = max(float(abs(val - prev)), self._BOUND_FLOOR)
                     if bound < 0.1 * self.tol:
-                        return complex(val), bound
+                        return self._rounded(val, bound, s)
                 if mmax > 400:
                     raise ToleranceError(
                         f"Epstein evaluation did not converge for s = {s}")

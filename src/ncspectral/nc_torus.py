@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
 YM_CONSTANT = 4.0 * math.pi ** 2 / 3.0  # the n = 4 coupling 4 pi^2 / 3
-# terms per block of the power-sum kernels; a q = 4 block still takes one
-# pair (l1, l3) against every l2 when there are more modes than this
-BLOCK_TERMS = 1 << 15
 
 
 class Theta:
@@ -185,7 +182,13 @@ def delta_mu(a: TorusElement, mu: int) -> TorusElement:
 
 
 class OneFormTorus:
-    """Gauge potential: one skew-adjoint coefficient element per direction."""
+    """Gauge potential: one skew-adjoint coefficient element per direction.
+
+    Held as a mode table: `modes`, the (U, n) union of the supports, their
+    negatives and 0 in lexicographic order, and `coeffs`, whose row i holds
+    the n component coefficients at modes[i] (0 where a component lacks
+    it).  The TorusElement components are a view built on first use.
+    """
 
     def __init__(self, components, tol: float = 1e-12):
         comps = tuple(components)
@@ -198,15 +201,39 @@ class OneFormTorus:
             if (comp + comp.adjoint()).norm1() > tol:
                 raise ValueError(
                     f"component {alpha} violates skew-adjointness A* = -A")
-        self.n = n
+        self._tabulate(n, [comp.coeffs for comp in comps])
         self.components = comps
 
+    def _tabulate(self, n: int, supports) -> None:
+        """Mode table from one {mode: coeff} dict per component."""
+        kept = [{k: c for k, c in d.items() if not abs(c) <= PRUNE_EPS}
+                for d in supports]
+        negatives = ({tuple(-x for x in k) for k in d} for d in kept)
+        order = sorted({(0,) * n}.union(*kept, *negatives))
+        row = {k: i for i, k in enumerate(order)}
+        self.coeffs = np.zeros((len(order), n), dtype=complex)
+        for a, d in enumerate(kept):
+            for k, c in d.items():
+                self.coeffs[row[k], a] = c
+        self.modes = np.array(order, dtype=np.int64)
+        # pair sums k + l must not wrap around in int64
+        if np.abs(self.modes).max() >= 1 << 62:
+            raise OverflowError("mode entries must be below 2^62 in size")
+        self.n, self.mode_count = n, sum(map(len, kept))
+        self._pairs = (None, None)
+
     @cached_property
-    def _union(self):
-        """(modes, coeffs, index) of the union of the component supports,
-        built once for all the power sums of this potential."""
-        modes, coeffs = _mode_table(self)
-        return modes, coeffs, _ModeIndex(modes)
+    def components(self) -> tuple:
+        keys = [tuple(k) for k in self.modes.tolist()]
+        return tuple(TorusElement._pruned(self.n, dict(zip(keys, col)))
+                     for col in self.coeffs.T.tolist())
+
+    def pair_table(self, theta: Theta) -> "PairTable":
+        """The pair table under theta, built once per theta."""
+        key = theta.entries.tobytes()
+        if self._pairs[0] != key:
+            self._pairs = (key, PairTable(self, theta))
+        return self._pairs[1]
 
     @classmethod
     def zero(cls, n: int) -> "OneFormTorus":
@@ -219,8 +246,7 @@ class OneFormTorus:
         Every listed (l, c) implies (-l, -conj(c)); explicitly listed
         conflicting pairs are rejected.
         """
-        data = [dict() for _ in range(n)]
-        explicit = [dict() for _ in range(n)]
+        data, explicit = [{} for _ in range(n)], [{} for _ in range(n)]
         for alpha, l, c in entries:
             if not 1 <= alpha <= n:
                 raise ValueError(f"component index {alpha} out of range 1..{n}")
@@ -241,10 +267,57 @@ class OneFormTorus:
                         f"entries at {l} and {neg} violate skew-adjointness")
                 data[alpha][l] = c
                 data[alpha][neg] = completed
-        return cls([TorusElement(n, d) for d in data])
+        (A := cls.__new__(cls))._tabulate(n, data)
+        return A
 
     def component(self, alpha: int) -> TorusElement:
         return self.components[alpha - 1]
+
+
+def _dot(x, y):
+    """Row-wise dot product of two (m, n) arrays."""
+    return np.einsum("ij,ij->i", x, y)
+
+
+_upper = lru_cache(np.triu_indices)  # (rows, columns) of the pairs a < b
+
+
+class PairTable:
+    """Every pair sum k + l of the modes of a potential, grouped by mode.
+
+    An np.lexsort on the integer columns of the U^2 sums puts group g, the
+    pairs with k + l = m_g, in lexicographic order of m_g.  Negation
+    reverses that order and the modes are closed under it, so the group of
+    -m_g is M - 1 - g.  Mode k of the potential is the group of the pair
+    (k, 0), where `coeffs` holds its coefficients (0 in other groups).
+    Column c of `X` holds X_ab(m) = sum_{k+l=m} a_{a,k} a_{b,l}
+    sin(k.Theta l / 2) for the c-th pair a < b: [A_a, A_b] = -2i X_ab.
+    """
+
+    def __init__(self, A: OneFormTorus, theta: Theta):
+        if theta.n != A.n:
+            raise ValueError("theta dimension mismatch")
+        modes, coeffs, count = A.modes, A.coeffs, len(A.modes)
+        sums = (modes[:, None] + modes[None, :]).reshape(-1, A.n)
+        order = np.lexsort(sums.T[::-1])
+        sums = sums[order]
+        self.i, self.j = np.divmod(order, count)
+        first = np.concatenate(([True], np.any(sums[1:] != sums[:-1], 1)))
+        self.starts = np.flatnonzero(first)
+        self.modes = sums[self.starts].astype(float)
+        # 0 is the middle row of a sorted set closed under negation
+        own = self.j == count // 2
+        self.coeffs = np.zeros((len(self.starts), A.n), dtype=complex)
+        self.coeffs[np.cumsum(first)[own] - 1] = coeffs[self.i[own]]
+        pairing = (modes @ theta.entries) @ modes.T
+        self.sin = np.sin(0.5 * pairing.ravel()[order])
+        self.a, self.b = _upper(A.n, 1)
+        self.X = self.sum(coeffs[self.i][:, self.a] * self.sin[:, None]
+                          * coeffs[self.j][:, self.b])
+
+    def sum(self, terms: np.ndarray) -> np.ndarray:
+        """Sums of per-pair terms (rows in table order) over each group."""
+        return np.add.reduceat(terms, self.starts)
 
 
 class Curvature:
@@ -304,17 +377,17 @@ def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> Curvature:
 def yang_mills(A: OneFormTorus, theta: Theta) -> float:
     """tau(F_{mn} F^{mn}) with flat-metric index raising (full double sum).
 
-    tau(f f) = sum_k f_k f_{-k}, because U_k U_{-k} carries the phase
-    exp(-i/2 k.Theta(-k)) = 1; F_{ba} = -F_{ab}, so each a < b counts twice.
+    tau(f f) = sum_m f_m f_{-m}, because U_m U_{-m} carries the phase
+    exp(-i/2 m.Theta(-m)) = 1; F_{ba} = -F_{ab}, so each a < b counts
+    twice.  F_ab(m) = i(m_a a_{b,m} - m_b a_{a,m}) - 2i X_ab(m) is read off
+    the pair table, on every group m at once.
     """
-    F = curvature(A, theta)
-    total = 0.0 + 0.0j
-    for a in range(1, A.n + 1):
-        for b in range(a + 1, A.n + 1):
-            f = F.component(a, b).coeffs
-            total += sum(c * f.get(tuple(-x for x in k), 0.0)
-                         for k, c in f.items())
-    total *= 2.0
+    # an overflow gives a non-finite value, which the caller reports
+    with np.errstate(all="ignore"):
+        t = A.pair_table(theta)
+        m, c = t.modes, t.coeffs
+        F = 1j * (m[:, t.a] * c[:, t.b] - m[:, t.b] * c[:, t.a]) - 2j * t.X
+        total = 2.0 * complex(np.sum(F * F[::-1]))
     if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
         raise ArithmeticError(f"Yang-Mills density came out non-real: {total}")
     return float(total.real)
@@ -340,119 +413,7 @@ def gauge_transform(A: OneFormTorus, u: TorusElement, theta: Theta,
 # closed-form spectral action pieces (n = 4), Chern-Simons-type sums
 
 
-class _ModeIndex:
-    """Row lookup in a set of distinct integer modes.
-
-    Coordinate by coordinate, each (key so far, rank of the entry) pair is
-    re-ranked among the set's own pairs, so keys stay below the set size
-    and never overflow, whatever the mode entries.
-    """
-
-    def __init__(self, modes: np.ndarray):
-        self.levels = []
-        key = np.zeros(len(modes), dtype=np.int64)
-        for col in modes.T:
-            values = np.unique(col)
-            pairs = key * len(values) + np.searchsorted(values, col)
-            table = np.unique(pairs)
-            key = np.searchsorted(table, pairs)
-            self.levels.append((values, table))
-        self.rows = np.empty(len(modes), dtype=np.int64)
-        self.rows[key] = np.arange(len(modes))
-
-    def find(self, queries: np.ndarray) -> np.ndarray:
-        """Row of each query mode (rows of an (m, n) array), -1 where the
-        mode is not in the set."""
-        if not len(self.rows):
-            return np.full(len(queries), -1)
-        found = np.ones(len(queries), dtype=bool)
-        key = np.zeros(len(queries), dtype=np.int64)
-        for col, (values, table) in zip(queries.T, self.levels):
-            rank = np.minimum(np.searchsorted(values, col), len(values) - 1)
-            found &= values[rank] == col
-            pairs = key * len(values) + rank
-            key = np.minimum(np.searchsorted(table, pairs), len(table) - 1)
-            found &= table[key] == pairs
-        return np.where(found, self.rows[key], -1)
-
-
-def _mode_table(A: OneFormTorus):
-    """The union of the component supports as a (U, n) integer array, and
-    the (U, n) array whose row i holds the n component coefficients at
-    mode i (zero where a component has no such mode)."""
-    modes = sorted({k for comp in A.components for k in comp.coeffs})
-    row = {k: i for i, k in enumerate(modes)}
-    coeffs = np.zeros((len(modes), A.n), dtype=complex)
-    for a, comp in enumerate(A.components):
-        for k, c in comp.coeffs.items():
-            coeffs[row[k], a] = c
-    return np.array(modes, dtype=np.int64).reshape(len(modes), A.n), coeffs
-
-
-def _blocks(count: int, size: int):
-    """Consecutive index ranges of the given size covering range(count)."""
-    for start in range(0, count, size):
-        yield np.arange(start, min(start + size, count))
-
-
-def _dot(x, y):
-    """Row-wise dot product of two (m, n) arrays."""
-    return np.einsum("ij,ij->i", x, y)
-
-
-# In the kernels a_l is the row of component coefficients at mode l, so a
-# sum over components is a row-wise dot product, and (l.Theta)[i] is the
-# i-th row of `turned`.
-
-def _power_sum_2(modes, coeffs, index, turned):
-    # sum over l of (a_l . l)(a_{-l} . l) - |l|^2 (a_l . a_{-l})
-    neg = index.find(-modes)
-    i = np.flatnonzero(neg >= 0)
-    j, m = neg[i], modes[i]
-    return np.sum(_dot(coeffs[i], m) * _dot(coeffs[j], m)
-                  - _dot(m, m) * _dot(coeffs[i], coeffs[j]))
-
-
-def _power_sum_3(modes, coeffs, index, turned):
-    # sum over l1, l2 of (a_l1 . a_l2) sin(l1.Th l2 / 2) (a_l3 . l1),
-    # l3 = -(l1 + l2)
-    total = 0.0 + 0.0j
-    count = len(modes)
-    for t in _blocks(count ** 2, BLOCK_TERMS):
-        i1, i2 = np.divmod(t, count)
-        i3 = index.find(-(modes[i1] + modes[i2]))
-        hit = np.flatnonzero(i3 >= 0)
-        i1, i2, i3 = i1[hit], i2[hit], i3[hit]
-        total += np.sum(_dot(coeffs[i1], coeffs[i2])
-                        * np.sin(0.5 * _dot(turned[i1], modes[i2]))
-                        * _dot(coeffs[i3], modes[i1]))
-    return total
-
-
-def _power_sum_4(modes, coeffs, index, turned):
-    # sum over l1, l3, l2 of (a_l1 . a_l3)(a_l2 . a_l4)
-    # sin(l1.Th(l2 + l3) / 2) sin(l2.Th l3 / 2), l4 = -(l1 + l2 + l3);
-    # pairs (l1, l3) with a_l1 . a_l3 = 0 are dropped before the l2 sum
-    total = 0.0 + 0.0j
-    count = len(modes)
-    for t in _blocks(count ** 2, max(1, BLOCK_TERMS // max(count, 1))):
-        i1, i3 = np.divmod(t, count)
-        g = _dot(coeffs[i1], coeffs[i3])
-        keep = np.flatnonzero(g)
-        i1, i3, g = (np.repeat(x[keep], count) for x in (i1, i3, g))
-        i2 = np.tile(np.arange(count), len(keep))
-        l23 = modes[i2] + modes[i3]
-        i4 = index.find(-(modes[i1] + l23))
-        hit = np.flatnonzero(i4 >= 0)
-        i1, i2, i3, i4, g, l23 = (x[hit] for x in (i1, i2, i3, i4, g, l23))
-        total += np.sum(g * _dot(coeffs[i2], coeffs[i4])
-                        * np.sin(0.5 * _dot(turned[i1], l23))
-                        * np.sin(0.5 * _dot(turned[i2], modes[i3])))
-    return total
-
-
-_POWER_SUMS = {2: (2.0, _power_sum_2), 3: (-12.0, _power_sum_3),
-               4: (8.0, _power_sum_4)}
+_POWER_WEIGHTS = {2: 2.0, 3: -12.0, 4: 8.0}
 
 
 def cs_sums(A: OneFormTorus, theta: Theta, q: int) -> float:
@@ -463,21 +424,32 @@ def cs_sums(A: OneFormTorus, theta: Theta, q: int) -> float:
     q = 4:  8c * sum    a_{a1,-l123} a_{a2,l3} a_{a1,l2} a_{a2,l1}
                         * sin(l1.Th(l2+l3)/2) sin(l2.Th l3 / 2)
 
-    The sums run as array arithmetic over the union of the supports, in
-    blocks of at most BLOCK_TERMS terms; the closing mode is found by
-    integer keys and the phases come from the rows m.Theta of the modes,
-    so no array grows with the square of the mode count.
+    q = 2 pairs each mode with its negative, the mirror row of the mode
+    table.  Off the pair table, q = 3 is sum_m W(m).a_{-m} with W(m) =
+    sum_{k+l=m} (a_k.a_l) k sin(k.Th l / 2), and q = 4 is -sum_m tr X(m)
+    X(-m) = 2 sum_{a<b} X_ab(m) X_ab(-m), as sin(l1.Th(l2+l3)/2) =
+    -sin(l1.Th l4 / 2): U^2 pairs each, where q = 4 took U^3 terms.
     """
     if A.n != 4:
         raise ValueError("closed forms are specific to n = 4")
     if q not in (2, 3, 4):
         raise ValueError("q must be 2, 3 or 4")
-    modes, coeffs, index = A._union
-    weight, kernel = _POWER_SUMS[q]
     # an overflow gives a non-finite sum, which the caller reports
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = weight * YM_CONSTANT * complex(
-            kernel(modes, coeffs, index, modes @ theta.entries))
+    with np.errstate(all="ignore"):
+        if q == 2:
+            k, a = A.modes.astype(float), A.coeffs
+            total = np.sum(_dot(a, k) * _dot(a[::-1], k)
+                           - _dot(k, k) * _dot(a, a[::-1]))
+        else:
+            t = A.pair_table(theta)
+            if q == 3:
+                a = A.coeffs
+                W = t.sum((_dot(a[t.i], a[t.j]) * t.sin)[:, None]
+                          * A.modes[t.i])
+                total = np.sum(W * t.coeffs[::-1])
+            else:
+                total = 2.0 * np.sum(t.X * t.X[::-1])
+        total = _POWER_WEIGHTS[q] * YM_CONSTANT * complex(total)
     if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
         raise ArithmeticError(f"power sum q={q} came out non-real: {total}")
     return float(total.real)

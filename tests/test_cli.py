@@ -129,6 +129,37 @@ class TestZetaCommand:
         assert doc["n"] == 2
 
 
+    def test_value_beyond_double_precision_is_tolerance_failure(self,
+                                                                capsys):
+        # about -2.7e25 + 1.5e25i: rounding to a double alone moves it by
+        # about 3e9, far beyond --tol 1e-10
+        code, out, err = run_cli(capsys, "zeta", "--n", "2", "--s=-50+1j",
+                                 "--tol", "1e-10")
+        assert code == 3
+        assert out == ""
+        assert "no double holds" in err
+
+    def test_continuation_refuses_past_its_digit_ceiling(self, capsys,
+                                                         monkeypatch):
+        import time
+
+        from ncspectral import lattice_zeta
+
+        def no_shells(*args):
+            raise AssertionError("a shell was computed")
+
+        monkeypatch.setattr(lattice_zeta.EpsteinEvaluator, "_theta_shells",
+                            no_shells)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "--n", "3",
+                                 "--s=0.5+2000j")
+        assert time.perf_counter() - start < 10.0
+        assert code == 3
+        assert out == ""
+        assert f"ceiling of {lattice_zeta._GAMMAINC_MAX_DPS}" in err
+        assert "699 working digits" in err
+
+
 class TestTorusCommand:
     def test_full_run(self, tmp_path, capsys):
         path = tmp_path / "A4.json"
@@ -211,6 +242,41 @@ class TestTorusCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "non-finite" in err
+
+    @pytest.mark.parametrize("entry", [2 ** 62, 10 ** 30])
+    def test_wide_mode_is_tolerance_failure(self, tmp_path, capsys, entry):
+        # pair sums of such modes would wrap around in int64
+        doc = torus_doc()
+        doc["A"][0]["l"] = [entry, 0, 0, 0]
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_run_leaves_the_oracle_algebra_alone(self, tmp_path, capsys,
+                                                 monkeypatch, n):
+        from ncspectral import nc_torus as nt
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the torus run reached the oracle algebra")
+
+        monkeypatch.setattr(nt, "weyl_mul", refuse)
+        monkeypatch.setattr(nt, "curvature", refuse)
+        monkeypatch.setattr(nt.TorusElement, "__init__", refuse)
+        monkeypatch.setattr(nt.TorusElement, "_pruned", classmethod(refuse))
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps(torus_doc(n)))
+        code, out, _ = run_cli(capsys, "torus", "--input", str(path),
+                               "--lambda", "10")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["yang_mills"]["value"] != 0.0
+        assert ("power_sums" in doc) == (n == 4)
 
     def test_mode_cap(self, tmp_path, capsys):
         # two explicit entries, four modes after skew completion

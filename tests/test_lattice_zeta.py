@@ -99,6 +99,13 @@ class TestEpsteinValue:
         assert max(errs) < 1e-8
 
 
+def _oracle_tol(size):
+    """1e-14, relative to the size of the value beyond 1: the oracle's bound
+    holds the rounding to a double, and no double of size 300 is within
+    1e-14 of the value."""
+    return 1e-14 * max(1.0, abs(size))
+
+
 def _oracle(n, s):
     """The mpmath incomplete-gamma route, tolerance floored at 1e-14."""
     return EpsteinEvaluator(n, tol=1e-14).value_incomplete_gamma(s)[0]
@@ -129,10 +136,17 @@ class TestEpsteinQuadrature:
     def _check(n, s, tol):
         out = EpsteinEvaluator(n, tol=tol).values([s])
         value, oracle_bound = EpsteinEvaluator(
-            n, tol=1e-14).value_incomplete_gamma(s)
+            n, tol=_oracle_tol(out.values[0])).value_incomplete_gamma(s)
         err = abs(out.values[0] - value)
         assert err <= tol
-        assert out.bounds[0] < 0.1 * tol
+        # the float64 routes are kept below 0.1 tol; the mpmath routes stop
+        # once the change is below 0.1 tol and add the rounding to a double
+        rounding = 0.0
+        if out.routes[0] in (ROUTE_L_SERIES_MPMATH, ROUTE_CONTINUATION):
+            v = out.values[0]
+            rounding = (abs(v.real) + abs(v.imag)) * 2.0 ** -53
+        assert out.bounds[0] - rounding < 0.1 * tol
+        assert out.bounds[0] < tol
         # both bounds hold, so their sum covers the difference
         assert err <= out.bounds[0] + oracle_bound, out.routes[0]
         if s == 0:
@@ -199,12 +213,12 @@ class TestEpsteinQuadrature:
         # the float64 tier alone, whatever the tolerance would ask for
         worst = 0.0
         for n in (1, 2, 4, 6):
-            oracle = EpsteinEvaluator(n, tol=1e-14)
             for re in np.linspace(-6.0, n + 6.0, 5):
                 for im in (0.5, -6.0, 13.0, -22.0):
                     s = complex(re, im)
                     value, bound = lattice_zeta._l_series(n, s)
-                    ref, ref_bound = oracle.value_incomplete_gamma(s)
+                    ref, ref_bound = EpsteinEvaluator(
+                        n, tol=_oracle_tol(value)).value_incomplete_gamma(s)
                     worst = max(worst, abs(value - ref) / (bound + ref_bound))
         assert worst <= 1.0
 
@@ -238,6 +252,34 @@ class TestEpsteinQuadrature:
         reference = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)[0]
         assert abs(value - reference) <= 1e-10
         assert bound < 1e-11
+
+    def test_mpmath_bounds_hold_the_rounding_to_a_double(self):
+        from ncspectral.lattice_zeta import ToleranceError
+
+        # both mpmath routes: |Z| is about 1e26 at s = -50 + i
+        ev = EpsteinEvaluator(3, tol=1e-10)
+        with pytest.raises(ToleranceError, match="no double holds"):
+            ev.value_incomplete_gamma(-50 + 1j)
+        with pytest.raises(ToleranceError, match="no double holds"):
+            EpsteinEvaluator(2, tol=1e-10).values([-50 + 1j])
+        # at a loose enough tolerance the bound is at least the rounding
+        value, bound = EpsteinEvaluator(
+            3, tol=1e15).value_incomplete_gamma(-50 + 1j)
+        assert bound >= (abs(value.real) + abs(value.imag)) * 2.0 ** -53
+        assert 1e25 < abs(value) < 1e27
+
+    def test_continuation_digit_ceiling(self, monkeypatch):
+        from ncspectral.lattice_zeta import ToleranceError
+
+        def no_shells(*args):
+            raise AssertionError("a shell was computed")
+
+        # 150 digits or more, so that s = 300i (118 digits) still runs
+        assert lattice_zeta._GAMMAINC_MAX_DPS >= 150
+        monkeypatch.setattr(EpsteinEvaluator, "_theta_shells", no_shells)
+        with pytest.raises(ToleranceError, match="699 working digits"):
+            EpsteinEvaluator(3, tol=1e-10).value_incomplete_gamma(
+                0.5 + 2000j)
 
     def test_batch_matches_single_values(self):
         ev = EpsteinEvaluator(4, tol=1e-12)

@@ -139,9 +139,9 @@ def cs_sums_oracle(A, theta, q):
     return weight * YM_CONSTANT * total.real, c * scale
 
 
-def potential4(entries, empty=0):
-    """n = 4 potential from (alpha, mode, coeff) draws: component `empty`
-    (1-4, or 0 for none) stays empty, a repeated mode or its negative is
+def potential(entries, empty=0, n=4):
+    """Potential from (alpha, mode, coeff) draws: component `empty`
+    (1-n, or 0 for none) stays empty, a repeated mode or its negative is
     skipped, and a zero mode keeps only its imaginary part."""
     seen, kept = set(), []
     for alpha, l, c in entries:
@@ -150,7 +150,7 @@ def potential4(entries, empty=0):
             continue
         seen.add((alpha, l))
         kept.append((alpha, l, 1j * c.imag if not any(l) else c))
-    return OneFormTorus.from_entries(4, kept)
+    return OneFormTorus.from_entries(n, kept)
 
 
 def skew_theta(upper):
@@ -170,16 +170,23 @@ elements2 = st.dictionaries(modes2, coeff, min_size=0, max_size=5).map(
 # land on other modes (and on modes of other components) all the time
 modes4 = st.tuples(*[st.integers(-1, 1)] * 4)
 potentials4 = st.builds(
-    potential4,
+    potential,
     st.lists(st.tuples(st.integers(1, 4), modes4, coeff), max_size=9),
     st.integers(0, 4))
+potentials2 = st.builds(
+    potential, st.lists(st.tuples(st.integers(1, 2), modes2, coeff),
+                        max_size=9),
+    st.integers(0, 2), st.just(2))
+thetas2 = st.one_of(st.just(Theta.zero(2)), st.builds(
+    lambda x: Theta([[0.0, x], [-x, 0.0]]),
+    st.floats(-7.0, 7.0, allow_nan=False)))
 thetas4 = st.one_of(
     st.just(Theta.zero(4)),
     st.builds(skew_theta, st.lists(
         st.floats(-7.0, 7.0, allow_nan=False), min_size=6, max_size=6)))
 # colliding modes: one mode in every component, and l1 + l2 + l3 + l4 = 0
 # inside one component; component 4 empty
-COLLIDING = potential4(
+COLLIDING = potential(
     [(a, (1, 0, 0, 0), 0.3 + 0.1j * a) for a in (1, 2, 3)]
     + [(1, (0, 1, 0, 0), 0.2j), (1, (1, 1, 0, 0), -0.4),
        (2, (0, 1, 1, 0), 0.5 - 0.2j), (3, (-1, 1, 0, 0), 0.1 + 0.3j)])
@@ -488,6 +495,13 @@ class TestOracleRoutes:
             ff_trace_oracle(A, theta), rel=1e-12, abs=12 * PRUNE_EPS)
 
     @settings(max_examples=60, deadline=None)
+    @given(potentials2, thetas2)
+    @example(OneFormTorus.zero(2), irrational_theta(2))
+    def test_yang_mills_matches_ff_trace_n2(self, A, theta):
+        assert yang_mills(A, theta) == pytest.approx(
+            ff_trace_oracle(A, theta), rel=1e-12, abs=2 * PRUNE_EPS)
+
+    @settings(max_examples=60, deadline=None)
     @given(potentials4, thetas4)
     @example(COLLIDING, Theta.zero(4))
     @example(COLLIDING, irrational_theta(4))
@@ -508,27 +522,36 @@ class TestOracleRoutes:
         for q in (3, 4):
             assert cs_sums(COLLIDING, Theta.zero(4), q) == 0.0
 
-    def test_mode_index_with_wide_entries(self):
-        from ncspectral.nc_torus import _ModeIndex
+    def test_pair_table_closed_under_negation_with_wide_entries(self):
         big = 10 ** 15
-        modes = np.array([[big, -big, 0, 1], [-big, big, 0, -1],
-                          [big, big, big, big], [0, 0, 0, 0]])
-        index = _ModeIndex(modes)
-        queries = np.concatenate([modes[::-1], [[big, -big, 0, -1],
-                                                [1, 0, 0, 0]]])
-        assert index.find(queries).tolist() == [3, 2, 1, 0, -1, -1]
+        A = OneFormTorus.from_entries(4, [
+            (1, (big, -big, 0, 1), 0.3 + 0.1j),
+            (2, (big, big, big, big), -0.2j),
+            (3, (0, 0, 0, 1), 0.4),
+            (4, (big, -big, 0, 1), 0.1 - 0.5j)])
+        assert (A.modes[::-1] == -A.modes).all()
+        table = A.pair_table(irrational_theta(4))
+        assert len(table.i) == len(A.modes) ** 2
+        sums = A.modes[table.i] + A.modes[table.j]
+        groups = sums[table.starts]
+        sizes = np.diff(table.starts, append=len(sums))
+        # every pair adds to the mode of its group, groups are distinct and
+        # in lexicographic order, and the mirror group holds the negative
+        assert (sums == np.repeat(groups, sizes, axis=0)).all()
+        keys = [tuple(m) for m in groups.tolist()]
+        assert keys == sorted(set(keys))
+        assert (groups[::-1] == -groups).all()
+        assert (table.modes == groups).all()
+        # each mode of the potential holds its coefficients in its group
+        for mode, c in zip(A.modes.tolist(), A.coeffs):
+            assert (table.coeffs[keys.index(tuple(mode))] == c).all()
+        assert np.count_nonzero(table.coeffs) == np.count_nonzero(A.coeffs)
 
-    def test_blocks_do_not_change_the_sums(self, monkeypatch):
-        import ncspectral.nc_torus as nt
+    def test_pair_table_is_built_once_per_theta(self):
         theta = irrational_theta(4)
-        whole = [cs_sums(COLLIDING, theta, q) for q in (2, 3, 4)]
-        monkeypatch.setattr(nt, "BLOCK_TERMS", 7)
-        # several blocks per sum: the union has more than 7 modes
-        assert len(nt._mode_table(COLLIDING)[0]) > 7
-        for q, value in zip((2, 3, 4), whole):
-            want, scale = cs_sums_oracle(COLLIDING, theta, q)
-            assert cs_sums(COLLIDING, theta, q) == pytest.approx(
-                value, abs=1e-13 * scale)
+        table = COLLIDING.pair_table(theta)
+        assert COLLIDING.pair_table(Theta(theta.entries.copy())) is table
+        assert COLLIDING.pair_table(Theta.zero(4)) is not table
 
 
 class TestTorusAction:
