@@ -10,8 +10,10 @@ and beta(w) = 4^{-w} [zeta(w, 1/4) - zeta(w, 3/4)]:
     Z_4(s) = 8 (1 - 4^{1-w}) zeta(w) zeta(w - 1)
     Z_6(s) = 16 zeta(w - 2) beta(w) - 4 zeta(w) beta(w - 2)
 
-These are evaluated in float64 with an Euler-Maclaurin Hurwitz zeta, and
-in mpmath where that bound is not small enough.  Every n is also continued
+These are evaluated with an Euler-Maclaurin Hurwitz zeta in three
+precisions in turn: float64, then long double (80-bit extended on x86-64
+Linux), then mpmath, each where the bound of the one before is not small
+enough.  Every n is also continued
 through the incomplete-gamma decomposition of its theta integral, split
 symmetrically at t = 1:
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import mpmath as mp
@@ -94,6 +96,8 @@ def radial_counts(n: int, mmax: int) -> np.ndarray:
 # Epstein zeta
 
 ROUTE_L_SERIES = "Dirichlet L-series, float64 Euler-Maclaurin"
+ROUTE_L_SERIES_EXTENDED = \
+    "Dirichlet L-series, extended-precision Euler-Maclaurin"
 ROUTE_L_SERIES_MPMATH = "Dirichlet L-series, mpmath"
 ROUTE_QUADRATURE = "theta-integral Gauss-Laguerre quadrature"
 ROUTE_CONTINUATION = "incomplete-gamma continuation"
@@ -111,6 +115,12 @@ _EM_COEF = tuple((bernoulli(2 * _EM_TERMS)[2::2]
                   / factorial(np.arange(2, 2 * _EM_TERMS + 1, 2))).tolist())
 _EM_REMAINDER = abs(_EM_COEF[-1])
 _EPS = np.finfo(float).eps
+# the second precision of the L-series: 80-bit extended (eps 1.1e-19) on
+# x86-64 Linux; where it is a plain double (Windows, macOS arm64) that
+# route is skipped
+_EXTENDED = np.longdouble
+# digits of the constants of a wider type: 133 bits, past IEEE quad's 113
+_WIDE_DPS = 40
 # scipy's complex loggamma is good to a few units in the last place of its
 # value, and the functional-equation factor adds the rounding of (s - n/2)
 # log pi and of the difference; this many units of the sum of their sizes
@@ -139,39 +149,84 @@ _THETA_TERMS = 6
 _LOG_PI = math.log(math.pi)
 
 
+class _Arith(NamedTuple):
+    """The real type an L-series evaluation runs in, and what the kernel
+    needs of it: its complex type, log, unit roundoff and Bernoulli
+    coefficients, and the fraction of n below which Re s is reflected."""
+
+    real: type
+    complex: type
+    log: object
+    eps: float
+    em_coef: tuple
+    reflect_below: float
+
+
+def _wide(x, real):
+    """The mpmath number x in the real type, as the sum of the three
+    doubles that hold it to 159 bits."""
+    total = real(0)
+    for _ in range(3):
+        part = float(x)
+        total += real(part)
+        x -= part
+    return total
+
+
+@lru_cache(maxsize=None)
+def _arith(real) -> _Arith:
+    """Float64 reflects below Re s = n/2.  A wider type evaluates the
+    identities directly down to Re s = 0 (Euler-Maclaurin holds for
+    Re w > 1 - 2M) and reflects below, where the terms (a + k)^-w grow and
+    cancel."""
+    eps = float(np.finfo(real).eps)
+    if eps >= _EPS:
+        return _Arith(real, complex, math.log, eps, _EM_COEF, 0.5)
+    with mp.workdps(_WIDE_DPS):
+        coef = tuple(_wide(mp.bernoulli(2 * j) / mp.factorial(2 * j), real)
+                     for j in range(1, _EM_TERMS + 1))
+    return _Arith(real, type(real(1) * 1j), np.log, eps, coef, 0.0)
+
+
 class _Bounded:
-    """A float64 number and a bound on its absolute error, kept through the
-    products and differences of the L-series identities."""
+    """A number and a bound on its absolute error, kept through the
+    products and differences of the L-series identities, in a real type
+    of unit roundoff eps."""
 
-    __slots__ = ("value", "error")
+    __slots__ = ("value", "error", "eps")
 
-    def __init__(self, value: complex, error: float):
+    def __init__(self, value, error, eps: float):
         self.value = value
         self.error = error
+        self.eps = eps
 
     def __mul__(self, other):
         if not isinstance(other, _Bounded):
             # the identities' constants are powers of two: exact
-            return _Bounded(other * self.value, abs(other) * self.error)
+            return _Bounded(other * self.value, abs(other) * self.error,
+                            self.eps)
         value = self.value * other.value
         return _Bounded(value, abs(self.value) * other.error
                         + abs(other.value) * self.error
-                        + self.error * other.error + 2 * _EPS * abs(value))
+                        + self.error * other.error
+                        + 2 * self.eps * abs(value), self.eps)
 
     __rmul__ = __mul__
 
     def __sub__(self, other):
         value = self.value - other.value
-        return _Bounded(value, self.error + other.error + _EPS * abs(value))
+        return _Bounded(value, self.error + other.error
+                        + self.eps * abs(value), self.eps)
 
     def __rsub__(self, other):
         # other is the exact constant 1
         value = other - self.value
-        return _Bounded(value, self.error + _EPS * abs(value))
+        return _Bounded(value, self.error + self.eps * abs(value), self.eps)
 
 
-def _hurwitz(w: complex, a: float = 1.0) -> _Bounded:
-    """Hurwitz zeta(w, a) by Euler-Maclaurin, in float64 with an error bound.
+def _hurwitz(w, a: float, arith: _Arith) -> _Bounded:
+    """Hurwitz zeta(w, a) by Euler-Maclaurin, in the real type of arith,
+    with an error bound.
 
     With x = a + N and M = _EM_TERMS,
 
@@ -187,17 +242,18 @@ def _hurwitz(w: complex, a: float = 1.0) -> _Bounded:
     """
     size = abs(w)
     terms_n = min(max(16, math.ceil(size) + 8), 256)
+    a, log, minus_w = arith.real(a), arith.log, -w
     partial, spread = 0j, 0.0
     for k in range(terms_n):
-        term = (a + k) ** -w
+        term = (a + k) ** minus_w
         partial += term
-        spread += (abs(term) * (size * abs(math.log(a + k)) + 2)
+        spread += (abs(term) * (size * abs(log(a + k)) + 2)
                    + abs(partial))
     x = a + terms_n
-    head = x ** -w
+    head = x ** minus_w
     # poch = (w)_(2j-1) / x^(2j-1), j = 1..M
     poch, corr, corr_size = w / x, 0j, 0.0
-    for i, coef in enumerate(_EM_COEF):
+    for i, coef in enumerate(arith.em_coef):
         corr += coef * poch
         corr_size += abs(coef * poch)
         last = poch * (w + 2 * i + 1) / x
@@ -207,15 +263,15 @@ def _hurwitz(w: complex, a: float = 1.0) -> _Bounded:
     remainder = (_EM_REMAINDER * abs(last) * x * abs(head)
                  / (w.real + 2 * _EM_TERMS - 1))
     tail = abs(head) * (abs(pole) + 0.5 + corr_size)
-    rounding = _EPS * (spread + tail * (size * (math.log(x)
-                                                + 1 / abs(w - 1)) + 3))
-    return _Bounded(value, remainder + rounding)
+    rounding = arith.eps * (spread + tail * (size * (log(x)
+                                                     + 1 / abs(w - 1)) + 3))
+    return _Bounded(value, remainder + rounding, arith.eps)
 
 
-def _power(base: float, z: complex) -> _Bounded:
-    value = base ** z
-    return _Bounded(value, _EPS * abs(value)
-                    * (abs(z) * math.log(base) + 2))
+def _power(base: float, z, arith: _Arith) -> _Bounded:
+    value = arith.real(base) ** z
+    return _Bounded(value, arith.eps * abs(value)
+                    * (abs(z) * math.log(base) + 2), arith.eps)
 
 
 def _l_identity(n: int, s, zeta, power):
@@ -242,27 +298,53 @@ def _l_identity(n: int, s, zeta, power):
     return 16 * z2 * beta(w, z) - 4 * z * beta(w - 2, z2)
 
 
-def _l_series(n: int, s: complex) -> tuple:
-    """Float64 Z_n(s), n in {1, 2, 4, 6}, and a bound on its error.
+def _reflection(n: int, s: complex, arith: _Arith) -> tuple:
+    """pi^(s-n/2) Gamma((n-s)/2) / Gamma(s/2), the factor of the functional
+    equation, in the complex type of arith, and a bound on its relative
+    error.
 
-    Directly for Re s >= n/2; below, through the functional equation
-    pi^(-s/2) Gamma(s/2) Z(s) = pi^(-(n-s)/2) Gamma((n-s)/2) Z(n-s).
-    Raises OverflowError where float64 cannot hold a term.
+    Float64 takes it from scipy's loggamma (_REFLECTION_ULPS).  A wider
+    type takes it from mpmath at _WIDE_DPS digits: scipy's
+    loggamma((1 - s)/2) is off by 14 units in the last place at
+    s = -0.0153 + 1.4912i, n = 1, which the float64 bound absorbs but one
+    of 1e-19 does not.
     """
-    if s.real >= n / 2:
-        z = _l_identity(n, s, _hurwitz, _power)
+    if arith.eps >= _EPS:
+        big, small = complex(loggamma((n - s) / 2)), complex(loggamma(s / 2))
+        factor = cmath.exp((s - n / 2) * _LOG_PI + big - small)
+        return factor, _REFLECTION_ULPS * _EPS * (
+            2 + abs(s - n / 2) * _LOG_PI + abs(big) + abs(small))
+    with mp.workdps(_WIDE_DPS):
+        ms = mp.mpc(s)
+        factor = (mp.power(mp.pi, ms - mp.mpf(n) / 2) * mp.gamma((n - ms) / 2)
+                  * mp.rgamma(ms / 2))
+        return (_wide(factor.real, arith.real)
+                + 1j * _wide(factor.imag, arith.real)), 2 * arith.eps
+
+
+def _l_series(n: int, s: complex, arith: _Arith) -> tuple:
+    """Z_n(s), n in {1, 2, 4, 6}, in the real type of arith, and a bound on
+    its error.
+
+    Directly for Re s >= arith.reflect_below n; below, through the
+    functional equation
+    pi^(-s/2) Gamma(s/2) Z(s) = pi^(-(n-s)/2) Gamma((n-s)/2) Z(n-s).
+    Raises OverflowError where float64 cannot hold a term; a wider numpy
+    type gives inf or NaN there instead.
+    """
+    sx = arith.complex(s)
+    zeta, power = partial(_hurwitz, arith=arith), partial(_power, arith=arith)
+    if s.real >= arith.reflect_below * n:
+        z = _l_identity(n, sx, zeta, power)
         return z.value, z.error
     if s.imag == 0 and s.real < 0 and s.real % 2 == 0:
         # a trivial zero: 1/Gamma(s/2) vanishes at s = -2, -4, ...
         return 0j, 0.0
-    z = _l_identity(n, n - s, _hurwitz, _power)
-    big, small = complex(loggamma((n - s) / 2)), complex(loggamma(s / 2))
-    factor = cmath.exp((s - n / 2) * _LOG_PI + big - small)
-    rel = _REFLECTION_ULPS * _EPS * (
-        2 + abs(s - n / 2) * _LOG_PI + abs(big) + abs(small))
+    z = _l_identity(n, n - sx, zeta, power)
+    factor, rel = _reflection(n, s, arith)
     value = factor * z.value
     return value, (abs(factor) * (z.error + rel * abs(z.value))
-                   + _EPS * abs(value))
+                   + arith.eps * abs(value))
 
 
 def _l_series_mpmath(n: int, s):
@@ -292,6 +374,16 @@ def _theta_rule(n: int, nodes: int):
     return log_t, weights
 
 
+def _to_double(val, error) -> tuple:
+    """(val as a complex double, error plus the rounding of each part,
+    |part| 2^-53); a Python complex is a double already."""
+    if type(val) is complex:
+        return val, float(error)
+    value = complex(val)
+    rounding = (abs(value.real) + abs(value.imag)) * 2.0 ** -53
+    return value, float(error) + rounding
+
+
 class EpsteinValues(NamedTuple):
     """Values of Z_n, the error bound of each and the route that made it."""
 
@@ -312,13 +404,18 @@ class EpsteinEvaluator:
     """Meromorphic continuation of Z_n(s), n in 1..6.
 
     For n in {1, 2, 4, 6}, Z_n is a product of Dirichlet L-series
-    (`_l_identity`).  The float64 route evaluates it with an Euler-Maclaurin
-    Hurwitz zeta for Re s >= n/2 and through the functional equation below;
-    its bound adds the Euler-Maclaurin remainder, a rounding term that grows
-    with |Im s| log N, and the error of the functional-equation factor.  An
-    s whose bound is not below a tenth of the tolerance takes the same
-    identity in mpmath, whose bound is the change between two working
-    precisions plus the rounding to a double.
+    (`_l_identity`), evaluated in three precisions in turn.  The float64
+    route evaluates it with an Euler-Maclaurin Hurwitz zeta for Re s >= n/2
+    and through the functional equation below; its bound adds the
+    Euler-Maclaurin remainder, a rounding term that grows with |Im s| log N,
+    and the error of the functional-equation factor.  An s whose bound is
+    not below a tenth of the tolerance takes the same kernel in long double
+    (where that is wider than a double), directly for Re s >= 0 and with a
+    30-digit factor below; its bound adds the rounding to a double.  An s
+    that neither keeps takes the identity in mpmath, whose bound is the
+    change between two working precisions plus the rounding to a double.
+    The two wider routes keep a value whose error before that rounding is
+    below a tenth of the tolerance and whose whole bound is below it.
 
     For n = 3 and 5, which have no such product, and in discs of radius
     _DISC around s = 0 and (n = 4) s = 2, where the identities are 0 * inf,
@@ -402,20 +499,38 @@ class EpsteinEvaluator:
         series = (n in _L_SERIES_DIMS) & ~near
         vals = np.empty(len(s), dtype=complex)
         bounds = np.empty(len(s))
-        for i in np.flatnonzero(series):
-            try:
-                vals[i], bounds[i] = _l_series(n, complex(s[i]))
-            except OverflowError:
-                vals[i], bounds[i] = math.nan, math.inf
+        routes = [ROUTE_QUADRATURE] * len(s)
+        wide = _arith(_EXTENDED)
+        tiers = [(_arith(float), ROUTE_L_SERIES)]
+        if wide.eps < _EPS:
+            tiers.append((wide, ROUTE_L_SERIES_EXTENDED))
+        # a tier keeps a value whose error before the rounding to a double
+        # is below a tenth of tol and whose whole bound is below tol, as
+        # the mpmath routes do; a term out of range is a miss: float64
+        # raises OverflowError, and numpy gives inf or NaN, which the bound
+        # takes on as it counts a unit roundoff of every term
+        missed = np.flatnonzero(series).tolist()
+        with np.errstate(all="ignore"):
+            for arith, route in tiers:
+                todo, missed = missed, []
+                for i in todo:
+                    try:
+                        value, error = _l_series(n, complex(s[i]), arith)
+                    except OverflowError:
+                        missed.append(i)
+                        continue
+                    value, bound = _to_double(value, error)
+                    if error < 0.1 * self.tol and bound < self.tol:
+                        vals[i], bounds[i], routes[i] = value, bound, route
+                    else:
+                        missed.append(i)
+        for i in missed:
+            vals[i], bounds[i] = self._value_l_series_mpmath(s[i])
+            routes[i] = ROUTE_L_SERIES_MPMATH
         if not series.all():
             vals[~series], bounds[~series] = self._quadrature(s[~series])
-        routes = [ROUTE_L_SERIES if f else ROUTE_QUADRATURE for f in series]
-        # NaN bounds (overflow far out in s) fail the test and fall back too
-        for i in np.flatnonzero(~(bounds < 0.1 * self.tol)):
-            if series[i]:
-                vals[i], bounds[i] = self._value_l_series_mpmath(s[i])
-                routes[i] = ROUTE_L_SERIES_MPMATH
-            else:
+            # NaN bounds (overflow far out in s) fail the test and fall back
+            for i in np.flatnonzero(~series & ~(bounds < 0.1 * self.tol)):
                 vals[i], bounds[i] = self.value_incomplete_gamma(s[i])
                 routes[i] = ROUTE_CONTINUATION
         return EpsteinValues(vals, bounds, tuple(routes))
@@ -444,10 +559,9 @@ class EpsteinEvaluator:
         return vals, bounds
 
     def _rounded(self, val, change: float, s: complex) -> tuple:
-        """(val as a double, change + the rounding of each part, |part|
-        2^-53); ToleranceError where that bound is not below tol."""
-        value = complex(val)
-        bound = change + (abs(value.real) + abs(value.imag)) * 2.0 ** -53
+        """_to_double(val, change); ToleranceError where that bound is not
+        below tol."""
+        value, bound = _to_double(val, change)
         if not bound < self.tol:
             raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
                                  f" it within {self.tol:g} (bound {bound:.3g})")
@@ -722,7 +836,8 @@ class TwistedFamily:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (self.n, self.n):
             raise ValueError("theta must be n x n")
-        if not np.allclose(self.theta, -self.theta.T, atol=1e-14):
+        if not np.allclose(self.theta, -self.theta.T, rtol=0,
+                           atol=1e-14):
             raise ValueError("theta must be skew-symmetric (tol 1e-14)")
         self.eps = tuple(int(e) for e in self.eps)
         if len(self.eps) != self.q or any(e not in (-1, 0, 1) for e in self.eps):

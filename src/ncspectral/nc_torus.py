@@ -33,7 +33,7 @@ class Theta:
             raise ValueError("theta must be a square matrix")
         if not np.isfinite(arr).all():
             raise ValueError("theta entries must be finite")
-        if not np.allclose(arr, -arr.T, atol=1e-14):
+        if not np.allclose(arr, -arr.T, rtol=0, atol=1e-14):
             raise ValueError("theta must be skew-symmetric (tol 1e-14)")
         arr.setflags(write=False)
         self.entries = arr

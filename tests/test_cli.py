@@ -99,7 +99,9 @@ class TestZetaCommand:
 
     @pytest.mark.parametrize("s,tol,route", [
         ("0.5", "1e-10", "Dirichlet L-series, float64 Euler-Maclaurin"),
-        ("0.76+24.2j", "1e-12", "Dirichlet L-series, mpmath"),
+        ("0.76+24.2j", "1e-12",
+         "Dirichlet L-series, extended-precision Euler-Maclaurin"),
+        ("20000", "1e-10", "Dirichlet L-series, mpmath"),
         ("0", "1e-10", "theta-integral Gauss-Laguerre quadrature")])
     def test_l_series_routes_reported(self, capsys, s, tol, route):
         code, out, _ = run_cli(capsys, "zeta", "--n", "2", f"--s={s}",
@@ -194,6 +196,17 @@ class TestTorusCommand:
         assert code == 2
         assert out == ""
         assert "diophantine_asserted" in err
+
+    def test_theta_off_skew_is_schema_error(self, tmp_path, capsys):
+        doc = torus_doc(n=2)
+        doc["theta"] = [[0.0, 1.0], [-1.000009, 0.0]]
+        path = tmp_path / "A2.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 2
+        assert out == ""
+        assert "skew" in err
 
     def test_schema_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

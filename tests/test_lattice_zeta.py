@@ -9,6 +9,7 @@ from ncspectral import lattice_zeta
 from ncspectral.lattice_zeta import (
     ROUTE_CONTINUATION,
     ROUTE_L_SERIES,
+    ROUTE_L_SERIES_EXTENDED,
     ROUTE_L_SERIES_MPMATH,
     ROUTE_QUADRATURE,
     AssumptionError,
@@ -129,8 +130,8 @@ def _disc(n, s):
 
 
 class TestEpsteinQuadrature:
-    """The float64 routes and the mpmath L-series against the mpmath
-    incomplete-gamma route kept as their oracle."""
+    """The float64 routes, the extended-precision and the mpmath L-series
+    against the mpmath incomplete-gamma route kept as their oracle."""
 
     @staticmethod
     def _check(n, s, tol):
@@ -139,10 +140,12 @@ class TestEpsteinQuadrature:
             n, tol=_oracle_tol(out.values[0])).value_incomplete_gamma(s)
         err = abs(out.values[0] - value)
         assert err <= tol
-        # the float64 routes are kept below 0.1 tol; the mpmath routes stop
-        # once the change is below 0.1 tol and add the rounding to a double
+        # the float64 routes are kept below 0.1 tol; the extended and the
+        # mpmath routes keep an error below 0.1 tol before they add the
+        # rounding to a double
         rounding = 0.0
-        if out.routes[0] in (ROUTE_L_SERIES_MPMATH, ROUTE_CONTINUATION):
+        if out.routes[0] in (ROUTE_L_SERIES_EXTENDED, ROUTE_L_SERIES_MPMATH,
+                             ROUTE_CONTINUATION):
             v = out.values[0]
             rounding = (abs(v.real) + abs(v.imag)) * 2.0 ** -53
         assert out.bounds[0] - rounding < 0.1 * tol
@@ -210,17 +213,65 @@ class TestEpsteinQuadrature:
         run()
 
     def test_l_series_bound_on_a_dense_grid(self):
-        # the float64 tier alone, whatever the tolerance would ask for
+        # the float64 and the extended tier alone, whatever the tolerance
+        # would ask for; the extended value as the double it is reported as
         worst = 0.0
         for n in (1, 2, 4, 6):
             for re in np.linspace(-6.0, n + 6.0, 5):
                 for im in (0.5, -6.0, 13.0, -22.0):
                     s = complex(re, im)
-                    value, bound = lattice_zeta._l_series(n, s)
-                    ref, ref_bound = EpsteinEvaluator(
-                        n, tol=_oracle_tol(value)).value_incomplete_gamma(s)
-                    worst = max(worst, abs(value - ref) / (bound + ref_bound))
+                    ref = None
+                    for real in (float, np.longdouble):
+                        value, bound = lattice_zeta._to_double(
+                            *lattice_zeta._l_series(
+                                n, s, lattice_zeta._arith(real)))
+                        if ref is None:
+                            ref, ref_bound = EpsteinEvaluator(
+                                n, tol=_oracle_tol(value)
+                            ).value_incomplete_gamma(s)
+                        worst = max(worst,
+                                    abs(value - ref) / (bound + ref_bound))
         assert worst <= 1.0
+
+    def test_extended_bound_against_mpmath(self):
+        # the extended tier before its rounding to a double, against the
+        # mpmath L-series at 40 digits: its bound is mostly near 1e-17 of
+        # the value, far below what the incomplete-gamma oracle can check
+        def exact(x):
+            hi = float(x)
+            return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+
+        ext = lattice_zeta._arith(np.longdouble)
+        worst, relative = 0.0, []
+        for n in (1, 2, 4, 6):
+            for re in np.linspace(-6.0, n + 6.0, 7):
+                for im in (0.5, -6.0, 13.0, -22.0):
+                    s = complex(re, im)
+                    value, bound = lattice_zeta._l_series(n, s, ext)
+                    with mpmath.workdps(40):
+                        ref = lattice_zeta._l_series_mpmath(n, mpmath.mpc(s))
+                        err = abs(mpmath.mpc(exact(value.real),
+                                             exact(value.imag)) - ref)
+                    relative.append(float(bound) / max(1.0, abs(ref)))
+                    worst = max(worst, float(err) / float(bound))
+        assert worst <= 1.0
+        assert np.median(relative) < 1e-16
+
+    def test_shell_ops_take_the_extended_route(self, monkeypatch):
+        # the benchmark's --tol 1e-12 points that float64 cannot hold
+        points = [(n, s) for n, s, tol in SHELL_OPS_SEED_4242 if tol == 1e-12]
+        extended = {}
+        for n, s in points:
+            out = EpsteinEvaluator(n, tol=1e-12).values([s])
+            assert out.routes == (ROUTE_L_SERIES_EXTENDED,)
+            assert out.bounds[0] < 1e-12
+            extended[n, s] = out.values[0]
+        # where long double is a plain double the mpmath L-series takes them
+        monkeypatch.setattr(lattice_zeta, "_EXTENDED", float)
+        for n, s in points:
+            out = EpsteinEvaluator(n, tol=1e-12).values([s])
+            assert out.routes == (ROUTE_L_SERIES_MPMATH,)
+            assert abs(out.values[0] - extended[n, s]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_strip_takes_quadrature(self, n):
@@ -286,7 +337,7 @@ class TestEpsteinQuadrature:
         points = [0.5 + 0.3j, 9.5 - 1.0j, 0.76 + 24.2j, -4.0, 0.0, 2.05]
         out = ev.values(points)
         assert out.routes == (ROUTE_L_SERIES, ROUTE_L_SERIES,
-                              ROUTE_L_SERIES_MPMATH, ROUTE_L_SERIES,
+                              ROUTE_L_SERIES_EXTENDED, ROUTE_L_SERIES,
                               ROUTE_QUADRATURE, ROUTE_QUADRATURE)
         for s, v, b, r in zip(points, *out):
             one = ev.value(s)
@@ -305,8 +356,17 @@ class TestEpsteinQuadrature:
             epstein_pole_fit(n)
 
     def test_far_out_overflow_falls_back(self):
-        # 4^(s/2) overflows float64 in beta; mpmath takes the point
+        # 4^(s/2) overflows float64 in beta at s = 2100, and long double
+        # at s = 20000 (about 1e6020); numpy gives inf there, silently, and
+        # mpmath takes the point
+        import warnings
+
         out = EpsteinEvaluator(2).values([2100.0])
+        assert out.routes == (ROUTE_L_SERIES_EXTENDED,)
+        assert out.values[0] == pytest.approx(4.0, rel=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = EpsteinEvaluator(2).values([20000.0])
         assert out.routes == (ROUTE_L_SERIES_MPMATH,)
         assert out.values[0] == pytest.approx(4.0, rel=1e-15)
 
@@ -459,6 +519,9 @@ class TestTwistedResidue:
         theta = np.eye(2)
         with pytest.raises(ValueError):
             TwistedFamily(2, 1, {}, (1,), theta)
+        # 9e-6 off skew: within numpy's default rtol, not within 1e-14
+        with pytest.raises(ValueError, match="skew"):
+            TwistedFamily(2, 1, {}, (1,), [[0.0, 1.0], [-1.000009, 0.0]])
 
     def test_kernel_weight_brute_force(self):
         # oracle: enumerate the support and filter the kernel by hand

@@ -309,6 +309,12 @@ class TestOneFormAndCurvature:
         with pytest.raises(ValueError):
             OneFormTorus.from_entries(2, [(1, (0, 0), 0.5)])
 
+    def test_theta_skew_to_1e_14(self):
+        # 9e-6 off skew: within numpy's default rtol, not within 1e-14
+        with pytest.raises(ValueError, match="skew"):
+            Theta([[0.0, 1.0], [-1.000009, 0.0]])
+        Theta([[0.0, 1.0], [-1.0 - 5e-15, 0.0]])
+
     def test_non_skew_component_rejected(self):
         bad = TorusElement(2, {(1, 0): 1.0})
         with pytest.raises(ValueError):
