@@ -13,6 +13,7 @@ import numpy as np
 
 from . import lattice_zeta as lz
 from . import nc_torus as nt
+from . import oracles
 from . import suq2
 from .action_assembly import cutoff_moments, moment_quadrature
 
@@ -94,26 +95,17 @@ def crit_residue_table():
             - math.pi ** 2 / 12),
     ]
     ok1, msg1 = _check(errs_analytic, 1e-12, "analytic path")
+    oracle = oracles.residue_direct_oracle
     errs_oracle = [
-        abs(lz.residue_direct_oracle(2, lz.LatticePoly.monomial(2, (2, 0)), 4,
-                                     radius=60) - math.pi),
-        abs(lz.residue_direct_oracle(4, lz.LatticePoly.monomial(4, (2, 0, 0, 0)),
-                                     6, radius=22) - math.pi ** 2 / 2),
-        abs(lz.residue_direct_oracle(4, lz.LatticePoly.monomial(4, (2, 2, 0, 0)),
-                                     8, radius=22) - math.pi ** 2 / 12),
+        abs(oracle(2, lz.LatticePoly.monomial(2, (2, 0)), 4, radius=60)
+            - math.pi),
+        abs(oracle(4, lz.LatticePoly.monomial(4, (2, 0, 0, 0)), 6, radius=22)
+            - math.pi ** 2 / 2),
+        abs(oracle(4, lz.LatticePoly.monomial(4, (2, 2, 0, 0)), 8, radius=22)
+            - math.pi ** 2 / 12),
     ]
     ok2, msg2 = _check(errs_oracle, 1e-5, "direct-summation pole-fit oracle")
     return ok1 and ok2, f"{msg1}; {msg2}"
-
-
-def _curvature_ff_trace(A, theta):
-    """tau(F F) = 2 sum_{a<b} sum_k f_k f_{-k} from the dict curvature, a
-    route apart from the pair table behind yang_mills and cs_sums."""
-    F = nt.curvature(A, theta)
-    fs = [F.component(a, b).coeffs for a in range(1, A.n + 1)
-          for b in range(a + 1, A.n + 1)]
-    return 2.0 * complex(sum(c * f.get(tuple(-x for x in k), 0.0)
-                             for f in fs for k, c in f.items())).real
 
 
 def crit_torus_identity():
@@ -122,8 +114,10 @@ def crit_torus_identity():
     errs = []
     for _ in range(10):
         A = _random_one_form(rng)
-        z1 = -nt.YM_CONSTANT * _curvature_ff_trace(A, theta)
-        z2 = nt.zeta0_shift_via_power_sums(A, theta, diophantine_asserted=True)
+        ff = oracles._curvature_ff_trace(A, theta)
+        z1 = -nt.YM_CONSTANT * ff
+        z2 = oracles.zeta0_shift_via_power_sums(A, theta,
+                                                diophantine_asserted=True)
         ym = nt.yang_mills(A, theta)
         errs.append(abs(z1 - z2))
         errs.append(abs(z1 + nt.YM_CONSTANT * ym))
@@ -144,7 +138,7 @@ def crit_torus_gauge_invariance():
 
 
 def crit_torus_spectrum():
-    spectrum = nt.dirac_truncated(2, 3)
+    spectrum = oracles.dirac_truncated(2, 3)
     counts = lz.radial_counts(2, 9)
     ok = spectrum.kernel_dim == 2
     mismatches = 0
@@ -258,8 +252,9 @@ def crit_dual_path_weight2():
                 if tag == "one" and n == 0:
                     continue
                 lhs = suq2.nc_integral(
-                    suq2.table_entry_ladder(n, tag, ctx), 2, ctx)
-                rhs = suq2.lqmq_integral(suq2.ideal_r_reduce(n, tag, q), ctx)
+                    oracles.table_entry_ladder(n, tag, ctx), 2, ctx)
+                rhs = oracles.lqmq_integral(
+                    oracles.ideal_r_reduce(n, tag, q), ctx)
                 errs.append(abs(lhs - rhs))
     return _check(errs, 1e-8, "representation path vs L/M substitution path")
 
@@ -271,7 +266,7 @@ def crit_shell_asymptotics():
              (suq2.LadderElem({(suq2.BP, suq2.BPS): 1.0}), 0.0),
              (suq2.LadderElem({(suq2.AP, suq2.APS): 1.0}), 2.0)]
     for elem, expected in cases:
-        fit = suq2.shell_fit_weight3(elem, ctx, shells=40, start=20)
+        fit = oracles.shell_fit_weight3(elem, ctx, shells=40, start=20)
         errs.append(abs(fit - expected) / max(1.0, abs(expected)))
     return _check(errs, 1e-4, "40-shell quadratic fits vs weight-3 integrals")
 

@@ -116,12 +116,10 @@ def _tabulated_moment(ts, vs, spline, k: int) -> tuple:
 
 _FAMILIES = {
     "exponential": {
-        "phi": lambda t: math.exp(-t),
         "moment": lambda k: 0.5 * math.gamma(k / 2.0),
         "phi0": 1.0,
     },
     "gaussian": {
-        "phi": lambda t: math.exp(-t * t),
         "moment": lambda k: 0.25 * math.gamma(k / 4.0),
         "phi0": 1.0,
     },
@@ -217,13 +215,14 @@ class ExpansionReport:
         return {
             "lambda": self.lam,
             "terms": [{"power": p,
-                       "coefficient": _jsonable(c),
+                       "coefficient": jsonable(c),
                        "tag": t} for p, c, t in self.entries],
-            "total": _jsonable(self.total),
+            "total": jsonable(self.total),
         }
 
 
-def _jsonable(x):
+def jsonable(x):
+    """A complex number as JSON: a float when it is real, else {re, im}."""
     x = complex(x)
     if x.imag == 0:
         return x.real

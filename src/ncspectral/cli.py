@@ -18,7 +18,7 @@ from . import acceptance
 from . import lattice_zeta as lz
 from . import nc_torus as nt
 from . import suq2
-from .action_assembly import assemble, cutoff_moments
+from .action_assembly import assemble, cutoff_moments, jsonable
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -32,13 +32,6 @@ class SchemaError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     pass
-
-
-def _cnum(x) -> dict | float:
-    x = complex(x)
-    if x.imag == 0:
-        return x.real
-    return {"re": x.real, "im": x.imag}
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -99,8 +92,8 @@ def _run_zeta(args) -> dict:
     else:
         s = _parse_complex(args.s)
         out = ev.value(s)
-        report["s"] = _cnum(s)
-        report["value"] = {"value": _cnum(out.value),
+        report["s"] = jsonable(s)
+        report["value"] = {"value": jsonable(out.value),
                            "provenance": out.route,
                            "tail_bound": out.bound}
     return report
@@ -173,12 +166,12 @@ def _run_suq2(args) -> dict:
         "with_reality": not args.no_reality,
         "tolerance": ctx.tol,
         "ladder_words": len(A.words),
-        "integrals": {k: {"value": _cnum(v),
+        "integrals": {k: {"value": jsonable(v),
                           "provenance": "tau functionals on half-line legs"}
                       for k, v in out["integrals"].items()},
-        "zeta0": {"value": _cnum(out["zeta0"]),
+        "zeta0": {"value": jsonable(out["zeta0"]),
                   "provenance": "fluctuation assembly"},
-        "coefficients": {str(k): _cnum(v)
+        "coefficients": {str(k): jsonable(v)
                          for k, v in out["coefficients"].items()},
         "moments": moments.to_dict(),
         "expansion": out["report"].to_dict(),
@@ -292,15 +285,12 @@ def main(argv=None) -> int:
         runner = {"zeta": _run_zeta, "torus": _run_torus,
                   "suq2": _run_suq2, "action": _run_action}[args.command]
         _emit(runner(args), args.out)
-    except SchemaError as exc:
+    except (SchemaError, lz.AssumptionError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except lz.ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (lz.AssumptionError,) as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except (UnsupportedError, lz.PoleError, MemoryError, ValueError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -123,10 +123,14 @@ _EXTENDED = np.longdouble
 _WIDE_DPS = 40
 # scipy's complex loggamma is good to a few units in the last place of its
 # value, and the functional-equation factor adds the rounding of (s - n/2)
-# log pi and of the difference; this many units of the sum of their sizes
-# bound the factor's relative error.  On 728 grid points (n in {1, 2, 4, 6},
-# Re s in [-6, n + 6], |Im s| <= 25) the largest error against mpmath was
-# 0.36 of the whole bound, on this side of the functional equation.
+# log pi and of the difference; the bound charges the factor this many
+# units of the sum of their sizes.  That share alone does not bound the
+# factor: near the real axis it is off by up to 3.0 times it (n = 6,
+# s = 2.9424 - 0.0753i, against mpmath at 50 digits), and the value stays
+# within its whole bound there only through the slack of the Hurwitz part.
+# Against mpmath the largest error was 0.36 of the whole bound on 728 grid
+# points (n in {1, 2, 4, 6}, Re s in [-6, n + 6], |Im s| <= 25) and 0.58 on
+# about 2900 reflected points with |Im s| <= 0.1.
 _REFLECTION_ULPS = 3.0
 
 # Gauss-Laguerre node counts: the value comes from the larger rule and the
@@ -411,7 +415,7 @@ class EpsteinEvaluator:
     and the error of the functional-equation factor.  An s whose bound is
     not below a tenth of the tolerance takes the same kernel in long double
     (where that is wider than a double), directly for Re s >= 0 and with a
-    30-digit factor below; its bound adds the rounding to a double.  An s
+    40-digit factor below; its bound adds the rounding to a double.  An s
     that neither keeps takes the identity in mpmath, whose bound is the
     change between two working precisions plus the rounding to a double.
     The two wider routes keep a value whose error before that rounding is
@@ -633,31 +637,9 @@ class EpsteinEvaluator:
         """Residue of Z_n at its pole s = n: 2 pi^(n/2) / Gamma(n/2)."""
         return 2.0 * math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0)
 
-    def value_direct(self, s: complex, radius: float) -> complex:
-        """Truncated summation plus integral tail; valid for Re(s) > n - 1.
-
-        Independent of the continued path; used as an oracle.
-        """
-        s = complex(s)
-        n = self.n
-        m2 = int(radius * radius)
-        self._grow(m2)
-        m = np.arange(1, m2 + 1, dtype=float)
-        weights = self._counts[1: m2 + 1].astype(float)
-        partial = np.sum(weights * m ** (-s / 2.0))
-        area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-        tail = area * radius ** (n - s) / (s - n)
-        return complex(partial + tail)
-
 
 def epstein_value(n: int, s: complex, tol: float = 1e-10) -> complex:
     return EpsteinEvaluator(n, tol).value(s).value
-
-
-def epstein_residue(n: int) -> float:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 # (s - n) Z_n(s) is entire, so the trapezoid rule on a circle around n
@@ -727,43 +709,6 @@ def sphere_moment(n: int, p) -> float:
     return num / math.gamma((n + sum(p)) / 2.0)
 
 
-def sphere_moment_quadrature(n: int, p, points: int = 48) -> float:
-    """Product-angle quadrature of u^p over S^{n-1}, n <= 4.
-
-    Gauss-Legendre nodes on the polar angles, midpoint rule on the azimuth
-    (exact there, the integrand being a trigonometric polynomial).
-    """
-    if n > 4:
-        raise ValueError("quadrature oracle implemented for n <= 4")
-    p = tuple(int(e) for e in p)
-    if n == 1:
-        # S^0 = two points
-        return float((1.0) ** p[0] + (-1.0) ** p[0])
-    nodes, weights = np.polynomial.legendre.leggauss(points)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    theta_w = 0.5 * math.pi * weights
-    nphi = max(64, 2 * (sum(p) + 2))
-    phi = (np.arange(nphi) + 0.5) * (2.0 * math.pi / nphi)
-    axes = [theta] * (n - 2) + [phi]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = []
-    sin_prod = np.ones_like(grids[0])
-    for axis in range(n - 1):
-        ang = grids[axis]
-        coords.append(sin_prod * np.cos(ang))
-        sin_prod = sin_prod * np.sin(ang)
-    coords.append(sin_prod)
-    integrand = np.ones_like(grids[0])
-    for x, e in zip(coords, p):
-        integrand = integrand * x ** e
-    # measure: prod sin^{n-1-i}(theta_i) dtheta_i dphi, with GL weights folded in
-    measure = np.ones_like(grids[0])
-    for axis in range(n - 2):
-        w = theta_w.reshape([-1 if a == axis else 1 for a in range(n - 1)])
-        measure = measure * np.sin(grids[axis]) ** (n - 2 - axis) * w
-    return float(np.sum(integrand * measure) * (2.0 * math.pi / nphi))
-
-
 def residue_lattice_sum(n: int, poly: LatticePoly, r: float) -> complex:
     """Res_{s=0} sum'_k P(k) |k|^{-s-r}: sphere moments of the terms with
     degree d = r - n; every other homogeneous term contributes nothing."""
@@ -774,42 +719,6 @@ def residue_lattice_sum(n: int, poly: LatticePoly, r: float) -> complex:
         if abs((n + sum(p)) - r) < 1e-9:
             total += c * sphere_moment(n, p)
     return total
-
-
-def residue_direct_oracle(n: int, poly: LatticePoly, r: float,
-                          radius: float = 24.0,
-                          offsets=(0.1, 0.05, 0.025)) -> float:
-    """Pole-fit of s * sum'_{|k|<=R} P(k)|k|^{-s-r} with integral tail.
-
-    Brute-force companion to residue_lattice_sum; the lattice-vs-integral
-    discrepancy is holomorphic at s = 0, so the fit isolates the residue.
-    """
-    ranges = [np.arange(-int(radius), int(radius) + 1)] * n
-    grids = np.meshgrid(*ranges, indexing="ij")
-    k2 = sum(g.astype(float) ** 2 for g in grids)
-    mask = (k2 > 0) & (k2 <= radius * radius)
-    k2m = k2[mask]
-    pvals = np.zeros_like(k2m)
-    for p, c in poly.terms:
-        mono = np.ones_like(k2m)
-        for g, e in zip(grids, p):
-            if e:
-                mono = mono * g[mask].astype(float) ** e
-        pvals = pvals + c.real * mono
-    svals = np.array(offsets, dtype=float)
-    fitted = []
-    for s in svals:
-        partial = np.sum(pvals * k2m ** (-(s + r) / 2.0))
-        # integral tail of the matching-degree part only (the others die)
-        tail = 0.0
-        for p, c in poly.terms:
-            d = sum(p)
-            expo = n + d - s - r
-            if expo < 0:
-                tail += c.real * sphere_moment(n, p) * radius ** expo / (-expo)
-        fitted.append(s * partial + s * tail)
-    coeffs = np.polyfit(svals, np.array(fitted), 2)
-    return float(coeffs[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -871,16 +780,3 @@ def twisted_residue(fam: TwistedFamily, poly: LatticePoly, r: float) -> complex:
     if fam.n != poly.n:
         raise ValueError("dimension mismatch between family and polynomial")
     return fam.kernel_weight() * residue_lattice_sum(fam.n, poly, r)
-
-
-# ---------------------------------------------------------------------------
-# Riemann zeta
-
-
-def riemann_zeta(s: complex) -> complex:
-    """zeta(s) on C \\ {1}, via mpmath's Euler-Maclaurin continuation."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta has its pole at s = 1", residue=1.0)
-    with mp.workdps(_MP_DPS):
-        return complex(mp.zeta(mp.mpc(s)))

@@ -3,21 +3,19 @@
 Elements are finitely supported Fourier series sum_k a_k U_k with the
 twisted product U_k U_q = exp(-i/2 k.Theta q) U_{k+q}.  On top of the
 algebra sit one-forms, curvature, the Yang-Mills density and the closed
-heat-expansion coefficients for n = 2 and n = 4, cross-checked against an
-eigenvalue oracle for the truncated Dirac operator.
+heat-expansion coefficients for n = 2 and n = 4.  Their brute-force
+checks, among them the truncated Dirac spectrum, are in `oracles`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .action_assembly import CutoffMoments, ExpansionReport, assemble
-from .gamma import build_gamma
 from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
@@ -42,10 +40,6 @@ class Theta:
     @classmethod
     def zero(cls, n: int) -> "Theta":
         return cls(np.zeros((n, n)))
-
-    def pairing(self, k, q) -> float:
-        """k . Theta q"""
-        return float(np.dot(k, self.entries @ np.asarray(q, dtype=float)))
 
 
 class TorusElement:
@@ -131,9 +125,6 @@ class TorusElement:
     def norm1(self) -> float:
         return sum(abs(c) for c in self.coeffs.values())
 
-    def is_selfadjoint(self, tol: float = 1e-12) -> bool:
-        return (self - self.adjoint()).norm1() <= tol
-
     def allclose(self, other, tol: float = 1e-12) -> bool:
         return (self - other).norm1() <= tol
 
@@ -167,18 +158,6 @@ def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:
 
 def commutator(a, b, theta):
     return weyl_mul(a, b, theta) - weyl_mul(b, a, theta)
-
-
-def adjoint(a: TorusElement) -> TorusElement:
-    return a.adjoint()
-
-
-def tau(a: TorusElement) -> complex:
-    return a.tau()
-
-
-def delta_mu(a: TorusElement, mu: int) -> TorusElement:
-    return a.delta(mu)
 
 
 class OneFormTorus:
@@ -348,32 +327,6 @@ def curvature(A: OneFormTorus, theta: Theta) -> Curvature:
     return Curvature(n, table)
 
 
-def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> Curvature:
-    """Second, independent route: the explicit mode-space expansion
-
-    F_{ab} = i sum_k [ (a_{b,k} k_a - a_{a,k} k_b)
-                       - 2 sum_l a_{a,k-l} a_{b,l} sin(k.Theta l / 2) ] U_k.
-    """
-    n = A.n
-    table = {}
-    for a in range(1, n + 1):
-        ca = A.component(a).coeffs
-        for b in range(a + 1, n + 1):
-            cb = A.component(b).coeffs
-            out: dict = {}
-            for k, c in cb.items():
-                out[k] = out.get(k, 0.0) + 1.0j * c * k[a - 1]
-            for k, c in ca.items():
-                out[k] = out.get(k, 0.0) - 1.0j * c * k[b - 1]
-            for ka, va in ca.items():
-                for lb, vb in cb.items():
-                    k = tuple(x + y for x, y in zip(ka, lb))
-                    s = math.sin(0.5 * theta.pairing(k, lb))
-                    out[k] = out.get(k, 0.0) - 2.0j * va * vb * s
-            table[(a, b)] = TorusElement(n, out)
-    return Curvature(n, table)
-
-
 def yang_mills(A: OneFormTorus, theta: Theta) -> float:
     """tau(F_{mn} F^{mn}) with flat-metric index raising (full double sum).
 
@@ -479,18 +432,6 @@ def zeta0_shift(A: OneFormTorus, theta: Theta, n: int,
     return -YM_CONSTANT * ym
 
 
-def zeta0_shift_via_power_sums(A: OneFormTorus, theta: Theta,
-                               diophantine_asserted: bool = False) -> float:
-    """Independent route: 2 sum_q (-1)^q / q of the closed power sums."""
-    if not diophantine_asserted:
-        raise AssumptionError(
-            "Diophantine assumption on theta/2pi not asserted")
-    acc = 0.0  # the q = 1 tadpole term vanishes on the torus
-    for q in (2, 3, 4):
-        acc += (-1.0) ** q / q * cs_sums(A, theta, q)
-    return 2.0 * acc
-
-
 def torus_action(A: OneFormTorus, theta: Theta, n: int,
                  moments: CutoffMoments, lam: float,
                  diophantine_asserted: bool = False,
@@ -506,50 +447,6 @@ def torus_action(A: OneFormTorus, theta: Theta, n: int,
     else:
         coeffs = {4: 8.0 * math.pi ** 2, 3: 0.0, 2: 0.0, 1: 0.0}
     return assemble(coeffs, shift, moments, lam)
-
-
-# ---------------------------------------------------------------------------
-# truncated-Dirac oracle
-
-
-@dataclass
-class TruncatedSpectrum:
-    n: int
-    radius: int
-    eigenvalues: np.ndarray
-
-    @property
-    def kernel_dim(self) -> int:
-        return int(np.sum(np.abs(self.eigenvalues) < 1e-9))
-
-    def multiplicity(self, value: float, tol: float = 1e-9) -> int:
-        return int(np.sum(np.abs(self.eigenvalues - value) < tol))
-
-    def abs_multiplicity(self, value: float, tol: float = 1e-9) -> int:
-        return int(np.sum(np.abs(np.abs(self.eigenvalues) - value) < tol))
-
-
-def dirac_truncated(n: int, K: int, max_dim: int = 2_000_000) -> TruncatedSpectrum:
-    """Eigenvalues of D restricted to modes |k| <= K, via exact
-    diagonalization of the fiber matrices k_mu gamma^mu."""
-    if K < 1:
-        raise ValueError("truncation radius must be >= 1")
-    rep = build_gamma(n)
-    grid = np.arange(-K, K + 1)
-    n_modes = (2 * K + 1) ** n
-    if n_modes * rep.dim > max_dim:
-        raise MemoryError(
-            f"truncated Dirac needs {n_modes * rep.dim} basis vectors, "
-            f"over the guard {max_dim}")
-    mesh = np.meshgrid(*([grid] * n), indexing="ij")
-    modes = np.stack([m.ravel() for m in mesh], axis=1)
-    modes = modes[np.sum(modes.astype(float) ** 2, axis=1) <= K * K + 1e-9]
-    eigs = []
-    for k in modes:
-        fiber = sum(float(ki) * g for ki, g in zip(k, rep.matrices))
-        eigs.append(np.linalg.eigvalsh(fiber))
-    return TruncatedSpectrum(n=n, radius=K,
-                             eigenvalues=np.sort(np.concatenate(eigs)))
 
 
 # ---------------------------------------------------------------------------

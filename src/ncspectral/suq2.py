@@ -12,8 +12,10 @@ Three layers cooperate here.
   factor, where the noncommutative integrals become combinations of the
   circle average tau1 and the regularized partial trace tau0.
 
-Closed forms from the literature enter only as test oracles; everything
-computed here goes through the representation.
+Closed forms from the literature enter only as test oracles, and the
+brute-force routes (dense legs, shell traces, the L/M substitution calculus)
+live in `oracles`; everything computed here goes through the
+representation.
 """
 
 from __future__ import annotations
@@ -23,17 +25,14 @@ import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .action_assembly import CutoffMoments, assemble
-from .lattice_zeta import PoleError, ToleranceError, riemann_zeta
+from .lattice_zeta import ToleranceError
 
 # ---------------------------------------------------------------------------
 # ladder alphabet
 
 AP, AM, BP, BM = "a+", "a-", "b+", "b-"
 APS, AMS, BPS, BMS = "a+*", "a-*", "b+*", "b-*"
-LETTERS = (AP, AM, BP, BM, APS, AMS, BPS, BMS)
 
 DEGREE = {AP: 1, BP: 1, AMS: 1, BMS: 1, AM: -1, BM: -1, APS: -1, BPS: -1}
 STAR = {AP: APS, APS: AP, AM: AMS, AMS: AM,
@@ -70,12 +69,6 @@ class QContext:
         self.tol = tol
         self.max_terms = max_terms
         self._tau0_cache: dict = {}
-
-    def qn(self, k: int) -> float:
-        """sqrt(1 - q^{2k}) for k >= 1; zero at and below the boundary."""
-        if k <= 0:
-            return 0.0
-        return math.sqrt(1.0 - self.q ** (2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +265,6 @@ class LadderElem:
                for w, c in self.words.items()}
         return LadderElem(out, self.f_power)
 
-    def degree_parts(self) -> dict:
-        parts: dict = {}
-        for w, c in self.words.items():
-            d = sum(DEGREE[l] for l in w)
-            parts.setdefault(d, {})[w] = c
-        return parts
-
     def filter_letters(self, allowed: frozenset) -> "LadderElem":
         return LadderElem({w: c for w, c in self.words.items()
                            if all(l in allowed for l in w)}, self.f_power)
@@ -432,24 +418,6 @@ def tau0(leg, side: str, ctx: QContext) -> float:
         f"{ctx.max_terms} terms")
 
 
-def leg_matrix(leg, side: str, q: float, size: int) -> np.ndarray:
-    """Dense truncation of a leg word on the first `size` basis vectors."""
-    mat = np.eye(size)
-    for letter in reversed(leg):
-        step = np.zeros((size, size))
-        for n in range(size):
-            if letter == "a":
-                if n + 1 < size:
-                    step[n + 1, n] = math.sqrt(1.0 - q ** (2 * (n + 1)))
-            elif letter == "a*":
-                if n > 0:
-                    step[n - 1, n] = math.sqrt(1.0 - q ** (2 * n))
-            else:
-                step[n, n] = q ** n if side == "+" else -q ** n
-        mat = step @ mat
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # noncommutative integrals
 
@@ -550,151 +518,11 @@ def _integral_weight2_square(A: LadderElem, ctx: QContext) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the unperturbed Dirac zeta
-
-
-def zeta_D_suq2(s: complex) -> complex:
-    """zeta_D(s) = 2 (2^{s-2} - 1) zeta(s-2) - (1/2)(2^s - 1) zeta(s)."""
-    s = complex(s)
-    for pole in (3.0, 1.0):
-        if abs(s - pole) < 1e-12:
-            raise PoleError(f"zeta_D has a pole at s = {pole}")
-    return (2.0 * (2.0 ** (s - 2) - 1.0) * riemann_zeta(s - 2)
-            - 0.5 * (2.0 ** s - 1.0) * riemann_zeta(s))
-
-
-def dirac_moments() -> dict:
-    """Residues/values of the bare triple: weights 3, 2, 1 and zeta_D(0)."""
-    return {3: 2.0, 2: 0.0, 1: -0.5, 0: 0.0}
-
-
-# ---------------------------------------------------------------------------
-# ideal-R reduction: polynomials in the diagonal operators L and M
-
-
-class NotReducibleError(ValueError):
-    pass
-
-
-def _lm_mul(p1: dict, p2: dict) -> dict:
-    """Product of polynomials in L, M with the cross terms L M dropped."""
-    out: dict = {}
-    for (k1, e1), c1 in p1.items():
-        for (k2, e2), c2 in p2.items():
-            if k1 == "1":
-                key = (k2, e2)
-            elif k2 == "1":
-                key = (k1, e1)
-            elif k1 == k2:
-                key = (k1, e1 + e2)
-            else:
-                continue  # L M lies in the invisible ideal
-            out[key] = out.get(key, 0.0) + c1 * c2
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _lm_base(tag: str, q: float) -> dict:
-    L1, M1, one = ("L", 1), ("M", 1), ("1", 0)
-    table = {
-        "bb*": {L1: 1.0, M1: 1.0},
-        "bdb*": {M1: 1.0, L1: -1.0},
-        "b*db": {L1: 1.0, M1: -1.0},
-        "ada*": {L1: 1.0, M1: 1.0, one: -1.0},
-        "a*da": {one: 1.0, L1: -q * q, M1: -q * q},
-        "dada*": {L1: 1.0, M1: 1.0, one: -1.0},
-        "da*da": {L1: q * q, M1: q * q, one: -1.0},
-    }
-    if tag not in table:
-        raise NotReducibleError(f"no substitution rule for {tag!r}")
-    return dict(table[tag])
-
-
-def ideal_r_reduce(n: int, tag: str, q: float) -> dict:
-    """Normal form of (b b*)^n x in the span of powers of L and M.
-
-    Supported x tags: 'one', 'bdb*', 'b*db', 'ada*', 'a*da', 'dada*',
-    'da*da', 'dbdb', 'dbdb*', 'db*db*', and the mixed vanishing families
-    'a*b*dadb', 'ab*da*db', 'a*bdadb*', 'abda*db*'.
-    """
-    if n < 0:
-        raise NotReducibleError("weight n must be nonnegative")
-    if tag == "one":
-        if n == 0:
-            return {("1", 0): 1.0}
-        return {("L", n): 1.0, ("M", n): 1.0}
-    if tag == "dbdb":
-        # (bb*)^n (b*)^2 db db = b^(n) b*^(n+2) db db -> L^{n+2} + M^{n+2}
-        return {("L", n + 2): 1.0, ("M", n + 2): 1.0}
-    if tag == "dbdb*":
-        return {("L", n + 1): -1.0, ("M", n + 1): -1.0}
-    if tag == "db*db*":
-        return {("L", n + 2): 1.0, ("M", n + 2): 1.0}
-    prefix = ideal_r_reduce(n, "one", q) if n else {("1", 0): 1.0}
-    mixed = {
-        "a*b*dadb": (q, ("a*da", "b*db")),
-        "ab*da*db": (1.0 / q, ("ada*", "b*db")),
-        "a*bdadb*": (q, ("a*da", "bdb*")),
-        "abda*db*": (1.0 / q, ("ada*", "bdb*")),
-    }
-    if tag in mixed:
-        factor, (t1, t2) = mixed[tag]
-        poly = _lm_mul(_lm_base(t1, q), _lm_base(t2, q))
-        poly = {k: factor * c for k, c in poly.items()}
-    else:
-        poly = _lm_base(tag, q)
-    return _lm_mul(prefix, poly)
-
-
-def lqmq_integral(poly: dict, ctx: QContext) -> float:
-    """Weight-2 integral of an L/M polynomial: each L^n or M^n contributes
-    2 / (1 - q^(2n)); the constant is invisible at this weight."""
-    total = 0.0
-    for (kind, e), c in poly.items():
-        if kind == "1":
-            continue
-        if e < 1:
-            raise ValueError("L/M powers must be >= 1")
-        cc = c.real if isinstance(c, complex) else float(c)
-        total += cc * 2.0 / (1.0 - ctx.q ** (2 * e))
-    return total
-
-
-def table_entry_ladder(n: int, tag: str, ctx: QContext) -> LadderElem:
-    """Ladder realization of (b b*)^n x for the substitution-table tags,
-    the independent route against lqmq_integral."""
-    q = ctx.q
-    gen = PBWElem.generator
-    weight = rep_ladder(PBWElem.monomial(0, n, n))
-
-    def d(g):
-        return delta_ladder(rep_ladder(gen(g)))
-
-    def r(g):
-        return rep_ladder(gen(g))
-
-    pieces = {
-        "one": LadderElem.one(),
-        "bdb*": r("b") @ d("b*"),
-        "b*db": r("b*") @ d("b"),
-        "ada*": r("a") @ d("a*"),
-        "a*da": r("a*") @ d("a"),
-        "dada*": d("a") @ d("a*"),
-        "da*da": d("a*") @ d("a"),
-        "dbdb": r("b*") @ r("b*") @ d("b") @ d("b"),
-        "dbdb*": d("b") @ d("b*"),
-        "db*db*": r("b") @ r("b") @ d("b*") @ d("b*"),
-        "a*b*dadb": r("a*") @ r("b*") @ d("a") @ d("b"),
-        "ab*da*db": r("a") @ r("b*") @ d("a*") @ d("b"),
-        "a*bdadb*": r("a*") @ r("b") @ d("a") @ d("b*"),
-        "abda*db*": r("a") @ r("b") @ d("a*") @ d("b*"),
-    }
-    if tag not in pieces:
-        raise NotReducibleError(f"no ladder realization for {tag!r}")
-    return weight @ pieces[tag]
-
-
-# ---------------------------------------------------------------------------
 # spectral action
+
+# residues of the unperturbed zeta_D(s) = 2 (2^(s-2) - 1) zeta(s-2)
+# - (1/2)(2^s - 1) zeta(s) at its poles s = 3 and s = 1
+DIRAC_RESIDUES = {3: 2.0, 1: -0.5}
 
 
 def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
@@ -712,17 +540,16 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     ia33 = _integral_weight3_power(A, 3)
     ia22 = _integral_weight2_square(A, ctx)
 
+    c3 = DIRAC_RESIDUES[3]
     if with_reality:
-        c3 = 2.0
         c2 = -4.0 * ia3
-        c1 = -0.5 + 2.0 * (ia23 - ia2) + abs(ia3) ** 2
+        c1 = DIRAC_RESIDUES[1] + 2.0 * (ia23 - ia2) + abs(ia3) ** 2
         zeta0 = (-2.0 * ia1 + ia22 - (2.0 / 3.0) * ia33
                  + ia3.conjugate() * (0.5 * ia2 - ia23)
                  + 0.5 * ia3 * ia2.conjugate())
     else:
-        c3 = 2.0
         c2 = -2.0 * ia3
-        c1 = -0.5 - ia2 + ia23
+        c1 = DIRAC_RESIDUES[1] - ia2 + ia23
         zeta0 = -ia1 + 0.5 * ia22 - (1.0 / 3.0) * ia33
 
     report = assemble({3: c3, 2: c2, 1: c1}, zeta0, moments, lam)
@@ -761,82 +588,6 @@ def one_form_from_pairs(pairs, ctx: QContext) -> LadderElem:
         if c != 0 and x.coeffs and y.coeffs:
             total = total + c * delta_one_form(x, y)
     return total
-
-
-# ---------------------------------------------------------------------------
-# shell-trace oracle on the spinorial basis
-
-
-_SHELL_ACTION = {
-    # letter: (du, dm, dl, coefficient factory)
-    AP: (1, 1, 1, lambda q, qn, m, l: qn(m + 1) * qn(l + 1)),
-    AM: (-1, 0, 0, lambda q, qn, m, l: q ** (m + l + 1)),
-    BP: (1, 1, 0, lambda q, qn, m, l: q ** l * qn(m + 1)),
-    BM: (-1, 0, -1, lambda q, qn, m, l: -q ** m * qn(l)),
-    APS: (-1, -1, -1, lambda q, qn, m, l: qn(m) * qn(l)),
-    AMS: (1, 0, 0, lambda q, qn, m, l: q ** (m + l + 1)),
-    BPS: (-1, -1, 0, lambda q, qn, m, l: q ** l * qn(m)),
-    BMS: (1, 0, 1, lambda q, qn, m, l: -q ** m * qn(l + 1)),
-}
-
-
-def _state_valid(comp: str, m: int, l: int, u: int) -> bool:
-    if u < 0 or not 0 <= m <= u:
-        return False
-    if comp == "up":
-        return 0 <= l <= u + 1
-    return u >= 1 and 0 <= l <= u - 1
-
-
-def _apply_word_shell(word, comp: str, m: int, l: int, u: int, ctx: QContext):
-    coeff = 1.0
-    for letter in reversed(word):
-        du, dm, dl, fac = _SHELL_ACTION[letter]
-        coeff *= fac(ctx.q, ctx.qn, m, l)
-        if coeff == 0.0:
-            return 0.0, m, l, u
-        m, l, u = m + dm, l + dl, u + du
-        if not _state_valid(comp, m, l, u):
-            return 0.0, m, l, u
-    return coeff, m, l, u
-
-
-def shell_trace_oracle(T: LadderElem, j, ctx: QContext, cap: int = 200) -> float:
-    """Trace of T over the shell of total spin j, both chirality parts.
-
-    Matrix elements are realized directly through the basis action of the
-    ladder letters, independent of the half-line machinery.
-    """
-    u = int(round(2 * j))
-    if abs(2 * j - u) > 1e-9:
-        raise ValueError("j must be a half-integer")
-    if u > cap:
-        raise ValueError(f"shell cap exceeded: 2j = {u} > {cap}")
-    if T.f_power:
-        raise ValueError("shell oracle is for F-free elements")
-    total = 0.0
-    for comp in ("up", "down"):
-        lmax = u + 1 if comp == "up" else u - 1
-        if lmax < 0 or (comp == "down" and u < 1):
-            continue
-        for m in range(u + 1):
-            for l in range(lmax + 1):
-                for w, c in T.words.items():
-                    coeff, m2, l2, u2 = _apply_word_shell(w, comp, m, l, u, ctx)
-                    if coeff != 0.0 and (m2, l2, u2) == (m, l, u):
-                        total += (c * coeff).real
-    return total
-
-
-def shell_fit_weight3(T: LadderElem, ctx: QContext, shells: int = 40,
-                      start: int = 20) -> float:
-    """Quadratic-in-2j fit of the shell traces; the leading coefficient
-    recovers the weight-3 integral of T."""
-    us = np.arange(start, start + shells)
-    traces = np.array([shell_trace_oracle(T, u / 2.0, ctx, cap=start + shells)
-                       for u in us])
-    coeffs = np.polyfit(us.astype(float), traces, 2)
-    return float(coeffs[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,20 +18,26 @@ from ncspectral.lattice_zeta import (
     PoleError,
     TwistedFamily,
     epstein_pole_fit,
-    epstein_residue,
     epstein_value,
     radial_counts,
-    residue_direct_oracle,
     residue_lattice_sum,
-    riemann_zeta,
     sphere_moment,
-    sphere_moment_quadrature,
     twisted_residue,
+)
+from ncspectral.oracles import (
+    residue_direct_oracle,
+    riemann_zeta,
+    sphere_moment_quadrature,
+    value_direct,
 )
 
 # Frozen by the direct-summation oracle (|k| <= 1e4 plus integral tail);
 # agrees with the closed form 4*zeta(2)*Catalan.
 Z2_AT_4 = 6.026812039691940
+
+
+def _residue(n):
+    return EpsteinEvaluator(n).residue()
 
 
 def test_radial_counts_small():
@@ -53,14 +59,12 @@ class TestEpsteinValue:
     def test_against_direct_summation(self):
         assert epstein_value(2, 4).real == pytest.approx(Z2_AT_4, abs=1e-9)
         # recompute the oracle at a modest radius to show it is the same object
-        ev = EpsteinEvaluator(2)
-        assert ev.value_direct(4, 400).real == pytest.approx(Z2_AT_4, abs=1e-5)
+        assert value_direct(2, 4, 400).real == pytest.approx(Z2_AT_4, abs=1e-5)
 
     @pytest.mark.parametrize("n,s", [(3, 5.5), (4, 6.0), (2, 3.2)])
     def test_direct_vs_continued(self, n, s):
-        ev = EpsteinEvaluator(n)
-        assert ev.value(s).value.real == pytest.approx(
-            ev.value_direct(s, 150).real, abs=1e-6)
+        assert EpsteinEvaluator(n).value(s).value.real == pytest.approx(
+            value_direct(n, s, 150).real, abs=1e-6)
 
     def test_pole_raises_with_residue(self):
         with pytest.raises(PoleError) as err:
@@ -233,6 +237,28 @@ class TestEpsteinQuadrature:
                                     abs(value - ref) / (bound + ref_bound))
         assert worst <= 1.0
 
+    def test_l_series_bound_near_the_real_axis(self):
+        # reflected float64 points with |Im s| <= 0.1, against the mpmath
+        # L-series at 50 digits.  At the last two of the first four the
+        # functional-equation factor alone is off by 3.0 and 2.2 times its
+        # own share of the bound; the Hurwitz part's slack covers it
+        points = [(6, 2.828 + 0.047j), (4, 1.161 + 0.016j),
+                  (6, 2.942366735587086 - 0.07533177984533619j),
+                  (4, 0.8444815978890032 + 0.07547689355708395j)]
+        points += [(n, complex(re, im)) for n in (1, 2, 4, 6)
+                   for re in np.linspace(-6.0, n / 2, 9, endpoint=False)
+                   for im in (0.1, 0.047, 0.016, -0.003, -0.075)
+                   if not _disc(n, complex(re, im))]
+        worst = 0.0
+        for n, s in points:
+            value, bound = lattice_zeta._to_double(*lattice_zeta._l_series(
+                n, s, lattice_zeta._arith(float)))
+            with mpmath.workdps(50):
+                ref = lattice_zeta._l_series_mpmath(n, mpmath.mpc(s))
+                err = float(abs(mpmath.mpc(value) - ref))
+            worst = max(worst, err / bound)
+        assert worst <= 1.0
+
     def test_extended_bound_against_mpmath(self):
         # the extended tier before its rounding to a double, against the
         # mpmath L-series at 40 digits: its bound is mostly near 1e-17 of
@@ -382,17 +408,17 @@ class TestEpsteinQuadrature:
 
 class TestEpsteinResidue:
     def test_closed_forms(self):
-        assert epstein_residue(2) == pytest.approx(2 * math.pi)
-        assert epstein_residue(4) == pytest.approx(2 * math.pi ** 2)
-        assert epstein_residue(3) == pytest.approx(4 * math.pi)
+        assert _residue(2) == pytest.approx(2 * math.pi)
+        assert _residue(4) == pytest.approx(2 * math.pi ** 2)
+        assert _residue(3) == pytest.approx(4 * math.pi)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_pole_fit_agrees(self, n):
-        assert epstein_pole_fit(n) == pytest.approx(epstein_residue(n), abs=1e-5)
+        assert epstein_pole_fit(n) == pytest.approx(_residue(n), abs=1e-5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_contour_residue(self, n):
-        assert abs(epstein_pole_fit(n) - epstein_residue(n)) <= 1e-10
+        assert abs(epstein_pole_fit(n) - _residue(n)) <= 1e-10
 
 
 class TestSphereMoment:
@@ -453,7 +479,7 @@ class TestResidueLatticeSum:
         for n in (2, 3, 4):
             poly = LatticePoly.monomial(n, (0,) * n)
             assert residue_lattice_sum(n, poly, n).real == pytest.approx(
-                epstein_residue(n), abs=1e-14)
+                _residue(n), abs=1e-14)
 
     def test_mixed_polynomial(self):
         poly = LatticePoly(2, [((2, 0), 1.0), ((0, 2), 1.0), ((1, 1), 5.0)])
@@ -495,7 +521,7 @@ class TestTwistedResidue:
                             diophantine_asserted=True)
         poly = LatticePoly.monomial(2, (0, 0))
         assert twisted_residue(fam, poly, 2).real == pytest.approx(
-            2.5 * epstein_residue(2))
+            2.5 * _residue(2))
 
     def test_off_kernel_support_contributes_zero(self):
         fam = TwistedFamily(2, 1, {((1, 0),): 3.0, ((0, 2),): -1.0}, (1,),
@@ -513,7 +539,7 @@ class TestTwistedResidue:
         assert fam.kernel_weight() == pytest.approx(0.75)
         poly = LatticePoly.monomial(2, (0, 0))
         assert twisted_residue(fam, poly, 2).real == pytest.approx(
-            0.75 * epstein_residue(2))
+            0.75 * _residue(2))
 
     def test_skewness_enforced(self):
         theta = np.eye(2)

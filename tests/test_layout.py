@@ -1,0 +1,83 @@
+"""The import graph keeps the brute-force routes out of the library."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import ncspectral
+from ncspectral import oracles
+
+PACKAGE = Path(ncspectral.__file__).parent
+LIBRARY = ("lattice_zeta", "nc_torus", "suq2", "action_assembly")
+
+
+def imported_modules(path: Path) -> set:
+    """The modules the file imports at module level, ncspectral ones by
+    their name in the package."""
+    tree = ast.parse(path.read_text())
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            absolute = node.level == 0
+            base = node.module or ""
+            if absolute and not base.startswith("ncspectral"):
+                continue
+            if absolute:
+                base = base.removeprefix("ncspectral").lstrip(".")
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                # from . import x, y: the names are modules
+                found.update(alias.name for alias in node.names)
+    return {m.removeprefix("ncspectral.") for m in found}
+
+
+def imports(name: str) -> set:
+    return imported_modules(PACKAGE / f"{name}.py")
+
+
+def test_reader_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import math\n"
+        "import ncspectral.gamma\n"
+        "from numpy import array\n"
+        "from . import acceptance, suq2\n"
+        "from .oracles import value_direct\n"
+        "from ncspectral.cli import main\n"
+        "def late():\n"
+        "    from . import nc_torus\n")
+    assert imported_modules(probe) == {"math", "gamma", "acceptance",
+                                         "suq2", "oracles", "cli"}
+
+
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_imports_no_oracle_route(name):
+    assert not imports(name) & {"oracles", "acceptance", "gamma"}
+
+
+def test_cli_imports_no_oracle():
+    assert "oracles" not in imports("cli")
+
+
+def test_oracles_import_no_cli_or_acceptance():
+    assert not imports("oracles") & {"cli", "acceptance"}
+
+
+@pytest.mark.parametrize("name", [
+    "value_direct", "sphere_moment_quadrature", "residue_direct_oracle",
+    "riemann_zeta", "pairing", "curvature_from_coefficients",
+    "zeta0_shift_via_power_sums", "TruncatedSpectrum", "dirac_truncated",
+    "leg_matrix", "qn", "_SHELL_ACTION", "_state_valid", "_apply_word_shell",
+    "shell_trace_oracle", "shell_fit_weight3", "NotReducibleError",
+    "_lm_mul", "_lm_base", "ideal_r_reduce", "lqmq_integral",
+    "table_entry_ladder", "zeta_D_suq2", "_curvature_ff_trace"])
+def test_oracle_route_lives_in_oracles(name):
+    assert hasattr(oracles, name)
+    for module in LIBRARY:
+        library = importlib.import_module(f"ncspectral.{module}")
+        assert not hasattr(library, name), f"{module}.{name}"

@@ -6,35 +6,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncspectral.action_assembly import cutoff_moments
-from ncspectral.lattice_zeta import PoleError
+from ncspectral.lattice_zeta import CONTOUR_NODES, PoleError
+from ncspectral.oracles import (
+    NotReducibleError,
+    ideal_r_reduce,
+    leg_matrix,
+    lqmq_integral,
+    qn,
+    shell_fit_weight3,
+    shell_trace_oracle,
+    table_entry_ladder,
+    zeta_D_suq2,
+)
 from ncspectral.suq2 import (
     AM, AMS, AP, APS, BM, BMS, BP, BPS,
+    DIRAC_RESIDUES,
     LadderElem,
-    NotReducibleError,
     PBWElem,
     QContext,
     delta_ladder,
     delta_one_form,
-    dirac_moments,
     hopf_r,
-    ideal_r_reduce,
-    leg_matrix,
     load_one_form,
-    lqmq_integral,
     nc_integral,
     one_form_from_pairs,
     pbw_adjoint,
     pbw_normalize,
     rep_ladder,
-    shell_fit_weight3,
-    shell_trace_oracle,
     suq2_action,
-    table_entry_ladder,
     tau0,
     tau1,
     word_degree,
     zero_degree,
-    zeta_D_suq2,
 )
 
 Q_SAMPLES = (0.3, 0.5, 0.7)
@@ -53,12 +56,6 @@ class TestQContext:
     def test_near_one_warns(self):
         with pytest.warns(UserWarning):
             QContext(0.97)
-
-    def test_qn_boundary(self):
-        ctx = QContext(0.5)
-        assert ctx.qn(0) == 0.0
-        assert ctx.qn(-3) == 0.0
-        assert ctx.qn(1) == pytest.approx(math.sqrt(0.75))
 
 
 class TestPBWNormalize:
@@ -133,15 +130,6 @@ class TestLadder:
     def test_degree_additivity(self):
         w1, w2 = (AP, BM), (AMS, BPS, BP)
         assert word_degree(w1 + w2) == word_degree(w1) + word_degree(w2)
-
-    def test_degree_decomposition_reassembles(self):
-        T = rep_ladder(PBWElem.monomial(2, 1, 0, 1.5))
-        parts = T.degree_parts()
-        assert set(parts) == {-3, -1, 1, 3}
-        recombined = LadderElem.zero()
-        for words in parts.values():
-            recombined = recombined + LadderElem(words)
-        assert recombined.allclose(T)
 
     def test_zero_degree_filter(self):
         assert zero_degree(LadderElem({(AP, AM): 1.0})).allclose(
@@ -346,18 +334,29 @@ class TestNcIntegral:
 
 
 class TestZetaD:
-    def test_moments(self):
-        assert dirac_moments() == {3: 2.0, 2: 0.0, 1: -0.5, 0: 0.0}
+    def test_residue_constant(self):
+        # suq2_action takes the bare c3 and c1 from it
+        assert DIRAC_RESIDUES == {3: 2.0, 1: -0.5}
+        moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
+        for with_reality in (True, False):
+            coeffs = suq2_action(LadderElem.zero(), QContext(0.5), moments,
+                                 1.0, with_reality)["coefficients"]
+            assert (coeffs[3], coeffs[1]) == (DIRAC_RESIDUES[3],
+                                              DIRAC_RESIDUES[1])
 
     def test_value_at_zero(self):
         assert zeta_D_suq2(0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_residues_by_pole_fit(self):
-        for pole, expected in ((3.0, 2.0), (1.0, -0.5)):
-            eps = np.array([0.02, 0.01, 0.005])
-            vals = np.array([(e * zeta_D_suq2(pole + e)).real for e in eps])
-            fit = np.polyfit(eps, vals, 2)[-1]
-            assert fit == pytest.approx(expected, abs=1e-5)
+        # the trapezoid rule of epstein_pole_fit: the mean of (s - p)
+        # zeta_D(s) over CONTOUR_NODES points of |s - p| = r.  The other
+        # pole, 2 away, aliases in as about (r / 2)^CONTOUR_NODES: 5e-10 at
+        # r = 1/2, 7e-15 at r = 1/4
+        offsets = 0.25 * np.exp(
+            2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
+        for pole, residue in DIRAC_RESIDUES.items():
+            fit = np.mean([e * zeta_D_suq2(pole + e) for e in offsets])
+            assert abs(fit - residue) <= 1e-12
 
     def test_no_pole_at_two(self):
         v = zeta_D_suq2(2.0)
@@ -521,6 +520,11 @@ class TestSpectralAction:
 class TestShellOracle:
     def setup_method(self):
         self.ctx = QContext(0.5)
+
+    def test_qn_boundary(self):
+        assert qn(0.5, 0) == 0.0
+        assert qn(0.5, -3) == 0.0
+        assert qn(0.5, 1) == pytest.approx(math.sqrt(0.75))
 
     def test_multiplicities(self):
         for u in (0, 1, 5, 8):
