@@ -15,7 +15,7 @@ from . import lattice_zeta as lz
 from . import nc_torus as nt
 from . import oracles
 from . import suq2
-from .action_assembly import cutoff_moments, moment_quadrature
+from .action_assembly import cutoff_moments
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 Q_SAMPLES = (0.3, 0.5, 0.7)
@@ -285,7 +285,7 @@ def crit_cocycle():
 def crit_moments():
     errs = []
     for k in (1, 2, 3, 4):
-        val, _ = moment_quadrature(lambda t: math.exp(-t), k)
+        val, _ = oracles.moment_quadrature(lambda t: math.exp(-t), k)
         errs.append(abs(val - 0.5 * math.gamma(k / 2.0)))
     return _check(errs, 1e-8, "exponential-cutoff moments vs Gamma(k/2)/2")
 

@@ -7,8 +7,8 @@ modelled by one cubic spline on [t0, tN], the constant Phi(t0) on [0, t0]
 and an exponential tail fitted on the last two rows; its integer moments are
 integrated exactly: Gauss-Legendre in x = sqrt(t) on each knot interval, and
 an incomplete-gamma closed form for the tail.  The error bound of a table is
-a rounding bound on that model.  A callable cutoff goes through adaptive
-quadrature (`moment_quadrature`).
+a rounding bound on that model.  Adaptive quadrature of a cutoff function
+(`moment_quadrature`) is an oracle and lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, interpolate, special
+from scipy import interpolate, special
 
 
 class DivergentMomentError(ValueError):
@@ -44,18 +44,6 @@ class CutoffMoments:
             "provenance": {str(k): v for k, v in self.provenance.items()},
             "error_bound": self.error_bound,
         }
-
-
-def moment_quadrature(phi, k: float) -> tuple:
-    """Adaptive quadrature of (1/2) phi(t) t^(k/2-1) on (0, inf)."""
-    if k <= 0:
-        raise DivergentMomentError(f"moment k = {k} diverges at t = 0")
-    val, err = integrate.quad(lambda t: 0.5 * phi(t) * t ** (k / 2.0 - 1.0),
-                              0.0, np.inf, limit=400)
-    if not np.isfinite(val) or err > 1e-8:
-        raise DivergentMomentError(
-            f"quadrature for Phi_{k} failed (value {val}, error {err})")
-    return val, err
 
 
 # rounding bound of the table route, in units of the sum of |terms|: a few
@@ -129,19 +117,13 @@ _FAMILIES = {
 def cutoff_moments(cutoff, ks) -> CutoffMoments:
     """Evaluate Phi(0) and the requested moments of a cutoff function.
 
-    `cutoff` is a family dict {"family": name}, a table dict
-    {"table": [[t, phi(t)], ...]}, or a positive callable.
+    `cutoff` is a family dict {"family": name} or a table dict
+    {"table": [[t, phi(t)], ...]}.
     """
     ks = list(ks)
     values, prov = {}, {}
     bound = 0.0
-    if callable(cutoff):
-        phi0 = float(cutoff(0.0))
-        for k in ks:
-            values[k], err = moment_quadrature(cutoff, k)
-            prov[k] = "quadrature"
-            bound = max(bound, err)
-    elif isinstance(cutoff, dict) and "family" in cutoff:
+    if isinstance(cutoff, dict) and "family" in cutoff:
         name = cutoff["family"]
         if name not in _FAMILIES:
             raise ValueError(f"unknown cutoff family {name!r}")
@@ -179,7 +161,7 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             prov[k] = "spline Gauss-Legendre, exponential tail"
             bound = max(bound, err)
     else:
-        raise ValueError("cutoff must be a family dict, a table dict or a callable")
+        raise ValueError("cutoff must be a family dict or a table dict")
     for k, v in values.items():
         if not np.isfinite(v):
             raise DivergentMomentError(f"moment Phi_{k} is not finite")

@@ -68,6 +68,15 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
+def _finite_json(x) -> bool:
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, list):
+        return all(map(_finite_json, x))
+    return not isinstance(x, float) or math.isfinite(x)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -90,7 +99,7 @@ def _run_zeta(args) -> dict:
             "provenance": f"trapezoid rule, {lz.CONTOUR_NODES} nodes on "
                           f"|s - n| = {lz.CONTOUR_RADIUS:g}"}
     else:
-        s = _parse_complex(args.s)
+        s = _parse_complex("0" if args.s is None else args.s)
         out = ev.value(s)
         report["s"] = jsonable(s)
         report["value"] = {"value": jsonable(out.value),
@@ -132,12 +141,11 @@ def _run_torus(args) -> dict:
         report["zeta0_shift_power_sums"] = {
             "value": zshift_sums, "provenance": "alternating power sums"}
     report["zeta0_shift"] = {
-        "value": nt.zeta0_shift(A, theta, n, diophantine_asserted=flag,
-                                ym=ym),
+        "value": nt.zeta0_shift(A, theta, n, diophantine_asserted=flag),
         "provenance": "curvature closed form"}
     report["expansion"] = nt.torus_action(
-        A, theta, n, moments, args.lam, diophantine_asserted=flag,
-        ym=ym).to_dict()
+        A, theta, n, moments, args.lam,
+        diophantine_asserted=flag).to_dict()
     return report
 
 
@@ -191,7 +199,8 @@ def _run_action(args) -> dict:
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
     if not (math.isfinite(lam) and math.isfinite(zeta0)
-            and all(cmath.isfinite(c) for c in coeffs.values())):
+            and all(cmath.isfinite(c) for c in coeffs.values())
+            and _finite_json(cutoff)):
         raise SchemaError("non-finite number in the action document")
     try:
         moments = cutoff_moments(cutoff, sorted(coeffs))
@@ -234,9 +243,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="Epstein zeta values and residues")
     p_zeta.add_argument("--n", type=int, required=True)
-    p_zeta.add_argument("--s", default="0")
-    p_zeta.add_argument("--residue", action="store_true",
-                        help="report the residue at s = n instead of a value")
+    # --s and --residue exclude each other: a residue run reads no s
+    mode = p_zeta.add_mutually_exclusive_group()
+    mode.add_argument("--s", default=None, help="the argument s (default 0)")
+    mode.add_argument("--residue", action="store_true",
+                      help="report the residue at s = n instead of a value")
     options(p_zeta, "--tol", "--out")
 
     p_torus = sub.add_parser("torus", help="noncommutative-torus action")

@@ -19,6 +19,8 @@ from .action_assembly import CutoffMoments, ExpansionReport, assemble
 from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
+SKEW_TOL = 1e-12     # |A + A*|_1 allowed in a potential component
+UNITARY_TOL = 1e-10  # |u u* - 1|_1 and |u* u - 1|_1 allowed in a gauge element
 YM_CONSTANT = 4.0 * math.pi ** 2 / 3.0  # the n = 4 coupling 4 pi^2 / 3
 
 
@@ -169,7 +171,7 @@ class OneFormTorus:
     it).  The TorusElement components are a view built on first use.
     """
 
-    def __init__(self, components, tol: float = 1e-12):
+    def __init__(self, components):
         comps = tuple(components)
         if not comps:
             raise ValueError("need at least one component")
@@ -177,7 +179,7 @@ class OneFormTorus:
         if len(comps) != n:
             raise ValueError(f"expected {n} components, got {len(comps)}")
         for alpha, comp in enumerate(comps, start=1):
-            if (comp + comp.adjoint()).norm1() > tol:
+            if (comp + comp.adjoint()).norm1() > SKEW_TOL:
                 raise ValueError(
                     f"component {alpha} violates skew-adjointness A* = -A")
         self._tabulate(n, [comp.coeffs for comp in comps])
@@ -271,6 +273,8 @@ class PairTable:
     (k, 0), where `coeffs` holds its coefficients (0 in other groups).
     Column c of `X` holds X_ab(m) = sum_{k+l=m} a_{a,k} a_{b,l}
     sin(k.Theta l / 2) for the c-th pair a < b: [A_a, A_b] = -2i X_ab.
+    `ff` is tau(F_{mn} F^{mn}) (see yang_mills); callers build the table
+    under np.errstate and report an overflow.
     """
 
     def __init__(self, A: OneFormTorus, theta: Theta):
@@ -293,6 +297,10 @@ class PairTable:
         self.a, self.b = _upper(A.n, 1)
         self.X = self.sum(coeffs[self.i][:, self.a] * self.sin[:, None]
                           * coeffs[self.j][:, self.b])
+        m, c = self.modes, self.coeffs
+        F = (1j * (m[:, self.a] * c[:, self.b] - m[:, self.b] * c[:, self.a])
+             - 2j * self.X)
+        self.ff = 2.0 * complex(np.sum(F * F[::-1]))
 
     def sum(self, terms: np.ndarray) -> np.ndarray:
         """Sums of per-pair terms (rows in table order) over each group."""
@@ -332,27 +340,24 @@ def yang_mills(A: OneFormTorus, theta: Theta) -> float:
 
     tau(f f) = sum_m f_m f_{-m}, because U_m U_{-m} carries the phase
     exp(-i/2 m.Theta(-m)) = 1; F_{ba} = -F_{ab}, so each a < b counts
-    twice.  F_ab(m) = i(m_a a_{b,m} - m_b a_{a,m}) - 2i X_ab(m) is read off
-    the pair table, on every group m at once.
+    twice.  F_ab(m) = i(m_a a_{b,m} - m_b a_{a,m}) - 2i X_ab(m) on every
+    group m of the pair table, which sums it once, when it is built.
     """
     # an overflow gives a non-finite value, which the caller reports
     with np.errstate(all="ignore"):
-        t = A.pair_table(theta)
-        m, c = t.modes, t.coeffs
-        F = 1j * (m[:, t.a] * c[:, t.b] - m[:, t.b] * c[:, t.a]) - 2j * t.X
-        total = 2.0 * complex(np.sum(F * F[::-1]))
+        total = A.pair_table(theta).ff
     if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
         raise ArithmeticError(f"Yang-Mills density came out non-real: {total}")
     return float(total.real)
 
 
-def gauge_transform(A: OneFormTorus, u: TorusElement, theta: Theta,
-                    tol: float = 1e-10) -> OneFormTorus:
+def gauge_transform(A: OneFormTorus, u: TorusElement,
+                    theta: Theta) -> OneFormTorus:
     """A_a -> u A_a u* + u d_a(u*), for unitary u."""
     ustar = u.adjoint()
     unit = TorusElement.unit(A.n)
-    if not (weyl_mul(u, ustar, theta).allclose(unit, tol)
-            and weyl_mul(ustar, u, theta).allclose(unit, tol)):
+    if not (weyl_mul(u, ustar, theta).allclose(unit, UNITARY_TOL)
+            and weyl_mul(ustar, u, theta).allclose(unit, UNITARY_TOL)):
         raise ValueError("gauge element is not unitary within tolerance")
     comps = []
     for a in range(1, A.n + 1):
@@ -409,12 +414,10 @@ def cs_sums(A: OneFormTorus, theta: Theta, q: int) -> float:
 
 
 def zeta0_shift(A: OneFormTorus, theta: Theta, n: int,
-                diophantine_asserted: bool = False,
-                ym: float | None = None) -> float:
+                diophantine_asserted: bool = False) -> float:
     """Scale-invariant coefficient zeta_{D_A}(0) - zeta_D(0).
 
-    Vanishes identically for n = 2; equals -c tau(F F) for n = 4, with
-    tau(F F) taken from `ym` when the caller has it already.  The
+    Vanishes identically for n = 2; equals -c tau(F F) for n = 4.  The
     crossed-term cancellation behind both closed forms holds under the
     Diophantine hypothesis on theta / 2 pi, which must be asserted.
     """
@@ -427,21 +430,17 @@ def zeta0_shift(A: OneFormTorus, theta: Theta, n: int,
         raise ValueError("dimension mismatch")
     if n == 2:
         return 0.0
-    if ym is None:
-        ym = yang_mills(A, theta)
-    return -YM_CONSTANT * ym
+    return -YM_CONSTANT * yang_mills(A, theta)
 
 
 def torus_action(A: OneFormTorus, theta: Theta, n: int,
                  moments: CutoffMoments, lam: float,
-                 diophantine_asserted: bool = False,
-                 ym: float | None = None) -> ExpansionReport:
+                 diophantine_asserted: bool = False) -> ExpansionReport:
     """Full expansion: n = 2 gives 4 pi Phi_2 L^2; n = 4 gives
-    8 pi^2 Phi_4 L^4 - c Phi(0) tau(F F).  Odd and L^(n-2) slots are zero.
-    A known tau(F F) is passed on as `ym` (see zeta0_shift)."""
+    8 pi^2 Phi_4 L^4 - c Phi(0) tau(F F).  Odd and L^(n-2) slots are zero."""
     if n not in (2, 4):
         raise ValueError("action formulas available for n in {2, 4} only")
-    shift = zeta0_shift(A, theta, n, diophantine_asserted, ym=ym)
+    shift = zeta0_shift(A, theta, n, diophantine_asserted)
     if n == 2:
         coeffs = {2: 4.0 * math.pi, 1: 0.0}
     else:

@@ -1,9 +1,10 @@
 """Brute-force routes that the closed formulas are checked against.
 
 Each route here reaches its number independently of the production path:
-truncated spectra, direct lattice summation, shell traces on the spinorial
-basis and the L/M substitution calculus.  The acceptance suite and the tests
-import them; no library module does.
+adaptive quadrature of cutoff moments, truncated spectra, direct lattice
+summation, shell traces on the spinorial basis and the L/M substitution
+calculus.  The acceptance suite and the tests import them; no library module
+does.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+from scipy import integrate
 
 from . import lattice_zeta as lz
+from .action_assembly import DivergentMomentError
 from .gamma import build_gamma
 from .lattice_zeta import (AssumptionError, LatticePoly, PoleError,
                            radial_counts, sphere_moment)
@@ -22,6 +25,22 @@ from .nc_torus import (Curvature, OneFormTorus, Theta, TorusElement, cs_sums,
                        curvature)
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
                    QContext, delta_ladder, rep_ladder)
+
+# ---------------------------------------------------------------------------
+# cutoff moments
+
+
+def moment_quadrature(phi, k: float) -> tuple:
+    """Adaptive quadrature of (1/2) phi(t) t^(k/2-1) on (0, inf)."""
+    if k <= 0:
+        raise DivergentMomentError(f"moment k = {k} diverges at t = 0")
+    val, err = integrate.quad(lambda t: 0.5 * phi(t) * t ** (k / 2.0 - 1.0),
+                              0.0, np.inf, limit=400)
+    if not np.isfinite(val) or err > 1e-8:
+        raise DivergentMomentError(
+            f"quadrature for Phi_{k} failed (value {val}, error {err})")
+    return val, err
+
 
 # ---------------------------------------------------------------------------
 # lattice sums

@@ -61,6 +61,8 @@ class QContext:
     def __init__(self, q: float, tol: float = 1e-12, max_terms: int = 20000):
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie strictly in (0, 1), got {q}")
+        if not (tol > 0 and max_terms >= 1):
+            raise ValueError("tolerance and max_terms must be positive")
         if q >= 0.95:
             warnings.warn(
                 "q >= 0.95: tau0 series conditioning degrades near q = 1",
@@ -326,17 +328,15 @@ def delta_one_form(x: PBWElem, y: PBWElem, f_flag: bool = False) -> LadderElem:
 
 
 def hopf_r(T: LadderElem) -> dict:
-    """r on a degree-zero ladder element: {(leg+, leg-): coefficient}.
-
-    Legs are words over {a, a*, b, b*} acting on l2(N) through the side
-    representations; the q-powers of the a- images are deferred to leg
-    evaluation through the explicit 'q' markers.
+    """r on the degree-zero words of T (r is defined there only, and no
+    integral sees the others): {(leg+, leg-, qpow): coefficient}.  Legs are
+    words over {a, a*, b, b*} acting on l2(N) through the side
+    representations; the q-powers of the a- images are deferred as `qpow`.
     """
     out: dict = {}
     for w, c in T.words.items():
-        if word_degree(w) != 0:
-            raise ValueError(
-                "hopf_r needs degree-zero input; apply zero_degree first")
+        if word_degree(w):
+            continue
         sign = 1.0
         qpow = 0
         plus, minus = [], []
@@ -439,7 +439,7 @@ def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
     """
     if k not in (1, 2, 3):
         raise ValueError("weight k must be 1, 2 or 3")
-    rt = hopf_r(zero_degree(T))
+    rt = hopf_r(T)
     if T.f_power:
         if k in (2, 3):
             return 0.0 + 0.0j
@@ -473,29 +473,29 @@ def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
     return _tensor_sum(rt, ctx, combo)
 
 
-def _integral_weight3_power(A: LadderElem, power: int) -> complex:
-    """Integral of A^power against |D|^-3 from the degree grading alone.
+def _integral_weight3_powers(A: LadderElem) -> tuple:
+    """Integrals of A, A^2 and A^3 against |D|^-3 from the degree grading.
 
     Only words built purely from a+ and a+* survive tau1 x tau1 after r, each
     with weight 1 exactly when its degree is zero.  As w -> z^deg(w) is
-    multiplicative, the integral is 2 [z^0] P(z)^power for the Laurent
+    multiplicative, the integral of A^p is 2 [z^0] P(z)^p for the Laurent
     polynomial P(z) = sum_w c_w z^deg(w) of the filtered words; an odd
     power of F makes it vanish.
     """
-    if power * A.f_power % 2:
-        return 0.0 + 0.0j
     poly: dict = {}
     for w, c in A.filter_letters(frozenset({AP, APS})).words.items():
         d = word_degree(w)
         poly[d] = poly.get(d, 0.0) + c
-    acc = {0: 1.0}
-    for _ in range(power):
+    out, acc = [], {0: 1.0}
+    for power in (1, 2, 3):
         nxt: dict = {}
         for d1, c1 in acc.items():
             for d2, c2 in poly.items():
                 nxt[d1 + d2] = nxt.get(d1 + d2, 0.0) + c1 * c2
         acc = nxt
-    return 2.0 * acc.get(0, 0.0)
+        out.append(0.0 + 0.0j if power * A.f_power % 2
+                   else 2.0 * acc.get(0, 0.0))
+    return tuple(out)
 
 
 def _integral_weight2_square(A: LadderElem, ctx: QContext) -> complex:
@@ -506,7 +506,7 @@ def _integral_weight2_square(A: LadderElem, ctx: QContext) -> complex:
             (PLUS_LEG_CLEAN, 0, "-"), (MINUS_LEG_CLEAN, 1, "+")):
         part = A.filter_letters(clean)
         sq = part @ part
-        rt = hopf_r(zero_degree(sq))
+        rt = hopf_r(sq)
         for (plus, minus, qpow), c in rt.items():
             legs = (plus, minus)
             t1 = tau1(legs[side_clean])
@@ -533,11 +533,9 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     Returns the six base integrals, the coefficients with the scale-invariant
     term zeta0, and the ExpansionReport.
     """
-    ia3 = nc_integral(A, 3, ctx)
+    ia3, ia23, ia33 = _integral_weight3_powers(A)
     ia2 = nc_integral(A, 2, ctx)
     ia1 = nc_integral(A, 1, ctx)
-    ia23 = _integral_weight3_power(A, 2)
-    ia33 = _integral_weight3_power(A, 3)
     ia22 = _integral_weight2_square(A, ctx)
 
     c3 = DIRAC_RESIDUES[3]

@@ -14,8 +14,8 @@ from ncspectral.action_assembly import (
     ExpansionReport,
     assemble,
     cutoff_moments,
-    moment_quadrature,
 )
+from ncspectral.oracles import moment_quadrature
 
 
 class TestCutoffMoments:
@@ -38,11 +38,10 @@ class TestCutoffMoments:
         val, _ = moment_quadrature(lambda t: math.exp(-t * t), 2)
         assert m.phi(2) == pytest.approx(val, abs=1e-10)
 
-    def test_callable_path(self):
-        m = cutoff_moments(lambda t: math.exp(-t), [2, 3])
-        assert m.phi(2) == pytest.approx(0.5, abs=1e-8)
-        assert m.provenance[3] == "quadrature"
-        assert m.error_bound <= 1e-8
+    def test_callable_rejected(self):
+        # adaptive quadrature of a cutoff function is an oracle only
+        with pytest.raises(ValueError, match="family dict or a table dict"):
+            cutoff_moments(lambda t: math.exp(-t), [2, 3])
 
     def test_tabulated_cutoff(self):
         ts = np.linspace(0.0, 30.0, 400)

@@ -462,6 +462,22 @@ class TestSuq2Command:
         assert code == 4
         assert "4 ladder words" in err
 
+    @pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "-1"],
+                                        ["--max-terms", "0"]])
+    def test_series_settings_must_be_positive(self, tmp_path, capsys,
+                                              monkeypatch, option):
+        def no_series(*args):
+            raise AssertionError("series run")
+
+        monkeypatch.setattr(suq2, "leg_diag_coeff", no_series)
+        path = tmp_path / "astar_da.json"
+        path.write_text(json.dumps(ASTAR_DA))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 *option)
+        assert code == 4
+        assert out == ""
+        assert "Traceback" not in err and "must be" in err
+
     def test_word_cap(self, tmp_path, capsys):
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
@@ -508,13 +524,19 @@ class TestActionCommand:
         assert out == ""
         assert "nonnegative" in err
 
-    @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0"])
+    @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0",
+                                       "scale", "table"])
     def test_non_finite_input_is_schema_error(self, tmp_path, capsys, field):
         doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
                "coefficients": {"3": 2.0, "1": {"re": -0.5, "im": 0.0}},
                "zeta0": 0.0}
         if field == "coefficient":
             doc["coefficients"]["1"]["im"] = math.nan
+        elif field == "scale":
+            doc["cutoff"]["params"] = {"scale": math.nan}
+        elif field == "table":
+            doc["cutoff"] = {"table": [[0.0, 1.0], [1.0, math.nan],
+                                       [2.0, 0.1], [math.inf, 0.01]]}
         else:
             doc[field] = math.inf
         path = tmp_path / "action.json"
@@ -552,6 +574,9 @@ class TestOptionSurface:
         ["torus", "--input", "A4.json", "--lambda", "1", "--tol", "1e-9"],
         ["action", "--input", "action.json", "--max-terms", "10"],
         ["selftest", "--out", "report.json"],
+        # a residue run reads no s
+        ["zeta", "--n", "2", "--residue", "--s", "1"],
+        ["zeta", "--n", "2", "--s", "0", "--residue"],
     ])
     def test_unread_option_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

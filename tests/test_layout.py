@@ -68,6 +68,14 @@ def test_oracles_import_no_cli_or_acceptance():
     assert not imports("oracles") & {"cli", "acceptance"}
 
 
+def test_action_assembly_takes_no_quadrature_from_scipy():
+    tree = ast.parse((PACKAGE / "action_assembly.py").read_text())
+    names = {alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.module == "scipy"
+             for alias in node.names}
+    assert names == {"interpolate", "special"}
+
+
 @pytest.mark.parametrize("name", [
     "value_direct", "sphere_moment_quadrature", "residue_direct_oracle",
     "riemann_zeta", "pairing", "curvature_from_coefficients",
@@ -75,7 +83,8 @@ def test_oracles_import_no_cli_or_acceptance():
     "leg_matrix", "qn", "_SHELL_ACTION", "_state_valid", "_apply_word_shell",
     "shell_trace_oracle", "shell_fit_weight3", "NotReducibleError",
     "_lm_mul", "_lm_base", "ideal_r_reduce", "lqmq_integral",
-    "table_entry_ladder", "zeta_D_suq2", "_curvature_ff_trace"])
+    "table_entry_ladder", "zeta_D_suq2", "_curvature_ff_trace",
+    "moment_quadrature"])
 def test_oracle_route_lives_in_oracles(name):
     assert hasattr(oracles, name)
     for module in LIBRARY:

@@ -53,6 +53,12 @@ class TestQContext:
             with pytest.raises(ValueError):
                 QContext(bad)
 
+    @pytest.mark.parametrize("tol,max_terms", [(0.0, 10), (-1.0, 10),
+                                               (1e-12, 0)])
+    def test_series_settings_validated(self, tol, max_terms):
+        with pytest.raises(ValueError):
+            QContext(0.5, tol=tol, max_terms=max_terms)
+
     def test_near_one_warns(self):
         with pytest.warns(UserWarning):
             QContext(0.97)
@@ -169,9 +175,12 @@ class TestHopfR:
         rt2 = hopf_r(LadderElem({(AM, AMS): 1.0}))
         assert rt2 == {(("b", "b*"), ("b*", "b"), 2): pytest.approx(1.0)}
 
-    def test_requires_degree_zero(self):
-        with pytest.raises(ValueError):
-            hopf_r(LadderElem.letter(AP))
+    def test_skips_nonzero_degree(self):
+        assert hopf_r(LadderElem.letter(AP)) == {}
+        T = rep_ladder(gen("a")) @ delta_ladder(rep_ladder(gen("a*")))
+        T = T + LadderElem({(BP, AP): 2.0, (AM, BMS, BPS): 1.0j})
+        assert {word_degree(w) for w in T.words} == {-2, -1, 0, 2}
+        assert hopf_r(T) == hopf_r(zero_degree(T))
 
     @pytest.mark.parametrize("q", [0.4, 0.7])
     def test_multiplicativity_on_truncations(self, q):
@@ -481,7 +490,7 @@ class TestSpectralAction:
         # the letter-filtered power integrals must agree with brute-force
         # expansion through the generic integral
         from ncspectral.suq2 import (_integral_weight2_square,
-                                     _integral_weight3_power)
+                                     _integral_weight3_powers)
         ctx = QContext(q)
         rng = np.random.default_rng(23)
         gens = ["a", "a*", "b", "b*"]
@@ -498,12 +507,27 @@ class TestSpectralAction:
                   LadderElem(forms[0].words, f_power=1)]
         for A in forms:
             sq = A @ A
-            assert _integral_weight3_power(A, 2) == pytest.approx(
-                nc_integral(sq, 3, ctx), abs=1e-9)
-            assert _integral_weight3_power(A, 3) == pytest.approx(
-                nc_integral(sq @ A, 3, ctx), abs=1e-9)
+            powers = list(_integral_weight3_powers(A))
+            assert powers == pytest.approx(
+                [nc_integral(P, 3, ctx) for P in (A, sq, sq @ A)], abs=1e-9)
             assert _integral_weight2_square(A, ctx) == pytest.approx(
                 nc_integral(sq, 2, ctx), abs=1e-9)
+
+    def test_one_run_builds_each_image_once(self, monkeypatch):
+        # r(A) for weights 2 and 1 and r of the two filtered squares; the
+        # weight-3 integrals come from the Laurent polynomial
+        from ncspectral import suq2
+        calls = {"hopf_r": 0, "zero_degree": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(suq2, name), _n=name):
+                calls[_n] += 1
+                return _f(*args)
+            monkeypatch.setattr(suq2, name, counted)
+        moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
+        A = one_form_from_pairs([(gen("a"), gen("a*"), 1.0),
+                                 (gen("b*"), gen("b"), 0.5j)], QContext(0.5))
+        suq2_action(A, QContext(0.5), moments, 1.0)
+        assert calls == {"hopf_r": 4, "zero_degree": 0}
 
     def test_no_reality_variant(self):
         # without J the scale-invariant term halves whenever the weight-3
