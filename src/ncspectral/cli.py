@@ -68,20 +68,20 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _finite_json(x) -> bool:
-    """Whether every number in a parsed JSON value is finite."""
-    if isinstance(x, dict):
-        x = list(x.values())
-    if isinstance(x, list):
-        return all(map(_finite_json, x))
-    return not isinstance(x, float) or math.isfinite(x)
+def _finite_numbers(x) -> bool:
+    """Whether x is a finite JSON number or a list of them, at any depth.
+    The decoder makes exact builtin types, and a bool is not an int here."""
+    if type(x) is list:
+        return all(map(_finite_numbers, x))
+    return type(x) is float and math.isfinite(x) or type(x) is int
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # the decoder recurses once per level of nesting
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"cannot read input file {path}: {exc}") from exc
 
 
@@ -158,7 +158,7 @@ def _run_suq2(args) -> dict:
     q = args.q if args.q is not None else q_file
     if q is None:
         raise SchemaError("q missing: pass --q or put it in the input file")
-    ctx = suq2.QContext(q, tol=args.tol, max_terms=args.max_terms)
+    ctx = suq2.QContext(q, tol=args.tol)
     bound = suq2.ladder_word_bound(pairs)
     if bound > args.trunc:
         raise UnsupportedError(
@@ -198,10 +198,17 @@ def _run_action(args) -> dict:
         zeta0 = float(doc.get("zeta0", 0.0))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise SchemaError(f"malformed action document: {exc}") from exc
+    # the numbers cutoff_moments reads; float() would take "NaN" as well
+    read = []
+    if isinstance(cutoff, dict):
+        params = cutoff.get("params", {})
+        read = [cutoff.get("table", []),
+                params.get("scale", 1.0) if isinstance(params, dict) else 1.0]
     if not (math.isfinite(lam) and math.isfinite(zeta0)
             and all(cmath.isfinite(c) for c in coeffs.values())
-            and _finite_json(cutoff)):
-        raise SchemaError("non-finite number in the action document")
+            and _finite_numbers(read)):
+        raise SchemaError("non-finite or non-numeric value in the action "
+                          "document")
     try:
         moments = cutoff_moments(cutoff, sorted(coeffs))
     except (TypeError, AttributeError) as exc:
@@ -227,9 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shared = {
         "--tol": dict(type=_finite_float, default=1e-10,
-                      help="series / evaluation tolerance"),
-        "--max-terms": dict(type=int, default=20000,
-                            help="cap on regularized-trace series terms"),
+                      help="accuracy the reported values must meet"),
         "--trunc": dict(type=int, default=200000,
                         help="cap on a bound on the expanded ladder words "
                              "(suq2) or on skew-completed potential modes "
@@ -269,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["exponential", "gaussian"])
     p_suq2.add_argument("--no-reality", action="store_true",
                         help="drop the real-structure doubling")
-    options(p_suq2, "--tol", "--max-terms", "--trunc", "--out")
+    options(p_suq2, "--tol", "--trunc", "--out")
 
     p_action = sub.add_parser("action", help="assemble an expansion from "
                                              "coefficients and a cutoff")

@@ -379,12 +379,13 @@ def _theta_rule(n: int, nodes: int):
 
 
 def _to_double(val, error) -> tuple:
-    """(val as a complex double, error plus the rounding of each part,
-    |part| 2^-53); a Python complex is a double already."""
+    """(val rounded to the nearest complex double, error plus that rounding,
+    the modulus of half an ulp of each part); a Python complex is a double
+    already."""
     if type(val) is complex:
         return val, float(error)
     value = complex(val)
-    rounding = (abs(value.real) + abs(value.imag)) * 2.0 ** -53
+    rounding = 0.5 * math.hypot(math.ulp(value.real), math.ulp(value.imag))
     return value, float(error) + rounding
 
 

@@ -20,11 +20,12 @@ from . import lattice_zeta as lz
 from .action_assembly import DivergentMomentError
 from .gamma import build_gamma
 from .lattice_zeta import (AssumptionError, LatticePoly, PoleError,
-                           radial_counts, sphere_moment)
+                           ToleranceError, radial_counts, sphere_moment)
 from .nc_torus import (Curvature, OneFormTorus, Theta, TorusElement, cs_sums,
                        curvature)
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
-                   QContext, delta_ladder, rep_ladder)
+                   QContext, delta_ladder, leg_diag_coeff, leg_shift,
+                   rep_ladder, tau1)
 
 # ---------------------------------------------------------------------------
 # cutoff moments
@@ -239,7 +240,7 @@ def dirac_truncated(n: int, K: int, max_dim: int = 2_000_000) -> TruncatedSpectr
 
 
 # ---------------------------------------------------------------------------
-# SU_q(2): dense legs and the unperturbed Dirac zeta
+# SU_q(2): dense legs, the tau0 series and the unperturbed Dirac zeta
 
 
 def leg_matrix(leg, side: str, q: float, size: int) -> np.ndarray:
@@ -258,6 +259,37 @@ def leg_matrix(leg, side: str, q: float, size: int) -> np.ndarray:
                 step[n, n] = q ** n if side == "+" else -q ** n
         mat = step @ mat
     return mat
+
+
+def tau0_series(leg, side: str, ctx: QContext,
+                max_terms: int = 20000) -> float:
+    """tau0 as the partial sums of f(n) - tau1, against the closed form of
+    `suq2.tau0`.
+
+    The partial sums converge geometrically: words with b letters decay like
+    q^(n #b), b-free words approach 1 like q^(2n).  The loop stops when the
+    corresponding tail bound falls below the context tolerance.
+    """
+    leg = tuple(leg)
+    if leg_shift(leg) != 0:
+        return 0.0
+    q = ctx.q
+    t1 = tau1(leg)
+    nb = sum(1 for l in leg if l in ("b", "b*"))
+    length = len(leg)
+    total = 0.0
+    for n in range(max_terms):
+        total += leg_diag_coeff(leg, side, n, q) - t1
+        if n >= length:
+            if nb > 0:
+                bound = q ** (nb * (n + 1 - length)) / (1.0 - q ** nb)
+            else:
+                bound = length * q ** (2 * (n + 1 - length)) / (1.0 - q * q)
+            if bound < ctx.tol:
+                return total
+    raise ToleranceError(
+        f"tau0 series for {leg} did not meet tol {ctx.tol} within "
+        f"{max_terms} terms")
 
 
 def zeta_D_suq2(s: complex) -> complex:

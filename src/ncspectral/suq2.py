@@ -21,7 +21,7 @@ representation.
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -55,21 +55,21 @@ PLUS_LEG_CLEAN = frozenset({AP, BP, APS, BPS})
 MINUS_LEG_CLEAN = frozenset({AP, APS, BM, BMS})
 
 
-class QContext:
-    """Deformation parameter with series tolerances and caches."""
+# machine epsilon, the unit of the rounding bounds below
+EPS = sys.float_info.epsilon
 
-    def __init__(self, q: float, tol: float = 1e-12, max_terms: int = 20000):
+
+class QContext:
+    """Deformation parameter, the accuracy the integrals must meet (in units
+    of 1 + the size of the terms each sums), and the tau0 cache."""
+
+    def __init__(self, q: float, tol: float = 1e-12):
         if not 0.0 < q < 1.0:
             raise ValueError(f"q must lie strictly in (0, 1), got {q}")
-        if not (tol > 0 and max_terms >= 1):
-            raise ValueError("tolerance and max_terms must be positive")
-        if q >= 0.95:
-            warnings.warn(
-                "q >= 0.95: tau0 series conditioning degrades near q = 1",
-                stacklevel=2)
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol}")
         self.q = float(q)
         self.tol = tol
-        self.max_terms = max_terms
         self._tau0_cache: dict = {}
 
 
@@ -228,6 +228,15 @@ class LadderElem:
         self.f_power = int(f_power) % 2
 
     @classmethod
+    def _make(cls, words: dict, f_power: int) -> "LadderElem":
+        """Build from complex values at words already checked as tuples of
+        letters; the arithmetic below skips the checks of __init__."""
+        out = cls.__new__(cls)
+        out.words = {w: c for w, c in words.items() if c != 0}
+        out.f_power = f_power % 2
+        return out
+
+    @classmethod
     def zero(cls) -> "LadderElem":
         return cls()
 
@@ -245,14 +254,16 @@ class LadderElem:
         out = dict(self.words)
         for w, c in other.words.items():
             out[w] = out.get(w, 0.0) + c
-        return LadderElem(out, self.f_power if self.words else other.f_power)
+        return LadderElem._make(out,
+                                self.f_power if self.words else other.f_power)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
-        return LadderElem({w: scalar * c for w, c in self.words.items()},
-                          self.f_power)
+        scalar = complex(scalar)
+        return LadderElem._make({w: scalar * c for w, c in self.words.items()},
+                                self.f_power)
 
     def __matmul__(self, other):
         out: dict = {}
@@ -260,16 +271,16 @@ class LadderElem:
             for w2, c2 in other.words.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0.0) + c1 * c2
-        return LadderElem(out, self.f_power + other.f_power)
+        return LadderElem._make(out, self.f_power + other.f_power)
 
     def adjoint(self) -> "LadderElem":
         out = {tuple(STAR[l] for l in reversed(w)): c.conjugate()
                for w, c in self.words.items()}
-        return LadderElem(out, self.f_power)
+        return LadderElem._make(out, self.f_power)
 
     def filter_letters(self, allowed: frozenset) -> "LadderElem":
-        return LadderElem({w: c for w, c in self.words.items()
-                           if all(l in allowed for l in w)}, self.f_power)
+        return LadderElem._make({w: c for w, c in self.words.items()
+                                 if allowed.issuperset(w)}, self.f_power)
 
     def norm1(self) -> float:
         return sum(abs(c) for c in self.words.values())
@@ -284,43 +295,49 @@ class LadderElem:
         return f"LadderElem({{{terms}}}{f})"
 
 
-def word_degree(word) -> int:
+# words repeat across the products of one run; the degree of each is
+# summed once
+@lru_cache(maxsize=1 << 16)
+def word_degree(word: tuple) -> int:
     return sum(DEGREE[l] for l in word)
+
+
+# images of the generators; no LadderElem operation changes its operands
+_REP_GENERATORS = {
+    "a": LadderElem({(AP,): 1.0, (AM,): 1.0}),
+    "a*": LadderElem({(APS,): 1.0, (AMS,): 1.0}),
+    "b": LadderElem({(BP,): 1.0, (BM,): 1.0}),
+    "b*": LadderElem({(BPS,): 1.0, (BMS,): 1.0}),
+}
 
 
 def rep_ladder(x: PBWElem) -> LadderElem:
     """Image of a polynomial under the approximate representation
     a -> a+ + a-, b -> b+ + b- (adjoints likewise)."""
-    gen = {
-        "a": LadderElem({(AP,): 1.0, (AM,): 1.0}),
-        "a*": LadderElem({(APS,): 1.0, (AMS,): 1.0}),
-        "b": LadderElem({(BP,): 1.0, (BM,): 1.0}),
-        "b*": LadderElem({(BPS,): 1.0, (BMS,): 1.0}),
-    }
     total = LadderElem.zero()
     for m, c in x.coeffs.items():
         acc = LadderElem.one()
         for letter in _monomial_word(m):
-            acc = acc @ gen[letter]
+            acc = acc @ _REP_GENERATORS[letter]
         total = total + c * acc
     return total
 
 
 def delta_ladder(T: LadderElem) -> LadderElem:
     """Commutator with |D|: each homogeneous word times its degree."""
-    return LadderElem({w: word_degree(w) * c for w, c in T.words.items()},
-                      T.f_power)
+    return LadderElem._make({w: word_degree(w) * c
+                             for w, c in T.words.items()}, T.f_power)
 
 
 def zero_degree(T: LadderElem) -> LadderElem:
-    return LadderElem({w: c for w, c in T.words.items() if word_degree(w) == 0},
-                      T.f_power)
+    return LadderElem._make({w: c for w, c in T.words.items()
+                             if word_degree(w) == 0}, T.f_power)
 
 
 def delta_one_form(x: PBWElem, y: PBWElem, f_flag: bool = False) -> LadderElem:
     """pi(x) delta(pi(y)); with f_flag it stands for pi(x) [D, pi(y)]."""
     out = rep_ladder(x) @ delta_ladder(rep_ladder(y))
-    return LadderElem(out.words, 1 if f_flag else 0)
+    return LadderElem._make(out.words, 1 if f_flag else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +369,12 @@ def hopf_r(T: LadderElem) -> dict:
 
 
 def leg_shift(leg) -> int:
-    return sum(1 if l == "a" else -1 if l == "a*" else 0 for l in leg)
+    return leg.count("a") - leg.count("a*")
 
 
 def tau1(leg) -> float:
     """Circle average of the leg symbol: 1 for b-free, winding-zero words."""
-    if any(l in ("b", "b*") for l in leg):
+    if "b" in leg or "b*" in leg:
         return 0.0
     return 1.0 if leg_shift(leg) == 0 else 0.0
 
@@ -383,12 +400,30 @@ def leg_diag_coeff(leg, side: str, n: int, q: float) -> float:
     return coeff
 
 
-def tau0(leg, side: str, ctx: QContext) -> float:
-    """lim_N (Tr_N - (N+1) tau1) of a leg word; zero off the diagonal.
+def tau0(leg, side: str, ctx: QContext) -> tuple:
+    """lim_N (Tr_N - (N+1) tau1) of a leg word, zero off the diagonal, with
+    an a priori bound on its rounding error and the size of the terms it
+    sums: returns (value, bound, size).
 
-    The partial sums converge geometrically: words with b letters decay like
-    q^(n #b), b-free words approach 1 like q^(2n).  The loop stops when the
-    corresponding tail bound falls below the context tolerance.
+    On a zero-shift leg of length L the walk never meets the boundary from
+    n >= L on, and f(n) = leg_diag_coeff(leg, side, n, q) is a polynomial
+    P(x) = sum_j c_j x^j in x = q^n: the two crossings of each edge pair up
+    into a factor (1 - q^(2(d+1)) x^2) per a step from offset d to d + 1,
+    and each b or b* letter at offset d adds x q^d (times -1 on side "-").
+    Its constant term c_0 is tau1, so exactly
+        tau0 = sum_{n<L} (f(n) - tau1) + sum_{j>=1} c_j q^(jL) / (1 - q^j),
+    the half-line (Toeplitz) picture of A. Connes, J. Inst. Math. Jussieu 3
+    (2004).
+
+    The bound counts one machine epsilon (two units of rounding) for each
+    rounding, with pow, log and expm1 within one ulp: at most 2L + 1 on a
+    head term, a product of factors of size at most 1 (the two square
+    roots of an edge multiply back to 1 - q^(2s) within 3 units); 2m + 2nb
+    + 5 relative on a tail term for m a steps and nb b letters (the
+    expansion, whose terms share a sign, the powers, expm1, the products
+    and the division); and one for the sum, which fsum rounds once.  The
+    size counts each head term at its largest, 1 + tau1, and each tail term
+    at its modulus.
     """
     leg = tuple(leg)
     key = (side, leg)
@@ -396,125 +431,176 @@ def tau0(leg, side: str, ctx: QContext) -> float:
     if cached is not None:
         return cached
     if leg_shift(leg) != 0:
-        ctx._tau0_cache[key] = 0.0
-        return 0.0
+        out = ctx._tau0_cache[key] = (0.0, 0.0, 0.0)
+        return out
     q = ctx.q
-    t1 = tau1(leg)
-    nb = sum(1 for l in leg if l in ("b", "b*"))
     length = len(leg)
-    total = 0.0
-    for n in range(ctx.max_terms):
-        total += leg_diag_coeff(leg, side, n, q) - t1
-        if n >= length:
-            if nb > 0:
-                bound = q ** (nb * (n + 1 - length)) / (1.0 - q ** nb)
-            else:
-                bound = length * q ** (2 * (n + 1 - length)) / (1.0 - q * q)
-            if bound < ctx.tol:
-                ctx._tau0_cache[key] = total
-                return total
-    raise ToleranceError(
-        f"tau0 series for {leg} did not meet tol {ctx.tol} within "
-        f"{ctx.max_terms} terms")
+    t1 = tau1(leg)
+    head = [leg_diag_coeff(leg, side, n, q) - t1 for n in range(length)]
+    # P(x) = scale x^nb Q(x^2), Q(y) = prod (1 - q^(2(d+1)) y) over the a steps
+    scale, nb, d, ys = 1.0, 0, 0, [1.0]
+    for letter in reversed(leg):
+        if letter == "a":
+            d += 1
+            r = q ** (2 * d)
+            ys.append(0.0)
+            for k in range(len(ys) - 1, 0, -1):
+                ys[k] -= r * ys[k - 1]
+        elif letter == "a*":
+            d -= 1
+        else:
+            scale *= q ** d if side == "+" else -q ** d
+            nb += 1
+    # sum_{n>=L} x^j = q^(jL) / (1 - q^j), through expm1 so that 1 - q^j
+    # keeps its relative accuracy as q -> 1
+    log_q = math.log(q)
+    tail = []
+    for k, c in enumerate(ys):
+        j = nb + 2 * k
+        if j:
+            tail.append(scale * c * q ** (j * length) / -math.expm1(j * log_q))
+    value = math.fsum(head + tail)
+    m = len(ys) - 1
+    tail_size = sum(map(abs, tail))
+    bound = EPS * ((2 * length + 1) * length
+                   + (2 * m + 2 * nb + 5) * tail_size + abs(value))
+    size = (1.0 + t1) * length + tail_size
+    out = ctx._tau0_cache[key] = (value, bound, size)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # noncommutative integrals
 
 
-def _tensor_sum(rt: dict, ctx: QContext, combo) -> complex:
-    total = 0.0 + 0.0j
+def _tau_sum(rt: dict, ctx: QContext, combo) -> tuple:
+    """sum_w c_w q^qpow combo(leg+, leg-) over an r-image as (value,
+    rounding bound, size).  combo returns the value v, bound e and size s
+    of its term; the bound is sum_w |c_w| q^qpow (e + 4 ulps of v: its last
+    rounding, q^qpow and the products by c_w and by v), plus one ulp of the
+    total, which fsum rounds once; the size is sum_w |c_w| q^qpow s."""
     q = ctx.q
+    re, im, bound, size = [], [], 0.0, 0.0
     for (plus, minus, qpow), c in rt.items():
-        total += c * q ** qpow * combo(plus, minus)
-    return total
+        v, e, s = combo(plus, minus)
+        if s:
+            w = c * q ** qpow
+            t = w * v
+            re.append(t.real)
+            im.append(t.imag)
+            bound += abs(w) * (e + 4.0 * EPS * abs(v))
+            size += abs(w) * s
+    total = complex(math.fsum(re), math.fsum(im))
+    return total, bound + EPS * abs(total), size
 
 
-def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
-    """Integral of T against |D|^-k, k in {1, 2, 3}.
+def _image_integral(rt: dict, f_power: int, k: int, ctx: QContext) -> tuple:
+    """(value, rounding bound, size) of the integral against |D|^-k, k in
+    {1, 2, 3}, of the element of F power f_power whose r-image is rt.
 
     With the F flag set the weight-2 and weight-3 integrals vanish
     identically and the weight-1 one switches to the antisymmetric
     tau0/tau1 combination.
     """
-    if k not in (1, 2, 3):
-        raise ValueError("weight k must be 1, 2 or 3")
-    rt = hopf_r(T)
-    if T.f_power:
-        if k in (2, 3):
-            return 0.0 + 0.0j
-        def combo(p, m):
-            out = 0.0
-            t1m = tau1(m)
-            if t1m:
-                out += tau0(p, "+", ctx) * t1m
-            t1p = tau1(p)
-            if t1p:
-                out -= t1p * tau0(m, "-", ctx)
-            return out
-        return _tensor_sum(rt, ctx, combo)
+    if f_power and k in (2, 3):
+        return 0.0 + 0.0j, 0.0, 0.0
     if k == 3:
-        return 2.0 * _tensor_sum(rt, ctx, lambda p, m: tau1(p) * tau1(m))
-    if k == 2:
         def combo(p, m):
-            out = 0.0
-            t1p = tau1(p)
-            if t1p:
-                out += t1p * tau0(m, "-", ctx)
-            t1m = tau1(m)
-            if t1m:
-                out += tau0(p, "+", ctx) * t1m
-            return out
-        return 2.0 * _tensor_sum(rt, ctx, combo)
+            v = 2.0 * tau1(p) * tau1(m)
+            return v, 0.0, v
+        return _tau_sum(rt, ctx, combo)
+    if k == 2 or f_power:
+        # tau0(p) tau1(m) +- tau1(p) tau0(m), doubled at weight 2
+        sign, weight = (-1.0, 1.0) if f_power else (1.0, 2.0)
+
+        def combo(p, m):
+            v = e = s = 0.0
+            if tau1(m):
+                v, e, s = tau0(p, "+", ctx)
+            if tau1(p):
+                v2, e2, s2 = tau0(m, "-", ctx)
+                v += sign * v2
+                e += e2
+                s += s2
+            return weight * v, weight * e, weight * s
+        return _tau_sum(rt, ctx, combo)
 
     def combo(p, m):
-        return (2.0 * tau0(p, "+", ctx) * tau0(m, "-", ctx)
-                - 0.5 * tau1(p) * tau1(m))
-    return _tensor_sum(rt, ctx, combo)
+        a, ea, sa = tau0(p, "+", ctx)
+        b, eb, sb = tau0(m, "-", ctx)
+        ab = 2.0 * a * b
+        t11 = 0.5 * tau1(p) * tau1(m)
+        # the tau0 errors through the product, and the product's rounding
+        e = 2.0 * (abs(a) * eb + ea * abs(b) + ea * eb) + EPS * abs(ab)
+        return ab - t11, e, 2.0 * sa * sb + t11
+    return _tau_sum(rt, ctx, combo)
+
+
+def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
+    """Integral of T against |D|^-k, k in {1, 2, 3}."""
+    if k not in (1, 2, 3):
+        raise ValueError("weight k must be 1, 2 or 3")
+    return _image_integral(hopf_r(T), T.f_power, k, ctx)[0]
+
+
+def _convolve(p1: dict, p2: dict) -> dict:
+    """Product of two Laurent polynomials {degree: coefficient}."""
+    out: dict = {}
+    for d1, c1 in p1.items():
+        for d2, c2 in p2.items():
+            out[d1 + d2] = out.get(d1 + d2, 0.0) + c1 * c2
+    return out
 
 
 def _integral_weight3_powers(A: LadderElem) -> tuple:
-    """Integrals of A, A^2 and A^3 against |D|^-3 from the degree grading.
+    """Integrals of A, A^2 and A^3 against |D|^-3 from the degree grading,
+    each as (value, rounding bound, size).
 
     Only words built purely from a+ and a+* survive tau1 x tau1 after r, each
     with weight 1 exactly when its degree is zero.  As w -> z^deg(w) is
     multiplicative, the integral of A^p is 2 [z^0] P(z)^p for the Laurent
     polynomial P(z) = sum_w c_w z^deg(w) of the filtered words; an odd
-    power of F makes it vanish.
+    power of F makes it vanish.  The size is 2 [z^0] |P|^p, and the bound
+    p (N + D + 1) ulps of it, for N words summed into D degrees.
     """
-    poly: dict = {}
-    for w, c in A.filter_letters(frozenset({AP, APS})).words.items():
+    words = A.filter_letters(frozenset({AP, APS})).words
+    poly, abs_poly = {}, {}
+    for w, c in words.items():
         d = word_degree(w)
         poly[d] = poly.get(d, 0.0) + c
-    out, acc = [], {0: 1.0}
+        abs_poly[d] = abs_poly.get(d, 0.0) + abs(c)
+    out, acc, acc_abs = [], {0: 1.0}, {0: 1.0}
     for power in (1, 2, 3):
-        nxt: dict = {}
-        for d1, c1 in acc.items():
-            for d2, c2 in poly.items():
-                nxt[d1 + d2] = nxt.get(d1 + d2, 0.0) + c1 * c2
-        acc = nxt
-        out.append(0.0 + 0.0j if power * A.f_power % 2
-                   else 2.0 * acc.get(0, 0.0))
+        acc = _convolve(acc, poly)
+        acc_abs = _convolve(acc_abs, abs_poly)
+        if power * A.f_power % 2:
+            out.append((0.0 + 0.0j, 0.0, 0.0))
+        else:
+            size = 2.0 * acc_abs.get(0, 0.0)
+            ulps = power * (len(words) + len(poly) + 1)
+            out.append((2.0 * acc.get(0, 0.0), ulps * EPS * size, size))
     return tuple(out)
 
 
-def _integral_weight2_square(A: LadderElem, ctx: QContext) -> complex:
-    """Integral of A^2 against |D|^-2 through per-factor letter filters."""
-    q = ctx.q
-    total = 0.0 + 0.0j
+def _integral_weight2_square(A: LadderElem, ctx: QContext) -> tuple:
+    """Integral of A^2 against |D|^-2 through per-factor letter filters, as
+    (value, rounding bound, size)."""
+    value, bound, size = 0.0 + 0.0j, 0.0, 0.0
     for clean, side_clean, side_tau0 in (
             (PLUS_LEG_CLEAN, 0, "-"), (MINUS_LEG_CLEAN, 1, "+")):
         part = A.filter_letters(clean)
-        sq = part @ part
-        rt = hopf_r(sq)
-        for (plus, minus, qpow), c in rt.items():
-            legs = (plus, minus)
-            t1 = tau1(legs[side_clean])
-            if not t1:
-                continue
-            other = legs[1 - side_clean]
-            total += c * q ** qpow * t1 * tau0(other, side_tau0, ctx)
-    return 2.0 * total
+
+        def combo(p, m):
+            legs = (p, m)
+            if not tau1(legs[side_clean]):
+                return 0.0, 0.0, 0.0
+            v, e, s = tau0(legs[1 - side_clean], side_tau0, ctx)
+            return 2.0 * v, 2.0 * e, 2.0 * s
+        v, e, s = _tau_sum(hopf_r(part @ part), ctx, combo)
+        value += v
+        bound += e
+        size += s
+    return value, bound + EPS * abs(value), size
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +616,28 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     """Expansion coefficients of the fluctuated triple for a one-form whose
     associated delta-one-form is A, plus the assembled value at scale lam.
 
-    Returns the six base integrals, the coefficients with the scale-invariant
-    term zeta0, and the ExpansionReport.
+    Returns the six base integrals, the coefficients with the
+    scale-invariant term zeta0, and the ExpansionReport.  Raises
+    ToleranceError when the rounding bound of an integral is not below
+    ctx.tol (1 + the size of the terms it sums).
     """
-    ia3, ia23, ia33 = _integral_weight3_powers(A)
-    ia2 = nc_integral(A, 2, ctx)
-    ia1 = nc_integral(A, 1, ctx)
-    ia22 = _integral_weight2_square(A, ctx)
+    weight3 = _integral_weight3_powers(A)
+    rt = hopf_r(A)
+    found = {
+        "A|D|^-3": weight3[0], "A^2|D|^-3": weight3[1],
+        "A^3|D|^-3": weight3[2],
+        "A|D|^-2": _image_integral(rt, A.f_power, 2, ctx),
+        "A^2|D|^-2": _integral_weight2_square(A, ctx),
+        "A|D|^-1": _image_integral(rt, A.f_power, 1, ctx),
+    }
+    for name, (value, bound, size) in found.items():
+        if not bound < ctx.tol * (1.0 + size):
+            raise ToleranceError(
+                f"{name} = {value} has a rounding bound of {bound:.3g}, not "
+                f"below tol {ctx.tol:g} times 1 + the size {size:.3g} of "
+                f"its terms")
+    integrals = {name: value for name, (value, _, _) in found.items()}
+    ia3, ia23, ia33, ia2, ia22, ia1 = integrals.values()
 
     c3 = DIRAC_RESIDUES[3]
     if with_reality:
@@ -552,10 +653,7 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
 
     report = assemble({3: c3, 2: c2, 1: c1}, zeta0, moments, lam)
     return {
-        "integrals": {
-            "A|D|^-3": ia3, "A^2|D|^-3": ia23, "A^3|D|^-3": ia33,
-            "A|D|^-2": ia2, "A^2|D|^-2": ia22, "A|D|^-1": ia1,
-        },
+        "integrals": integrals,
         "coefficients": {3: c3, 2: c2, 1: c1, 0: zeta0},
         "zeta0": zeta0,
         "report": report,

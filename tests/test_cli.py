@@ -462,8 +462,9 @@ class TestSuq2Command:
         assert code == 4
         assert "4 ladder words" in err
 
+    # 1e-400 parses to 0.0
     @pytest.mark.parametrize("option", [["--tol", "0"], ["--tol", "-1"],
-                                        ["--max-terms", "0"]])
+                                        ["--tol", "1e-400"]])
     def test_series_settings_must_be_positive(self, tmp_path, capsys,
                                               monkeypatch, option):
         def no_series(*args):
@@ -477,6 +478,39 @@ class TestSuq2Command:
         assert code == 4
         assert out == ""
         assert "Traceback" not in err and "must be" in err
+
+    def test_near_one_meets_the_tolerance(self, tmp_path, capsys):
+        # a series for tau0 would need more than 20,000 terms here
+        path = tmp_path / "astar_da.json"
+        path.write_text(json.dumps(ASTAR_DA))
+        code, out, _ = run_cli(capsys, "suq2", "--q", "0.9995",
+                               "--one-form", str(path))
+        assert code == 0
+        q = 0.9995
+        assert json.loads(out)["integrals"]["A|D|^-2"]["value"] == \
+            pytest.approx(4 * q ** 2 / (q ** 2 - 1), rel=1e-12)
+
+    def test_canceling_terms_meet_the_tolerance(self, tmp_path, capsys):
+        # A|D|^-1 of b^2 b*^2 delta(b^2 b*^2) is exactly 0, summed from
+        # terms of size up to 1/(1 - q)^2: its rounding bound, 3.6e-10, is
+        # held against the size of those terms
+        poly = [{"a": 0, "b": 2, "bstar": 2, "coeff": {"re": 1.0, "im": 0.0}}]
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps({"q": 0.99, "one_form": [
+            {"x": poly, "y": poly, "coeff": {"re": 1.0, "im": 0.0}}]}))
+        code, out, _ = run_cli(capsys, "suq2", "--one-form", str(path))
+        assert code == 0
+        assert abs(json.loads(out)["integrals"]["A|D|^-1"]["value"]) < 1e-11
+
+    def test_tolerance_below_the_rounding_bound_fails(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "astar_da.json"
+        path.write_text(json.dumps(ASTAR_DA))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--tol", "1e-18")
+        assert code == 3
+        assert out == ""
+        assert "rounding bound" in err
 
     def test_word_cap(self, tmp_path, capsys):
         path = tmp_path / "astar_da.json"
@@ -525,7 +559,8 @@ class TestActionCommand:
         assert "nonnegative" in err
 
     @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0",
-                                       "scale", "table"])
+                                       "scale", "table", "scale-string",
+                                       "table-string", "table-boolean"])
     def test_non_finite_input_is_schema_error(self, tmp_path, capsys, field):
         doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
                "coefficients": {"3": 2.0, "1": {"re": -0.5, "im": 0.0}},
@@ -537,6 +572,15 @@ class TestActionCommand:
         elif field == "table":
             doc["cutoff"] = {"table": [[0.0, 1.0], [1.0, math.nan],
                                        [2.0, 0.1], [math.inf, 0.01]]}
+        elif field == "scale-string":
+            # float() would read these strings as numbers
+            doc["cutoff"]["params"] = {"scale": "NaN"}
+        elif field == "table-string":
+            doc["cutoff"] = {"table": [[0.0, 1.0], [1.0, "0.5"],
+                                       [2.0, 0.1], ["inf", 0.01]]}
+        elif field == "table-boolean":
+            doc["cutoff"] = {"table": [[0.0, True], [1.0, 0.5],
+                                       [2.0, 0.1], [3.0, 0.01]]}
         else:
             doc[field] = math.inf
         path = tmp_path / "action.json"
@@ -554,7 +598,7 @@ class TestOptionSurface:
         "zeta": {"--n", "--s", "--residue", "--tol", "--out"},
         "torus": {"--input", "--lambda", "--cutoff", "--trunc", "--out"},
         "suq2": {"--q", "--one-form", "--lambda", "--cutoff", "--no-reality",
-                 "--tol", "--max-terms", "--trunc", "--out"},
+                 "--tol", "--trunc", "--out"},
         "action": {"--input", "--out"},
         "selftest": set(),
     }
@@ -577,6 +621,8 @@ class TestOptionSurface:
         # a residue run reads no s
         ["zeta", "--n", "2", "--residue", "--s", "1"],
         ["zeta", "--n", "2", "--s", "0", "--residue"],
+        # tau0 is a closed form: no series to cap
+        ["suq2", "--one-form", "A.json", "--max-terms", "10"],
     ])
     def test_unread_option_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -679,6 +725,21 @@ def test_generated_documents_keep_exit_contract(tmp_path, command, flag,
         assert "Traceback" not in err.getvalue()
 
     run()
+
+
+@pytest.mark.parametrize("command,flag,extra", [
+    ("torus", "--input", ["--lambda", "2"]),
+    ("suq2", "--one-form", []),
+    ("action", "--input", []),
+])
+def test_deeply_nested_input_is_schema_error(tmp_path, capsys, command, flag,
+                                             extra):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err and "cannot read input file" in err
 
 
 class TestSelftestPlumbing:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncspectral.action_assembly import cutoff_moments
-from ncspectral.lattice_zeta import CONTOUR_NODES, PoleError
+from ncspectral.lattice_zeta import CONTOUR_NODES, PoleError, ToleranceError
 from ncspectral.oracles import (
     NotReducibleError,
     ideal_r_reduce,
@@ -16,6 +18,7 @@ from ncspectral.oracles import (
     shell_fit_weight3,
     shell_trace_oracle,
     table_entry_ladder,
+    tau0_series,
     zeta_D_suq2,
 )
 from ncspectral.suq2 import (
@@ -27,6 +30,7 @@ from ncspectral.suq2 import (
     delta_ladder,
     delta_one_form,
     hopf_r,
+    leg_shift,
     load_one_form,
     nc_integral,
     one_form_from_pairs,
@@ -53,15 +57,20 @@ class TestQContext:
             with pytest.raises(ValueError):
                 QContext(bad)
 
-    @pytest.mark.parametrize("tol,max_terms", [(0.0, 10), (-1.0, 10),
-                                               (1e-12, 0)])
-    def test_series_settings_validated(self, tol, max_terms):
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_validated(self, tol):
         with pytest.raises(ValueError):
-            QContext(0.5, tol=tol, max_terms=max_terms)
+            QContext(0.5, tol=tol)
 
-    def test_near_one_warns(self):
-        with pytest.warns(UserWarning):
-            QContext(0.97)
+    def test_near_one_is_quiet(self):
+        # the closed form of tau0 has no series to condition near q = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ctx = QContext(0.9995)
+            value, bound, _ = tau0(("a", "a*"), "+", ctx)
+        q = ctx.q
+        assert value == pytest.approx(-1.0 / (1 - q * q), rel=1e-12)
+        assert bound < 1e-14 * abs(value)
 
 
 class TestPBWNormalize:
@@ -159,6 +168,10 @@ class TestLadder:
         T = LadderElem({(AP, BM): 2.0j})
         assert T.adjoint().allclose(LadderElem({(BMS, APS): -2.0j}))
 
+    def test_unknown_letter_rejected(self):
+        with pytest.raises(ValueError, match="unknown ladder letter"):
+            LadderElem({("x",): 1})
+
     def test_mixed_f_power_addition_rejected(self):
         x = LadderElem({(AP,): 1.0}, f_power=0)
         y = LadderElem({(AM,): 1.0}, f_power=1)
@@ -210,6 +223,80 @@ class TestHopfR:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+# zero-shift legs of length up to 8, random letters otherwise
+ZERO_SHIFT_LEGS = st.lists(st.sampled_from(["a", "a*", "b", "b*"]),
+                           max_size=8).map(tuple).filter(
+    lambda leg: leg_shift(leg) == 0)
+
+
+def tau0_exact(leg, side, q) -> Fraction:
+    """tau0 in rational arithmetic at the double q: the head f(n) - tau1
+    for n < L walked exactly (the two square roots of each edge crossing
+    multiply to 1 - q^(2s)), the tail from the polynomial in x = q^n that
+    the same walk gives past the boundary."""
+    q = Fraction(q)
+    sign = 1 if side == "+" else -1
+    t1 = Fraction(int(tau1(leg)))
+
+    def walk(n):
+        state, value = n, Fraction(1)
+        for letter in reversed(leg):
+            if letter == "a":
+                state += 1
+                value *= 1 - q ** (2 * state)
+            elif letter == "a*":
+                if state <= 0:
+                    return Fraction(0)
+                state -= 1
+            else:
+                value *= sign * q ** state
+        return value
+
+    length = len(leg)
+    head = sum((walk(n) - t1 for n in range(length)), Fraction(0))
+    poly, d = {0: Fraction(1)}, 0
+    for letter in reversed(leg):
+        if letter == "a":
+            d += 1
+            step = {0: Fraction(1), 2: -q ** (2 * d)}
+            product = {}
+            for j1, c1 in poly.items():
+                for j2, c2 in step.items():
+                    product[j1 + j2] = product.get(j1 + j2, 0) + c1 * c2
+            poly = product
+        elif letter == "a*":
+            d -= 1
+        else:
+            poly = {j + 1: sign * q ** d * c for j, c in poly.items()}
+    assert poly.get(0, 0) == t1
+    return head + sum((c * q ** (j * length) / (1 - q ** j)
+                       for j, c in poly.items() if j), Fraction(0))
+
+
+def integral_exact(T, k, q) -> tuple:
+    """The weight-1 (k = 1) or weight-2 (k = 2) integral of an F-free T in
+    rational arithmetic at the double q, as (real part, imaginary part)."""
+    values = {}
+
+    def t0(leg, side):
+        if (leg, side) not in values:
+            values[leg, side] = (tau0_exact(leg, side, q)
+                                 if leg_shift(leg) == 0 else Fraction(0))
+        return values[leg, side]
+
+    re = im = Fraction(0)
+    for (p, m, qpow), c in hopf_r(T).items():
+        tp, tm = int(tau1(p)), int(tau1(m))
+        if k == 1:
+            v = 2 * t0(p, "+") * t0(m, "-") - Fraction(tp * tm, 2)
+        else:
+            v = 2 * (tp * t0(m, "-") + t0(p, "+") * tm)
+        w = Fraction(q) ** qpow * v
+        re += Fraction(c.real) * w
+        im += Fraction(c.imag) * w
+    return re, im
+
+
 class TestTauFunctionals:
     def setup_method(self):
         self.ctx = QContext(0.5)
@@ -220,30 +307,51 @@ class TestTauFunctionals:
         assert tau1(()) == 1.0
         assert tau1(("a", "a")) == 0.0
 
+    def value(self, leg, side):
+        return tau0(leg, side, self.ctx)[0]
+
     def test_tau0_reference_values(self):
         q = self.ctx.q
-        assert tau0(("a", "a*"), "+", self.ctx) == pytest.approx(
+        assert self.value(("a", "a*"), "+") == pytest.approx(
             -1.0 / (1 - q * q), abs=1e-10)
-        assert tau0(("b", "b*"), "-", self.ctx) == pytest.approx(
+        assert self.value(("b", "b*"), "-") == pytest.approx(
             1.0 / (1 - q * q), abs=1e-10)
         for side in ("+", "-"):
-            assert tau0(("a*", "a"), side, self.ctx) == pytest.approx(
-                q * q * tau0(("a", "a*"), side, self.ctx), abs=1e-10)
+            assert self.value(("a*", "a"), side) == pytest.approx(
+                q * q * self.value(("a", "a*"), side), abs=1e-10)
 
     def test_tau0_shift_rule(self):
-        assert tau0(("a",), "+", self.ctx) == 0.0
-        assert tau0(("a", "a", "a*"), "-", self.ctx) == 0.0
+        assert tau0(("a",), "+", self.ctx) == (0.0, 0.0, 0.0)
+        assert tau0(("a", "a", "a*"), "-", self.ctx) == (0.0, 0.0, 0.0)
 
     def test_tau0_single_b_side_sign(self):
         q = self.ctx.q
-        assert tau0(("b",), "+", self.ctx) == pytest.approx(1 / (1 - q))
-        assert tau0(("b",), "-", self.ctx) == pytest.approx(-1 / (1 - q))
+        assert self.value(("b",), "+") == pytest.approx(1 / (1 - q))
+        assert self.value(("b",), "-") == pytest.approx(-1 / (1 - q))
 
     def test_tau0_tolerance_guard(self):
-        tight = QContext(0.5, tol=1e-12, max_terms=3)
-        from ncspectral.lattice_zeta import ToleranceError
-        with pytest.raises(ToleranceError):
-            tau0(("b", "b*"), "+", tight)
+        # tau0 is exact up to rounding; its bound, carried into the
+        # integrals, must lie below the context tolerance
+        tight = QContext(0.5, tol=1e-20)
+        moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
+        with pytest.raises(ToleranceError, match="rounding bound"):
+            suq2_action(delta_one_form(gen("b"), gen("b*")), tight, moments,
+                        1.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(ZERO_SHIFT_LEGS, st.sampled_from("+-"), st.floats(0.05, 0.999))
+    def test_tau0_closed_form_matches_series(self, leg, side, q):
+        ctx = QContext(q, tol=1e-11)
+        value = tau0(leg, side, ctx)[0]
+        series = tau0_series(leg, side, ctx, max_terms=100000)
+        assert value == pytest.approx(series, abs=1e-9 * (1 + abs(series)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ZERO_SHIFT_LEGS, st.sampled_from("+-"), st.floats(0.05, 0.999))
+    def test_tau0_bound_covers_rounding(self, leg, side, q):
+        value, bound, size = tau0(leg, side, QContext(q))
+        assert abs(Fraction(value) - tau0_exact(leg, side, q)) <= bound
+        assert abs(value) <= size
 
     @pytest.mark.parametrize("leg", [("a", "a*"), ("a*", "a"), ("b", "b*"),
                                      ("a", "b", "a*"), ("b", "b", "a*", "a")])
@@ -255,7 +363,7 @@ class TestTauFunctionals:
         mat = leg_matrix(leg, side, ctx.q, N + 21)
         partial = float(np.trace(mat[: N + 1, : N + 1]))
         expected = partial - (N + 1) * tau1(leg)
-        assert tau0(leg, side, ctx) == pytest.approx(expected, abs=1e-10)
+        assert tau0(leg, side, ctx)[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestNcIntegral:
@@ -507,10 +615,10 @@ class TestSpectralAction:
                   LadderElem(forms[0].words, f_power=1)]
         for A in forms:
             sq = A @ A
-            powers = list(_integral_weight3_powers(A))
+            powers = [out[0] for out in _integral_weight3_powers(A)]
             assert powers == pytest.approx(
                 [nc_integral(P, 3, ctx) for P in (A, sq, sq @ A)], abs=1e-9)
-            assert _integral_weight2_square(A, ctx) == pytest.approx(
+            assert _integral_weight2_square(A, ctx)[0] == pytest.approx(
                 nc_integral(sq, 2, ctx), abs=1e-9)
 
     def test_one_run_builds_each_image_once(self, monkeypatch):
@@ -527,7 +635,31 @@ class TestSpectralAction:
         A = one_form_from_pairs([(gen("a"), gen("a*"), 1.0),
                                  (gen("b*"), gen("b"), 0.5j)], QContext(0.5))
         suq2_action(A, QContext(0.5), moments, 1.0)
-        assert calls == {"hopf_r": 4, "zero_degree": 0}
+        assert calls == {"hopf_r": 3, "zero_degree": 0}
+
+    @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
+    def test_bounds_cover_rounding(self, q):
+        # the bounds that gate suq2 --tol, against the integrals in
+        # rational arithmetic
+        from ncspectral.suq2 import _image_integral, _integral_weight2_square
+
+        ctx = QContext(q)
+        forms = [delta_one_form(gen("a*"), gen("a")),
+                 one_form_from_pairs(
+                     [(gen("a"), gen("a*"), 1.0),
+                      (gen("b*"), PBWElem.monomial(1, 1, 0), 0.5j),
+                      (PBWElem.monomial(-1, 0, 1), gen("b"), -0.3)], ctx)]
+        for A in forms:
+            rt = hopf_r(A)
+            for T, k, (got, bound, size) in (
+                    (A, 1, _image_integral(rt, A.f_power, 1, ctx)),
+                    (A, 2, _image_integral(rt, A.f_power, 2, ctx)),
+                    (A @ A, 2, _integral_weight2_square(A, ctx))):
+                re, im = integral_exact(T, k, q)
+                err = abs(complex(float(Fraction(got.real) - re),
+                                  float(Fraction(got.imag) - im)))
+                assert err <= bound, (k, q)
+                assert abs(got) <= size
 
     def test_no_reality_variant(self):
         # without J the scale-invariant term halves whenever the weight-3
