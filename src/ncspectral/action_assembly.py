@@ -129,6 +129,8 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             raise ValueError(f"unknown cutoff family {name!r}")
         fam = _FAMILIES[name]
         scale = float(cutoff.get("params", {}).get("scale", 1.0))
+        if scale < 0:
+            raise ValueError("cutoff must be nonnegative")
         phi0 = scale * fam["phi0"]
         for k in ks:
             values[k] = scale * fam["moment"](k)
@@ -167,6 +169,36 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             raise DivergentMomentError(f"moment Phi_{k} is not finite")
     return CutoffMoments(phi0=phi0, values=values, provenance=prov,
                          error_bound=bound)
+
+
+def load_action(doc: dict):
+    """Parse {"cutoff", "lambda", "coefficients", "zeta0"} into (cutoff,
+    lam, coeffs, zeta0).  Every number, in the cutoff too, goes through
+    `json_number`, and a coefficient key is the decimal spelling of its power.
+    """
+    try:
+        cutoff, coeffs = doc["cutoff"], {}
+        if isinstance(cutoff, dict) and "family" in cutoff:
+            if not isinstance(cutoff["family"], str):
+                raise TypeError("the cutoff family must be a string")
+            scale = cutoff.get("params", {}).get("scale", 1.0)
+            cutoff = {"family": cutoff["family"],
+                      "params": {"scale": json_number(scale)}}
+        elif isinstance(cutoff, dict) and "table" in cutoff:
+            cutoff = {"table": [[json_number(x) for x in row]
+                                for row in cutoff["table"]]}
+        for key, v in doc["coefficients"].items():
+            if key != str(int(key)):
+                raise ValueError(
+                    f"coefficient key {key!r} is not a plain integer")
+            coeffs[int(key)] = (complex(json_number(v["re"]),
+                                        json_number(v.get("im", 0.0)))
+                                if isinstance(v, dict)
+                                else complex(json_number(v)))
+        return (cutoff, json_number(doc["lambda"]), coeffs,
+                json_number(doc.get("zeta0", 0.0)))
+    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed action document: {exc}") from exc
 
 
 @dataclass
@@ -209,6 +241,23 @@ def jsonable(x):
     if x.imag == 0:
         return x.real
     return {"re": x.real, "im": x.imag}
+
+
+def json_number(x) -> float:
+    """A number of an input document: a finite int or float, not a bool."""
+    if (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x)):
+        return float(x)
+    raise ValueError(f"non-finite or non-numeric value {x!r}")
+
+
+def json_integer(x) -> int:
+    """An integer of an input document: an int, not a bool, or an integral
+    float; its size is left to the caller."""
+    if ((isinstance(x, int) and not isinstance(x, bool))
+            or (isinstance(x, float) and x.is_integer())):
+        return int(x)
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def assemble(coeffs, zeta0, moments: CutoffMoments, lam: float) -> ExpansionReport:

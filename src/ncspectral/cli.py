@@ -18,7 +18,7 @@ from . import acceptance
 from . import lattice_zeta as lz
 from . import nc_torus as nt
 from . import suq2
-from .action_assembly import assemble, cutoff_moments, jsonable
+from .action_assembly import assemble, cutoff_moments, jsonable, load_action
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -66,14 +66,6 @@ def _parse_complex(text: str) -> complex:
     if not cmath.isfinite(value):
         raise SchemaError(f"{text!r} is not a finite number")
     return value
-
-
-def _finite_numbers(x) -> bool:
-    """Whether x is a finite JSON number or a list of them, at any depth.
-    The decoder makes exact builtin types, and a bool is not an int here."""
-    if type(x) is list:
-        return all(map(_finite_numbers, x))
-    return type(x) is float and math.isfinite(x) or type(x) is int
 
 
 def _load_json(path: str) -> dict:
@@ -164,7 +156,7 @@ def _run_suq2(args) -> dict:
         raise UnsupportedError(
             f"one-form may expand to {bound:.6g} ladder words, over the "
             f"cap {args.trunc}")
-    A = suq2.one_form_from_pairs(pairs, ctx)
+    A = suq2.one_form_from_pairs(pairs)
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3])
     out = suq2.suq2_action(A, ctx, moments, args.lam,
                            with_reality=not args.no_reality)
@@ -190,29 +182,10 @@ def _run_suq2(args) -> dict:
 def _run_action(args) -> dict:
     doc = _load_json(args.input)
     try:
-        cutoff = doc["cutoff"]
-        lam = float(doc["lambda"])
-        coeffs = {int(k): complex(v["re"], v.get("im", 0.0))
-                  if isinstance(v, dict) else complex(v)
-                  for k, v in doc["coefficients"].items()}
-        zeta0 = float(doc.get("zeta0", 0.0))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise SchemaError(f"malformed action document: {exc}") from exc
-    # the numbers cutoff_moments reads; float() would take "NaN" as well
-    read = []
-    if isinstance(cutoff, dict):
-        params = cutoff.get("params", {})
-        read = [cutoff.get("table", []),
-                params.get("scale", 1.0) if isinstance(params, dict) else 1.0]
-    if not (math.isfinite(lam) and math.isfinite(zeta0)
-            and all(cmath.isfinite(c) for c in coeffs.values())
-            and _finite_numbers(read)):
-        raise SchemaError("non-finite or non-numeric value in the action "
-                          "document")
-    try:
-        moments = cutoff_moments(cutoff, sorted(coeffs))
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"malformed cutoff: {exc}") from exc
+        cutoff, lam, coeffs, zeta0 = load_action(doc)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    moments = cutoff_moments(cutoff, sorted(coeffs))
     rep = assemble(coeffs, zeta0, moments, lam)
     return {"command": "action", "moments": moments.to_dict(),
             "expansion": rep.to_dict()}

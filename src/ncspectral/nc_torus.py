@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .action_assembly import CutoffMoments, ExpansionReport, assemble
+from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
+                              json_integer, json_number)
 from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
@@ -452,32 +453,19 @@ def torus_action(A: OneFormTorus, theta: Theta, n: int,
 # JSON interface
 
 
-def _finite(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {x} in the potential")
-    return x
-
-
-def _integer(x) -> int:
-    i = int(x)
-    if i != x:
-        raise ValueError(f"{x!r} in the potential is not an integer")
-    return i
-
-
 def load_potential(doc: dict):
     """Parse {"n", "theta", "diophantine_asserted", "A": [{alpha, l, re, im}]}.
 
-    Every number must be finite; n, alpha and the mode entries integers.
+    Numbers go through `json_number`, n, alpha and mode entries `json_integer`.
     """
     try:
-        n = _integer(doc["n"])
-        theta = Theta(doc["theta"])
+        n = json_integer(doc["n"])
+        theta = Theta([[json_number(x) for x in row] for row in doc["theta"]])
         flag = doc.get("diophantine_asserted", False)
-        entries = [(_integer(e["alpha"]), tuple(_integer(x) for x in e["l"]),
-                    complex(_finite(e.get("re", 0.0)),
-                            _finite(e.get("im", 0.0))))
+        entries = [(json_integer(e["alpha"]),
+                    tuple(json_integer(x) for x in e["l"]),
+                    complex(json_number(e.get("re", 0.0)),
+                            json_number(e.get("im", 0.0))))
                    for e in doc.get("A", [])]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed potential document: {exc}") from exc

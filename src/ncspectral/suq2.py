@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .action_assembly import CutoffMoments, assemble
+from .action_assembly import CutoffMoments, assemble, json_integer, json_number
 from .lattice_zeta import ToleranceError
 
 # ---------------------------------------------------------------------------
@@ -673,7 +673,7 @@ def ladder_word_bound(pairs) -> float:
     return sum(words(x) * words(y) for x, y, c in pairs if c != 0)
 
 
-def one_form_from_pairs(pairs, ctx: QContext) -> LadderElem:
+def one_form_from_pairs(pairs) -> LadderElem:
     """Associated delta-one-form of sum_i c_i pi(x_i) d pi(y_i).
 
     A pair whose x, y or c is zero is skipped unexpanded, so the expansion
@@ -690,23 +690,10 @@ def one_form_from_pairs(pairs, ctx: QContext) -> LadderElem:
 # JSON interface
 
 
-def _finite(x) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite number {x} in the one-form")
-    return x
-
-
 def _coeff(item) -> complex:
     c = item.get("coeff", {"re": 1.0, "im": 0.0})
-    return complex(_finite(c.get("re", 0.0)), _finite(c.get("im", 0.0)))
-
-
-def _exponent(x) -> int:
-    i = int(x)
-    if i != x:
-        raise ValueError(f"monomial exponent {x!r} is not an integer")
-    return i
+    return complex(json_number(c.get("re", 0.0)),
+                   json_number(c.get("im", 0.0)))
 
 
 def _parse_pbw(doc_list) -> PBWElem:
@@ -714,18 +701,18 @@ def _parse_pbw(doc_list) -> PBWElem:
     for mono in doc_list:
         coeff = _coeff(mono)
         out = out + coeff * PBWElem.monomial(
-            _exponent(mono.get("a", 0)), _exponent(mono.get("b", 0)),
-            _exponent(mono.get("bstar", 0)))
+            json_integer(mono.get("a", 0)), json_integer(mono.get("b", 0)),
+            json_integer(mono.get("bstar", 0)))
     return out
 
 
 def load_one_form(doc: dict):
     """Parse {"q": real, "one_form": [{x, y, coeff}]} into (q, pairs).
 
-    Every number must be finite and every monomial exponent an integer.
+    Numbers go through `json_number`, monomial exponents `json_integer`.
     """
     try:
-        q = _finite(doc["q"]) if "q" in doc else None
+        q = json_number(doc["q"]) if "q" in doc else None
         pairs = [(_parse_pbw(item["x"]), _parse_pbw(item["y"]), _coeff(item))
                  for item in doc["one_form"]]
     except (KeyError, TypeError, AttributeError, OverflowError) as exc:

@@ -558,6 +558,31 @@ class TestActionCommand:
         assert out == ""
         assert "nonnegative" in err
 
+    def test_negative_scale_is_unsupported(self, tmp_path, capsys):
+        doc = {"cutoff": {"family": "exponential", "params": {"scale": -1}},
+               "lambda": 2.0, "coefficients": {"2": 1.0}, "zeta0": 1.0}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "nonnegative" in err
+
+    # each power has one name: "03" and " 3" would stand beside "3", and
+    # int() reads "1_0" as 10
+    @pytest.mark.parametrize("coefficients", [{"3": 1, "03": 2, " 3": 5},
+                                              {"1_0": 1}, {"+2": 1}])
+    def test_coefficient_key_must_spell_its_power(self, tmp_path, capsys,
+                                                  coefficients):
+        doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,
+               "coefficients": coefficients}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "coefficient key" in err
+
     @pytest.mark.parametrize("field", ["coefficient", "lambda", "zeta0",
                                        "scale", "table", "scale-string",
                                        "table-string", "table-boolean"])
@@ -589,6 +614,62 @@ class TestActionCommand:
         assert code == 2
         assert out == ""
         assert "non-finite" in err
+
+
+def _action_doc(cutoff):
+    return {"cutoff": cutoff, "lambda": 2.0, "zeta0": 0.5,
+            "coefficients": {"3": 2.0, "1": {"re": -0.5, "im": 0.1}}}
+
+
+# (document, command, input flag, other options) per kind of input
+INPUTS = {
+    "torus": (torus_doc(), "torus", "--input", ["--lambda", "10"]),
+    "suq2": (ASTAR_DA, "suq2", "--one-form", []),
+    "action": (_action_doc({"family": "exponential",
+                            "params": {"scale": 1.0}}),
+               "action", "--input", []),
+    "table": (_action_doc({"table": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25],
+                                     [3.0, 0.125]]}),
+              "action", "--input", []),
+}
+# every position that holds a number, as a path into its document
+NUMBER_POSITIONS = [
+    ("torus", ("n",)), ("torus", ("theta", 0, 1)),
+    ("torus", ("A", 0, "alpha")), ("torus", ("A", 0, "l", 1)),
+    ("torus", ("A", 0, "re")), ("torus", ("A", 0, "im")),
+    ("suq2", ("q",)), ("suq2", ("one_form", 0, "x", 0, "a")),
+    ("suq2", ("one_form", 0, "x", 0, "b")),
+    ("suq2", ("one_form", 0, "x", 0, "bstar")),
+    ("suq2", ("one_form", 0, "coeff", "re")),
+    ("suq2", ("one_form", 0, "coeff", "im")),
+    ("action", ("lambda",)), ("action", ("zeta0",)),
+    ("action", ("coefficients", "3")),
+    ("action", ("coefficients", "1", "re")),
+    ("action", ("coefficients", "1", "im")),
+    ("action", ("cutoff", "params", "scale")),
+    ("table", ("cutoff", "table", 1, 1)),
+]
+
+
+@pytest.mark.parametrize("value", ["1", True], ids=["string", "boolean"])
+@pytest.mark.parametrize(
+    "kind,where", NUMBER_POSITIONS,
+    ids=["-".join(map(str, (k, *w))) for k, w in NUMBER_POSITIONS])
+def test_string_or_boolean_number_is_schema_error(tmp_path, capsys, kind,
+                                                   where, value):
+    base, command, flag, extra = INPUTS[kind]
+    doc = json.loads(json.dumps(base))
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
 
 
 class TestOptionSurface:

@@ -90,3 +90,24 @@ def test_oracle_route_lives_in_oracles(name):
     for module in LIBRARY:
         library = importlib.import_module(f"ncspectral.{module}")
         assert not hasattr(library, name), f"{module}.{name}"
+
+
+def defined_names(name: str) -> set:
+    """The functions and classes the module defines at module level."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_one_number_rule_for_input_documents(name):
+    # the numbers of every input document are read by the two rules of
+    # action_assembly, and no module keeps a check of its own
+    defined = defined_names(name)
+    assert not defined & {"_finite", "_integer", "_exponent",
+                          "_finite_numbers"}
+    rules = {"json_number", "json_integer"}
+    assert defined & rules == (rules if name == "action_assembly" else set())

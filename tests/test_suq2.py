@@ -609,7 +609,7 @@ class TestSpectralAction:
                 x = gen(rng.choice(gens))
                 y = gen(rng.choice(gens))
                 pairs.append((x, y, complex(rng.normal(), rng.normal())))
-            forms.append(one_form_from_pairs(pairs, ctx))
+            forms.append(one_form_from_pairs(pairs))
         # F-flagged forms: the weight-3 power integral vanishes at odd powers
         forms += [delta_one_form(gen("a*"), gen("a"), f_flag=True),
                   LadderElem(forms[0].words, f_power=1)]
@@ -633,7 +633,7 @@ class TestSpectralAction:
             monkeypatch.setattr(suq2, name, counted)
         moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
         A = one_form_from_pairs([(gen("a"), gen("a*"), 1.0),
-                                 (gen("b*"), gen("b"), 0.5j)], QContext(0.5))
+                                 (gen("b*"), gen("b"), 0.5j)])
         suq2_action(A, QContext(0.5), moments, 1.0)
         assert calls == {"hopf_r": 3, "zero_degree": 0}
 
@@ -648,7 +648,7 @@ class TestSpectralAction:
                  one_form_from_pairs(
                      [(gen("a"), gen("a*"), 1.0),
                       (gen("b*"), PBWElem.monomial(1, 1, 0), 0.5j),
-                      (PBWElem.monomial(-1, 0, 1), gen("b"), -0.3)], ctx)]
+                      (PBWElem.monomial(-1, 0, 1), gen("b"), -0.3)])]
         for A in forms:
             rt = hopf_r(A)
             for T, k, (got, bound, size) in (
@@ -741,7 +741,7 @@ class TestJsonInterface:
         q, pairs = load_one_form(doc)
         assert q == 0.5
         ctx = QContext(q)
-        A = one_form_from_pairs(pairs, ctx)
+        A = one_form_from_pairs(pairs)
         assert A.allclose(delta_one_form(gen("a*"), gen("a")))
 
     def test_malformed(self):
