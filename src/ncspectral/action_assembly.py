@@ -173,20 +173,23 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
 
 def load_action(doc: dict):
     """Parse {"cutoff", "lambda", "coefficients", "zeta0"} into (cutoff,
-    lam, coeffs, zeta0).  Every number, in the cutoff too, goes through
-    `json_number`, and a coefficient key is the decimal spelling of its power.
-    """
+    lam, coeffs, zeta0).  The cutoff has a family or a table of [t, phi]
+    rows; every number goes through `json_number`, and a coefficient key is
+    the decimal spelling of its power."""
     try:
         cutoff, coeffs = doc["cutoff"], {}
-        if isinstance(cutoff, dict) and "family" in cutoff:
+        if not (isinstance(cutoff, dict)
+                and len(cutoff.keys() & {"family", "table"}) == 1):
+            raise TypeError('cutoff must be {"family": ...} or {"table": ...}')
+        if "family" in cutoff:
             if not isinstance(cutoff["family"], str):
                 raise TypeError("the cutoff family must be a string")
             scale = cutoff.get("params", {}).get("scale", 1.0)
             cutoff = {"family": cutoff["family"],
                       "params": {"scale": json_number(scale)}}
-        elif isinstance(cutoff, dict) and "table" in cutoff:
-            cutoff = {"table": [[json_number(x) for x in row]
-                                for row in cutoff["table"]]}
+        else:
+            cutoff = {"table": [[json_number(t), json_number(phi)]
+                                for t, phi in cutoff["table"]]}
         for key, v in doc["coefficients"].items():
             if key != str(int(key)):
                 raise ValueError(
@@ -197,7 +200,8 @@ def load_action(doc: dict):
                                 else complex(json_number(v)))
         return (cutoff, json_number(doc["lambda"]), coeffs,
                 json_number(doc.get("zeta0", 0.0)))
-    except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, AttributeError, OverflowError,
+            ValueError) as exc:
         raise ValueError(f"malformed action document: {exc}") from exc
 
 

@@ -10,12 +10,12 @@ and beta(w) = 4^{-w} [zeta(w, 1/4) - zeta(w, 3/4)]:
     Z_4(s) = 8 (1 - 4^{1-w}) zeta(w) zeta(w - 1)
     Z_6(s) = 16 zeta(w - 2) beta(w) - 4 zeta(w) beta(w - 2)
 
-These are evaluated with an Euler-Maclaurin Hurwitz zeta in three
-precisions in turn: float64, then long double (80-bit extended on x86-64
-Linux), then mpmath, each where the bound of the one before is not small
-enough.  Every n is also continued
-through the incomplete-gamma decomposition of its theta integral, split
-symmetrically at t = 1:
+These are evaluated with an Euler-Maclaurin Hurwitz zeta, through the
+functional equation below Re s = n/2, in three precisions in turn:
+float64, then long double (80-bit extended on x86-64 Linux), then mpmath,
+each where the bound of the one before is not small enough.  Every n is
+also continued through the incomplete-gamma decomposition of its theta
+integral, split symmetrically at t = 1:
 
     pi^{-s/2} Gamma(s/2) Z_n(s)
         = sum'_k [ G(s/2, pi|k|^2) + G((n-s)/2, pi|k|^2) ] - 2/s - 2/(n-s),
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from scipy.special import bernoulli, factorial, loggamma, rgamma, roots_laguerre
+from scipy.special import rgamma, roots_laguerre
 
 _MP_DPS = 30
 # the mpmath L-series gives up beyond this working precision
@@ -108,12 +108,8 @@ _L_SERIES_DIMS = (1, 2, 4, 6)
 # (n = 4); points this close to them take the theta-integral routes
 _DISC = 0.1
 
-# Bernoulli terms M of the Euler-Maclaurin tail: B_2j / (2j)!, j = 1..M,
-# and |B_2M| / (2M)! for the remainder bound
+# Bernoulli terms of the Euler-Maclaurin tail and of Stirling's series
 _EM_TERMS = 12
-_EM_COEF = tuple((bernoulli(2 * _EM_TERMS)[2::2]
-                  / factorial(np.arange(2, 2 * _EM_TERMS + 1, 2))).tolist())
-_EM_REMAINDER = abs(_EM_COEF[-1])
 _EPS = np.finfo(float).eps
 # the second precision of the L-series: 80-bit extended (eps 1.1e-19) on
 # x86-64 Linux; where it is a plain double (Windows, macOS arm64) that
@@ -121,17 +117,6 @@ _EPS = np.finfo(float).eps
 _EXTENDED = np.longdouble
 # digits of the constants of a wider type: 133 bits, past IEEE quad's 113
 _WIDE_DPS = 40
-# scipy's complex loggamma is good to a few units in the last place of its
-# value, and the functional-equation factor adds the rounding of (s - n/2)
-# log pi and of the difference; the bound charges the factor this many
-# units of the sum of their sizes.  That share alone does not bound the
-# factor: near the real axis it is off by up to 3.0 times it (n = 6,
-# s = 2.9424 - 0.0753i, against mpmath at 50 digits), and the value stays
-# within its whole bound there only through the slack of the Hurwitz part.
-# Against mpmath the largest error was 0.36 of the whole bound on 728 grid
-# points (n in {1, 2, 4, 6}, Re s in [-6, n + 6], |Im s| <= 25) and 0.58 on
-# about 2900 reflected points with |Im s| <= 0.1.
-_REFLECTION_ULPS = 3.0
 
 # Gauss-Laguerre node counts: the value comes from the larger rule and the
 # gap to the smaller one measures its quadrature error.  Chosen against the
@@ -150,20 +135,6 @@ _BOUND_SAFETY = 32.0
 # theta(t) - 1 = 2 sum_k exp(-pi k^2 t); at t >= 1 the k = 7 term is below
 # exp(-48 pi) relative to the k = 1 term
 _THETA_TERMS = 6
-_LOG_PI = math.log(math.pi)
-
-
-class _Arith(NamedTuple):
-    """The real type an L-series evaluation runs in, and what the kernel
-    needs of it: its complex type, log, unit roundoff and Bernoulli
-    coefficients, and the fraction of n below which Re s is reflected."""
-
-    real: type
-    complex: type
-    log: object
-    eps: float
-    em_coef: tuple
-    reflect_below: float
 
 
 def _wide(x, real):
@@ -177,19 +148,28 @@ def _wide(x, real):
     return total
 
 
-@lru_cache(maxsize=None)
-def _arith(real) -> _Arith:
-    """Float64 reflects below Re s = n/2.  A wider type evaluates the
-    identities directly down to Re s = 0 (Euler-Maclaurin holds for
-    Re w > 1 - 2M) and reflects below, where the terms (a + k)^-w grow and
-    cancel."""
-    eps = float(np.finfo(real).eps)
-    if eps >= _EPS:
-        return _Arith(real, complex, math.log, eps, _EM_COEF, 0.5)
-    with mp.workdps(_WIDE_DPS):
-        coef = tuple(_wide(mp.bernoulli(2 * j) / mp.factorial(2 * j), real)
-                     for j in range(1, _EM_TERMS + 1))
-    return _Arith(real, type(real(1) * 1j), np.log, eps, coef, 0.0)
+class _Arith:
+    """A real type and what the kernels need of it: its complex type, log,
+    exp and eps, their constants from mpmath at _WIDE_DPS digits, and the
+    Re w at which the first neglected Stirling term is eps for real w."""
+
+    def __init__(self, real):
+        self.real, self.complex = real, type(real(1) * 1j)
+        self.log, self.exp = ((cmath.log, cmath.exp) if real is float
+                              else (np.log, np.exp))
+        self.eps = float(np.finfo(real).eps)
+        wide = partial(_wide, real=real)
+        with mp.workdps(_WIDE_DPS):
+            bs = [(m, mp.bernoulli(m)) for m in range(2, 2 * _EM_TERMS + 1, 2)]
+            self.em_coef = tuple(wide(b / mp.factorial(m)) for m, b in bs)
+            self.stirling = tuple(wide(b / (m * (m - 1))) for m, b in bs)
+            self.log_pi = wide(mp.log(mp.pi))
+            self.stirling_const = wide((mp.log(2 * mp.pi) - 1) / 2)
+        self.stirling_from = (float(abs(self.stirling[-1])) / self.eps) ** (
+            1 / (2 * _EM_TERMS - 1))
+
+
+_arith = lru_cache(maxsize=None)(_Arith)
 
 
 class _Bounded:
@@ -246,7 +226,7 @@ def _hurwitz(w, a: float, arith: _Arith) -> _Bounded:
     """
     size = abs(w)
     terms_n = min(max(16, math.ceil(size) + 8), 256)
-    a, log, minus_w = arith.real(a), arith.log, -w
+    a, log, minus_w = arith.real(a), math.log, -w
     partial, spread = 0j, 0.0
     for k in range(terms_n):
         term = (a + k) ** minus_w
@@ -264,7 +244,7 @@ def _hurwitz(w, a: float, arith: _Arith) -> _Bounded:
         poch = last * (w + 2 * i + 2) / x
     pole = x / (w - 1)
     value = partial + head * (pole + 0.5 + corr)
-    remainder = (_EM_REMAINDER * abs(last) * x * abs(head)
+    remainder = (abs(arith.em_coef[-1]) * abs(last) * x * abs(head)
                  / (w.real + 2 * _EM_TERMS - 1))
     tail = abs(head) * (abs(pole) + 0.5 + corr_size)
     rounding = arith.eps * (spread + tail * (size * (log(x)
@@ -276,6 +256,37 @@ def _power(base: float, z, arith: _Arith) -> _Bounded:
     value = arith.real(base) ** z
     return _Bounded(value, arith.eps * abs(value)
                     * (abs(z) * math.log(base) + 2), arith.eps)
+
+
+def _log_gamma(z, arith: _Arith) -> tuple:
+    """log Gamma(z) on some branch, in the complex type of arith, and a
+    bound on its error.  With w = z + m, Re w >= stirling_from, K = _EM_TERMS:
+
+        log Gamma(z) = (w - 1/2)(log w - 1) + (log(2 pi) - 1)/2 + R
+            + sum_{j<K} B_2j / (2j (2j-1) w^(2j-1)) - log prod_{k<m} (z + k)
+
+    |R| is at most the first neglected term times sec^(2K)(ph w / 2) =
+    (2 |w| / (|w| + Re w))^K <= 2^K (DLMF 5.11(ii)).  The rounding term
+    counts a unit of w (through digamma), w - 1/2, log w, log w - 1 and
+    their product, two of the value, of the log of the product and of each
+    factor, and one for the series (below 1/(12 Re w) <= 1/70)."""
+    shifts = max(0, math.ceil(arith.stirling_from - z.real))
+    log_prod = arith.log(math.prod(z + k for k in range(shifts)))
+    w = z + shifts
+    inv, series = 1 / w, 0
+    inv2 = inv * inv
+    *head, last = arith.stirling
+    for coef in reversed(head):
+        series = series * inv2 + coef
+    half_w, log_w = w - 0.5, arith.log(w)
+    value = (half_w * (log_w - 1) + arith.stirling_const + series * inv
+             - log_prod)
+    remainder = abs(last * inv * inv2 ** (_EM_TERMS - 1)) * (
+        2 * abs(w) / (abs(w) + w.real)) ** _EM_TERMS
+    rounding = arith.eps * (
+        (abs(half_w) + 1) * (1 + abs(log_w) + 3 * abs(log_w - 1))
+        + 2 * (abs(value) + abs(log_prod)) + 2 * shifts + 1)
+    return value, float(remainder + rounding)
 
 
 def _l_identity(n: int, s, zeta, power):
@@ -302,53 +313,44 @@ def _l_identity(n: int, s, zeta, power):
     return 16 * z2 * beta(w, z) - 4 * z * beta(w - 2, z2)
 
 
-def _reflection(n: int, s: complex, arith: _Arith) -> tuple:
-    """pi^(s-n/2) Gamma((n-s)/2) / Gamma(s/2), the factor of the functional
-    equation, in the complex type of arith, and a bound on its relative
-    error.
-
-    Float64 takes it from scipy's loggamma (_REFLECTION_ULPS).  A wider
-    type takes it from mpmath at _WIDE_DPS digits: scipy's
-    loggamma((1 - s)/2) is off by 14 units in the last place at
-    s = -0.0153 + 1.4912i, n = 1, which the float64 bound absorbs but one
-    of 1e-19 does not.
+def _reflection(n: int, s: complex, arith: _Arith) -> _Bounded:
+    """pi^(s-n/2) Gamma((n-s)/2) / Gamma(s/2), the functional-equation
+    factor for Re s < n/2, in the complex type of arith.  The error of its
+    exponent adds the bounds of the two log Gammas, the rounding of
+    a = (n - s)/2 through digamma (|psi(a)| <= |log a| + 1/|a| at
+    Re a > 1/4), a unit of each operation and two of exp.
     """
-    if arith.eps >= _EPS:
-        big, small = complex(loggamma((n - s) / 2)), complex(loggamma(s / 2))
-        factor = cmath.exp((s - n / 2) * _LOG_PI + big - small)
-        return factor, _REFLECTION_ULPS * _EPS * (
-            2 + abs(s - n / 2) * _LOG_PI + abs(big) + abs(small))
-    with mp.workdps(_WIDE_DPS):
-        ms = mp.mpc(s)
-        factor = (mp.power(mp.pi, ms - mp.mpf(n) / 2) * mp.gamma((n - ms) / 2)
-                  * mp.rgamma(ms / 2))
-        return (_wide(factor.real, arith.real)
-                + 1j * _wide(factor.imag, arith.real)), 2 * arith.eps
+    if s.real < -4000:  # the factor is about (|s| / 2 pi e)^-Re s
+        raise OverflowError(f"no real type holds the factor at s = {s}")
+    sx, size_a = arith.complex(s), abs(n - s) / 2
+    big, big_error = _log_gamma((n - sx) / 2, arith)
+    small, small_error = _log_gamma(sx / 2, arith)
+    shift = (sx - n / 2) * arith.log_pi
+    exponent = shift + big - small
+    error = big_error + small_error + arith.eps * float(
+        size_a * (abs(math.log(size_a)) + 2) + 3 * abs(shift)
+        + abs(shift + big) + abs(exponent) + 3)
+    factor = arith.exp(exponent)
+    return _Bounded(factor, abs(factor) * math.expm1(error), arith.eps)
 
 
 def _l_series(n: int, s: complex, arith: _Arith) -> tuple:
     """Z_n(s), n in {1, 2, 4, 6}, in the real type of arith, and a bound on
-    its error.
-
-    Directly for Re s >= arith.reflect_below n; below, through the
-    functional equation
-    pi^(-s/2) Gamma(s/2) Z(s) = pi^(-(n-s)/2) Gamma((n-s)/2) Z(n-s).
+    its error: directly for Re s >= n/2, and below through the functional
+    equation pi^(-s/2) Gamma(s/2) Z(s) = pi^(-(n-s)/2) Gamma((n-s)/2) Z(n-s).
     Raises OverflowError where float64 cannot hold a term; a wider numpy
     type gives inf or NaN there instead.
     """
     sx = arith.complex(s)
     zeta, power = partial(_hurwitz, arith=arith), partial(_power, arith=arith)
-    if s.real >= arith.reflect_below * n:
+    if s.real >= n / 2:
         z = _l_identity(n, sx, zeta, power)
-        return z.value, z.error
-    if s.imag == 0 and s.real < 0 and s.real % 2 == 0:
+    elif s.imag == 0 and s.real < 0 and s.real % 2 == 0:
         # a trivial zero: 1/Gamma(s/2) vanishes at s = -2, -4, ...
         return 0j, 0.0
-    z = _l_identity(n, n - sx, zeta, power)
-    factor, rel = _reflection(n, s, arith)
-    value = factor * z.value
-    return value, (abs(factor) * (z.error + rel * abs(z.value))
-                   + arith.eps * abs(value))
+    else:
+        z = _reflection(n, s, arith) * _l_identity(n, n - sx, zeta, power)
+    return z.value, z.error
 
 
 def _l_series_mpmath(n: int, s):
@@ -409,18 +411,12 @@ class EpsteinEvaluator:
     """Meromorphic continuation of Z_n(s), n in 1..6.
 
     For n in {1, 2, 4, 6}, Z_n is a product of Dirichlet L-series
-    (`_l_identity`), evaluated in three precisions in turn.  The float64
-    route evaluates it with an Euler-Maclaurin Hurwitz zeta for Re s >= n/2
-    and through the functional equation below; its bound adds the
-    Euler-Maclaurin remainder, a rounding term that grows with |Im s| log N,
-    and the error of the functional-equation factor.  An s whose bound is
-    not below a tenth of the tolerance takes the same kernel in long double
-    (where that is wider than a double), directly for Re s >= 0 and with a
-    40-digit factor below; its bound adds the rounding to a double.  An s
-    that neither keeps takes the identity in mpmath, whose bound is the
-    change between two working precisions plus the rounding to a double.
-    The two wider routes keep a value whose error before that rounding is
-    below a tenth of the tolerance and whose whole bound is below it.
+    (`_l_identity`): a Hurwitz zeta for Re s >= n/2 and the functional
+    equation with a Stirling log Gamma below, bounded by their remainders
+    and a unit of every operation, in float64, then long double (where
+    wider than a double), then mpmath (bounded by the change between two
+    working precisions).  Each keeps a value whose error is below a tenth of
+    the tolerance, and below the tolerance once rounded to a double.
 
     For n = 3 and 5, which have no such product, and in discs of radius
     _DISC around s = 0 and (n = 4) s = 2, where the identities are 0 * inf,
@@ -509,11 +505,7 @@ class EpsteinEvaluator:
         tiers = [(_arith(float), ROUTE_L_SERIES)]
         if wide.eps < _EPS:
             tiers.append((wide, ROUTE_L_SERIES_EXTENDED))
-        # a tier keeps a value whose error before the rounding to a double
-        # is below a tenth of tol and whose whole bound is below tol, as
-        # the mpmath routes do; a term out of range is a miss: float64
-        # raises OverflowError, and numpy gives inf or NaN, which the bound
-        # takes on as it counts a unit roundoff of every term
+        # a term out of range is a miss (see _l_series)
         missed = np.flatnonzero(series).tolist()
         with np.errstate(all="ignore"):
             for arith, route in tiers:
@@ -552,7 +544,7 @@ class EpsteinEvaluator:
                                        for nodes in _LAGUERRE_NODES))
             integral = fine.sum(axis=1)
             # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
-            pref = np.exp(half * _LOG_PI) * rgamma(half + 1)
+            pref = np.exp(half * _arith(float).log_pi) * rgamma(half + 1)
             pole = s / (n - s)
             vals = pref * (half * integral - 1 - pole)
             gap = np.abs(pref * half * (integral - coarse.sum(axis=1)))
@@ -726,6 +718,13 @@ def residue_lattice_sum(n: int, poly: LatticePoly, r: float) -> complex:
 # twisted (phase-carrying) families
 
 
+def check_skew(theta: np.ndarray) -> None:
+    """ValueError unless max |theta + theta^T| <= 1e-14 (NaN or inf fail)."""
+    if not (np.isfinite(theta).all()
+            and np.max(np.abs(theta + theta.T), initial=0.0) <= 1e-14):
+        raise ValueError("theta must be skew-symmetric (tol 1e-14)")
+
+
 @dataclass
 class TwistedFamily:
     """Finitely supported b on (Z^n)^q with signs eps and a skew matrix.
@@ -746,9 +745,7 @@ class TwistedFamily:
         self.theta = np.asarray(self.theta, dtype=float)
         if self.theta.shape != (self.n, self.n):
             raise ValueError("theta must be n x n")
-        if not np.allclose(self.theta, -self.theta.T, rtol=0,
-                           atol=1e-14):
-            raise ValueError("theta must be skew-symmetric (tol 1e-14)")
+        check_skew(self.theta)
         self.eps = tuple(int(e) for e in self.eps)
         if len(self.eps) != self.q or any(e not in (-1, 0, 1) for e in self.eps):
             raise ValueError("signs must lie in {-1, 0, 1}^q")

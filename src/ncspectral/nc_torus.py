@@ -17,7 +17,7 @@ import numpy as np
 
 from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
                               json_integer, json_number)
-from .lattice_zeta import AssumptionError
+from .lattice_zeta import AssumptionError, check_skew
 
 PRUNE_EPS = 1e-15
 SKEW_TOL = 1e-12     # |A + A*|_1 allowed in a potential component
@@ -34,8 +34,7 @@ class Theta:
             raise ValueError("theta must be a square matrix")
         if not np.isfinite(arr).all():
             raise ValueError("theta entries must be finite")
-        if not np.allclose(arr, -arr.T, rtol=0, atol=1e-14):
-            raise ValueError("theta must be skew-symmetric (tol 1e-14)")
+        check_skew(arr)
         arr.setflags(write=False)
         self.entries = arr
         self.n = arr.shape[0]

@@ -568,6 +568,24 @@ class TestActionCommand:
         assert out == ""
         assert "nonnegative" in err
 
+    # a cutoff is an object with exactly one of family and table, and a
+    # table row is a [t, phi] pair
+    @pytest.mark.parametrize("cutoff", [
+        5, [1, 2], {"tabl": 1},
+        {"table": [[0.0, 1.0, 2.0], [1.0, 0.5, 2.0], [2.0, 0.25, 2.0],
+                   [3.0, 0.125, 2.0]]},
+        {"family": "exponential",
+         "table": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25], [3.0, 0.125]]}],
+        ids=["number", "list", "misspelt", "triples", "both"])
+    def test_wrongly_typed_cutoff_is_schema_error(self, tmp_path, capsys,
+                                                  cutoff):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(_action_doc(cutoff)))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err and "malformed" in err
+
     # each power has one name: "03" and " 3" would stand beside "3", and
     # int() reads "1_0" as 10
     @pytest.mark.parametrize("coefficients", [{"3": 1, "03": 2, " 3": 5},

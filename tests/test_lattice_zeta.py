@@ -139,6 +139,20 @@ def _disc(n, s):
     return abs(s) < 0.1 or (n == 4 and abs(s - 2) < 0.1)
 
 
+def _exact(x):
+    """A float or a long double as the mpmath number it is exactly."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+
+
+# reflected points within 0.1 of the real axis; at the last two, three
+# units in the last place of the factor's log Gamma terms fall short of its
+# error, by 2.99 and 2.21 times
+NEAR_AXIS = [(6, 2.828 + 0.047j), (4, 1.161 + 0.016j),
+             (6, 2.942366735587086 - 0.07533177984533619j),
+             (4, 0.8444815978890032 + 0.07547689355708395j)]
+
+
 class TestEpsteinQuadrature:
     """The float64 routes, the extended-precision and the mpmath L-series
     against the mpmath incomplete-gamma route kept as their oracle."""
@@ -254,13 +268,9 @@ class TestEpsteinQuadrature:
         assert worst <= 1.0
 
     def test_l_series_bound_near_the_real_axis(self):
-        # reflected float64 points with |Im s| <= 0.1, against the mpmath
-        # L-series at 50 digits.  At the last two of the first four the
-        # functional-equation factor alone is off by 3.0 and 2.2 times its
-        # own share of the bound; the Hurwitz part's slack covers it
-        points = [(6, 2.828 + 0.047j), (4, 1.161 + 0.016j),
-                  (6, 2.942366735587086 - 0.07533177984533619j),
-                  (4, 0.8444815978890032 + 0.07547689355708395j)]
+        # reflected float64 points with |Im s| <= 0.1, NEAR_AXIS first,
+        # against the mpmath L-series at 50 digits
+        points = list(NEAR_AXIS)
         points += [(n, complex(re, im)) for n in (1, 2, 4, 6)
                    for re in np.linspace(-6.0, n / 2, 9, endpoint=False)
                    for im in (0.1, 0.047, 0.016, -0.003, -0.075)
@@ -279,10 +289,6 @@ class TestEpsteinQuadrature:
         # the extended tier before its rounding to a double, against the
         # mpmath L-series at 40 digits: its bound is mostly near 1e-17 of
         # the value, far below what the incomplete-gamma oracle can check
-        def exact(x):
-            hi = float(x)
-            return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
-
         ext = lattice_zeta._arith(np.longdouble)
         worst, relative = 0.0, []
         for n in (1, 2, 4, 6):
@@ -292,12 +298,50 @@ class TestEpsteinQuadrature:
                     value, bound = lattice_zeta._l_series(n, s, ext)
                     with mpmath.workdps(40):
                         ref = lattice_zeta._l_series_mpmath(n, mpmath.mpc(s))
-                        err = abs(mpmath.mpc(exact(value.real),
-                                             exact(value.imag)) - ref)
+                        err = abs(mpmath.mpc(_exact(value.real),
+                                             _exact(value.imag)) - ref)
                     relative.append(float(bound) / max(1.0, abs(ref)))
                     worst = max(worst, float(err) / float(bound))
         assert worst <= 1.0
         assert np.median(relative) < 1e-16
+
+    def test_reflection_bound_against_mpmath(self):
+        # the functional-equation factor by itself, in both types, against
+        # mpmath at 50 digits
+        points = list(NEAR_AXIS)
+        points += [(n, complex(re, im)) for n in (1, 2, 4, 6)
+                   for re in np.linspace(-6.0, n / 2, 9, endpoint=False)
+                   for im in (0.1, -0.003, 0.7, -6.0, 13.0, -22.0)
+                   if not _disc(n, complex(re, im))]
+        for real in (float, np.longdouble):
+            arith = lattice_zeta._arith(real)
+            for n, s in points:
+                factor = lattice_zeta._reflection(n, s, arith)
+                with mpmath.workdps(50):
+                    ms = mpmath.mpc(s)
+                    ref = (mpmath.power(mpmath.pi, ms - mpmath.mpf(n) / 2)
+                           * mpmath.gamma((n - ms) / 2)
+                           * mpmath.rgamma(ms / 2))
+                    err = abs(mpmath.mpc(_exact(factor.value.real),
+                                         _exact(factor.value.imag)) - ref)
+                assert err <= float(factor.error), (real, n, s)
+
+    def test_reflection_calls_no_mpmath(self, monkeypatch):
+        arith = lattice_zeta._arith(np.longdouble)
+        monkeypatch.setattr(lattice_zeta, "mp", None)
+        factor = lattice_zeta._reflection(2, -4.3 + 0.7j, arith)
+        assert factor.error < 1e-16 * abs(factor.value)
+
+    def test_six_dimensional_strip_takes_the_extended_route(self):
+        # n = 6, 0 <= Re s < 2, |Im s| > 4: the identity evaluated directly
+        # cancels there; reflected, long double holds tol 1e-12
+        ev = EpsteinEvaluator(6, tol=1e-12)
+        for s in (0.5 + 12j, 0.1 - 11.7j, 1.1 + 21.4j, 6j):
+            out = ev.value(s)
+            assert out.route == ROUTE_L_SERIES_EXTENDED
+            assert out.bound < 1e-12
+            ref, ref_bound = ev._value_l_series_mpmath(s)
+            assert abs(out.value - ref) <= out.bound + ref_bound
 
     def test_shell_ops_take_the_extended_route(self, monkeypatch):
         # the benchmark's --tol 1e-12 points that float64 cannot hold
@@ -580,6 +624,9 @@ class TestTwistedResidue:
         # 9e-6 off skew: within numpy's default rtol, not within 1e-14
         with pytest.raises(ValueError, match="skew"):
             TwistedFamily(2, 1, {}, (1,), [[0.0, 1.0], [-1.000009, 0.0]])
+        # np.allclose holds equal infinities close
+        with pytest.raises(ValueError, match="skew"):
+            TwistedFamily(2, 1, {}, (1,), [[0.0, math.inf], [-math.inf, 0]])
 
     def test_kernel_weight_brute_force(self):
         # oracle: enumerate the support and filter the kernel by hand

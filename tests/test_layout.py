@@ -76,6 +76,19 @@ def test_action_assembly_takes_no_quadrature_from_scipy():
     assert names == {"interpolate", "special"}
 
 
+def test_lattice_zeta_takes_two_functions_from_scipy():
+    # the log Gamma of the L-series reflection is its own Stirling series
+    tree = ast.parse((PACKAGE / "lattice_zeta.py").read_text())
+    names = {(node.module, alias.name) for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("scipy")
+             for alias in node.names}
+    assert names == {("scipy.special", "rgamma"),
+                     ("scipy.special", "roots_laguerre")}
+    assert not any(alias.name.startswith("scipy") for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names)
+
+
 @pytest.mark.parametrize("name", [
     "value_direct", "sphere_moment_quadrature", "residue_direct_oracle",
     "riemann_zeta", "pairing", "curvature_from_coefficients",
