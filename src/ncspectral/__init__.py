@@ -5,8 +5,7 @@ from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
                               cutoff_moments)
 from .gamma import GammaRep, build_gamma, chirality, gamma_trace
 from .lattice_zeta import (EpsteinEvaluator, LatticePoly, TwistedFamily,
-                           epstein_value, residue_lattice_sum, sphere_moment,
-                           twisted_residue)
+                           residue_lattice_sum, sphere_moment, twisted_residue)
 from .nc_torus import (Curvature, OneFormTorus, Theta, TorusElement, cs_sums,
                        curvature, gauge_transform, torus_action, weyl_mul,
                        yang_mills, zeta0_shift)

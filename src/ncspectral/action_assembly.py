@@ -133,6 +133,10 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             raise ValueError("cutoff must be nonnegative")
         phi0 = scale * fam["phi0"]
         for k in ks:
+            # the integrand behaves like t^(k/2 - 1) at t = 0
+            if not k > 0:
+                raise DivergentMomentError(
+                    f"family moments need k > 0, not {k}")
             values[k] = scale * fam["moment"](k)
             prov[k] = "analytic"
     elif isinstance(cutoff, dict) and "table" in cutoff:

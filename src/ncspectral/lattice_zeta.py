@@ -391,14 +391,6 @@ def _to_double(val, error) -> tuple:
     return value, float(error) + rounding
 
 
-class EpsteinValues(NamedTuple):
-    """Values of Z_n, the error bound of each and the route that made it."""
-
-    values: np.ndarray
-    bounds: np.ndarray
-    routes: tuple
-
-
 class EpsteinValue(NamedTuple):
     """Z_n at one point: the value, its error bound and its route."""
 
@@ -408,15 +400,19 @@ class EpsteinValue(NamedTuple):
 
 
 class EpsteinEvaluator:
-    """Meromorphic continuation of Z_n(s), n in 1..6.
+    """Meromorphic continuation of Z_n(s), n in 1..6, one point at a time.
+
+    Each point walks one chain of routes and keeps the first whose error is
+    below a tenth of the tolerance and whose `tail_bound`, that error plus
+    the rounding of the value to a double (`_to_double`), is below the
+    tolerance; where the last route fails that rule, ToleranceError.
 
     For n in {1, 2, 4, 6}, Z_n is a product of Dirichlet L-series
     (`_l_identity`): a Hurwitz zeta for Re s >= n/2 and the functional
     equation with a Stirling log Gamma below, bounded by their remainders
     and a unit of every operation, in float64, then long double (where
     wider than a double), then mpmath (bounded by the change between two
-    working precisions).  Each keeps a value whose error is below a tenth of
-    the tolerance, and below the tolerance once rounded to a double.
+    working precisions).
 
     For n = 3 and 5, which have no such product, and in discs of radius
     _DISC around s = 0 and (n = 4) s = 2, where the identities are 0 * inf,
@@ -430,36 +426,28 @@ class EpsteinEvaluator:
     and evaluates it with two Gauss-Laguerre rules at once.  Its bound is a
     safety factor times the larger of the gap between the rules and the
     float64 round-off, which grows with pi^{s/2}/Gamma(s/2+1) (like
-    e^{pi |Im s|/4}).  Where that bound is not below a tenth of the
-    tolerance, the mpmath incomplete-gamma route takes over; its shell
-    cutoff grows until two successive evaluations agree within a tenth of
-    the tolerance.
+    e^{pi |Im s|/4}).  After it comes the mpmath incomplete-gamma route,
+    whose shell cutoff grows until two successive evaluations agree within
+    a tenth of the tolerance.
     """
 
     def __init__(self, n: int, tol: float = 1e-10):
         if not 1 <= n <= 6:
             raise ValueError(f"Epstein dimension must be in 1..6, got {n}")
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tolerance must be positive")
         self.n = n
         self.tol = tol
-        self._mmax = 0
-        self._counts = None
-
-    def _grow(self, mmax: int) -> None:
-        if mmax > self._mmax:
-            self._mmax = mmax
-            self._counts = radial_counts(self.n, self._mmax)
 
     def _theta_shells(self, s: complex, lo: int, hi: int):
         """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)]."""
-        self._grow(hi)
         n = self.n
+        counts = radial_counts(n, hi)
         a1 = mp.mpc(s) / 2
         a2 = (n - mp.mpc(s)) / 2
         acc = mp.mpc(0)
         for m in range(lo, hi + 1):
-            cnt = int(self._counts[m])
+            cnt = int(counts[m])
             if cnt == 0:
                 continue
             x = mp.pi * m
@@ -471,135 +459,105 @@ class EpsteinEvaluator:
     # increments below this are working-precision noise, not evidence
     _BOUND_FLOOR = 1e-25
 
-    def _check_tolerance(self) -> None:
+    def value(self, s: complex) -> EpsteinValue:
+        """Z_n(s), its bound and its route (see the class docstring).
+
+        Raises PoleError at s = n.
+        """
+        s, n = complex(s), self.n
+        if abs(s - n) < 1e-12:
+            raise PoleError(f"Z_{n} has its unique pole at s = {n}",
+                            residue=self.residue())
+        if n not in _L_SERIES_DIMS or abs(s) < _DISC or (
+                n == 4 and abs(s - 2) < _DISC):
+            return self._first_kept(s, ((ROUTE_QUADRATURE, self._quadrature),
+                                        (ROUTE_CONTINUATION, self._shells)))
+        chain = [(ROUTE_L_SERIES, partial(_l_series, n, arith=_arith(float)))]
+        wide = _arith(_EXTENDED)
+        if wide.eps < _EPS:
+            chain.append((ROUTE_L_SERIES_EXTENDED,
+                          partial(_l_series, n, arith=wide)))
+        chain.append((ROUTE_L_SERIES_MPMATH, self._value_l_series_mpmath))
+        return self._first_kept(s, chain)
+
+    def _first_kept(self, s: complex, chain) -> EpsteinValue:
+        """The value of the first (route, evaluate) of chain whose error is
+        below 0.1 tol and whose tail_bound, with the rounding to a double,
+        is below tol; the last route's ToleranceError where none is."""
         if 0.1 * self.tol <= self._BOUND_FLOOR:
             raise ToleranceError(
                 f"tolerance {self.tol:g} is below the evaluator's "
                 f"certifiable floor")
-
-    def value(self, s: complex) -> EpsteinValue:
-        """Z_n(s), its bound and its route: values() at the one point s.
-
-        Raises PoleError at s = n.
-        """
-        out = self.values([s])
-        return EpsteinValue(complex(out.values[0]), float(out.bounds[0]),
-                            out.routes[0])
-
-    def values(self, s) -> EpsteinValues:
-        """Z_n at every point of s, with the bound and the route of each."""
-        s = np.asarray(s, dtype=complex).ravel()
-        n = self.n
-        if np.any(np.abs(s - n) < 1e-12):
-            raise PoleError(f"Z_{n} has its unique pole at s = {n}",
-                            residue=self.residue())
-        self._check_tolerance()
-        near = np.abs(s) < _DISC
-        if n == 4:
-            near |= np.abs(s - 2) < _DISC
-        series = (n in _L_SERIES_DIMS) & ~near
-        vals = np.empty(len(s), dtype=complex)
-        bounds = np.empty(len(s))
-        routes = [ROUTE_QUADRATURE] * len(s)
-        wide = _arith(_EXTENDED)
-        tiers = [(_arith(float), ROUTE_L_SERIES)]
-        if wide.eps < _EPS:
-            tiers.append((wide, ROUTE_L_SERIES_EXTENDED))
-        # a term out of range is a miss (see _l_series)
-        missed = np.flatnonzero(series).tolist()
         with np.errstate(all="ignore"):
-            for arith, route in tiers:
-                todo, missed = missed, []
-                for i in todo:
-                    try:
-                        value, error = _l_series(n, complex(s[i]), arith)
-                    except OverflowError:
-                        missed.append(i)
-                        continue
-                    value, bound = _to_double(value, error)
-                    if error < 0.1 * self.tol and bound < self.tol:
-                        vals[i], bounds[i], routes[i] = value, bound, route
-                    else:
-                        missed.append(i)
-        for i in missed:
-            vals[i], bounds[i] = self._value_l_series_mpmath(s[i])
-            routes[i] = ROUTE_L_SERIES_MPMATH
-        if not series.all():
-            vals[~series], bounds[~series] = self._quadrature(s[~series])
-            # NaN bounds (overflow far out in s) fail the test and fall back
-            for i in np.flatnonzero(~series & ~(bounds < 0.1 * self.tol)):
-                vals[i], bounds[i] = self.value_incomplete_gamma(s[i])
-                routes[i] = ROUTE_CONTINUATION
-        return EpsteinValues(vals, bounds, tuple(routes))
+            for route, evaluate in chain:
+                try:
+                    value, error = evaluate(s)
+                except OverflowError:  # float64 cannot hold a term
+                    continue
+                value, bound = _to_double(value, error)
+                if error < 0.1 * self.tol and bound < self.tol:
+                    return EpsteinValue(value, bound, route)
+        raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
+                             f" it within {self.tol:g} (bound {bound:.3g})")
 
-    def _quadrature(self, s: np.ndarray):
-        """Float64 values at s and their bounds (see the class docstring)."""
-        n = self.n
-        half = s / 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            coarse, fine = (
-                weights * (np.exp(np.outer(half - 1, log_t))
-                           + np.exp(np.outer((n - s) / 2 - 1, log_t)))
-                for log_t, weights in (_theta_rule(n, nodes)
-                                       for nodes in _LAGUERRE_NODES))
-            integral = fine.sum(axis=1)
-            # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
-            pref = np.exp(half * _arith(float).log_pi) * rgamma(half + 1)
-            pole = s / (n - s)
-            vals = pref * (half * integral - 1 - pole)
-            gap = np.abs(pref * half * (integral - coarse.sum(axis=1)))
-            largest = np.maximum(
-                np.maximum(np.abs(half) * np.abs(fine).sum(axis=1), 1.0),
-                np.abs(pole))
-            roundoff = np.finfo(float).eps * largest * np.abs(pref)
-            bounds = _BOUND_SAFETY * np.maximum(gap, roundoff)
-        return vals, bounds
+    def _quadrature(self, s: complex) -> tuple:
+        """Float64 Z_n(s) and its bound (see the class docstring)."""
+        n, half = self.n, s / 2
+        coarse, fine = (
+            weights * (np.exp((half - 1) * log_t)
+                       + np.exp(((n - s) / 2 - 1) * log_t))
+            for log_t, weights in (_theta_rule(n, nodes)
+                                   for nodes in _LAGUERRE_NODES))
+        integral = fine.sum()
+        # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
+        pref = np.exp(half * _arith(float).log_pi) * rgamma(half + 1)
+        pole = s / (n - s)
+        gap = abs(pref * half * (integral - coarse.sum()))
+        # np.maximum, not max: a NaN (overflow far out in s) must fail
+        largest = np.maximum(np.maximum(abs(half) * np.abs(fine).sum(), 1.0),
+                             abs(pole))
+        roundoff = _EPS * largest * abs(pref)
+        return (complex(pref * (half * integral - 1 - pole)),
+                float(_BOUND_SAFETY * np.maximum(gap, roundoff)))
 
-    def _rounded(self, val, change: float, s: complex) -> tuple:
-        """_to_double(val, change); ToleranceError where that bound is not
-        below tol."""
-        value, bound = _to_double(val, change)
-        if not bound < self.tol:
-            raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
-                                 f" it within {self.tol:g} (bound {bound:.3g})")
-        return value, bound
+    def _converge(self, approximations, failure: str) -> tuple:
+        """The first of successive mpmath approximations that differs from
+        the one before by less than 0.1 tol, and that change floored at
+        _BOUND_FLOOR; ToleranceError(failure) when they run out."""
+        prev = None
+        for val in approximations:
+            if prev is not None:
+                change = max(float(abs(val - prev)), self._BOUND_FLOOR)
+                if change < 0.1 * self.tol:
+                    return val, change
+            prev = val
+        raise ToleranceError(failure)
 
     def _value_l_series_mpmath(self, s: complex) -> tuple:
-        """(Z_n(s), bound) from the L-series in mpmath, n in {1, 2, 4, 6}.
+        """(Z_n(s), change) from the L-series in mpmath, n in {1, 2, 4, 6},
+        at the digits 0.1 tol needs plus five, then ten more at a time up
+        to _MP_MAX_DPS (_converge)."""
+        def approximations():
+            for dps in range(math.ceil(-math.log10(0.1 * self.tol)) + 5,
+                             _MP_MAX_DPS + 1, 10):
+                with mp.workdps(dps):
+                    val = _l_series_mpmath(self.n, mp.mpc(s))
+                # outside workdps: _converge differences at the caller's
+                # precision
+                yield val
 
-        Evaluated at the digits 0.1 tol needs plus five, then at ten more
-        (and ten more again while they differ by 0.1 tol or more); the
-        bound is the change between the last two, floored at _BOUND_FLOOR,
-        plus the rounding (_rounded).
+        return self._converge(approximations(),
+                              f"Epstein L-series did not converge for s = {s}")
+
+    def _shells(self, s: complex) -> tuple:
+        """(Z_n(s), change) from the mpmath incomplete-gamma shells, in
+        blocks of 8 past the first 16, up to shell 408 (_converge).
+
+        The shells cancel down to the value by about pi |Im s| / (4 ln 10)
+        digits, so the working precision grows with |Im s| on top of the
+        digits the tolerance needs, up to _GAMMAINC_MAX_DPS.
         """
-        s = complex(s)
-        dps = math.ceil(-math.log10(0.1 * self.tol)) + 5
-        prev = None
-        while dps <= _MP_MAX_DPS:
-            with mp.workdps(dps):
-                val = _l_series_mpmath(self.n, mp.mpc(s))
-            if prev is not None:
-                bound = max(float(abs(val - prev)), self._BOUND_FLOOR)
-                if bound < 0.1 * self.tol:
-                    return self._rounded(val, bound, s)
-            prev = val
-            dps += 10
-        raise ToleranceError(
-            f"Epstein L-series did not converge for s = {s}")
-
-    def value_incomplete_gamma(self, s: complex) -> tuple:
-        """(Z_n(s), bound) from the mpmath incomplete-gamma shells.
-
-        Independent of the other routes; the fallback of the quadrature,
-        and the oracle the tests compare every route with.  The shells
-        cancel down to the value by about pi |Im s| / (4 ln 10) digits, so
-        the working precision grows with |Im s| on top of the digits the
-        tolerance needs, up to _GAMMAINC_MAX_DPS.  The bound is the change
-        between the last two shell cutoffs plus the rounding (_rounded).
-        """
-        s = complex(s)
         n = self.n
-        self._check_tolerance()
         dps = max(_MP_DPS,
                   math.ceil(math.pi * abs(s.imag) / (4 * math.log(10)))
                   + math.ceil(-math.log10(0.1 * self.tol)) + 5)
@@ -608,31 +566,35 @@ class EpsteinEvaluator:
                                  f"over the ceiling of {_GAMMAINC_MAX_DPS}")
         with mp.workdps(dps):
             ms = mp.mpc(s)
-            prev = None
-            block = self._theta_shells(s, 1, 16)
-            mmax = 16
-            while True:
-                # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
-                bracket = (ms / 2) * block - 1 - ms / (n - ms)
-                val = mp.power(mp.pi, ms / 2) * bracket * mp.rgamma(ms / 2 + 1)
-                if prev is not None:
-                    bound = max(float(abs(val - prev)), self._BOUND_FLOOR)
-                    if bound < 0.1 * self.tol:
-                        return self._rounded(val, bound, s)
-                if mmax > 400:
-                    raise ToleranceError(
-                        f"Epstein evaluation did not converge for s = {s}")
-                prev = val
-                block += self._theta_shells(s, mmax + 1, mmax + 8)
-                mmax += 8
+
+            def approximations():
+                block, lo = 0, 1
+                for hi in range(16, 409, 8):
+                    block += self._theta_shells(s, lo, hi)
+                    lo = hi + 1
+                    # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ]
+                    # / Gamma(s/2+1)
+                    bracket = (ms / 2) * block - 1 - ms / (n - ms)
+                    yield (mp.power(mp.pi, ms / 2) * bracket
+                           * mp.rgamma(ms / 2 + 1))
+
+            return self._converge(
+                approximations(),
+                f"Epstein evaluation did not converge for s = {s}")
+
+    def value_incomplete_gamma(self, s: complex) -> tuple:
+        """(Z_n(s), tail_bound) from the mpmath incomplete-gamma shells
+        alone, under the rule of `value`.
+
+        Independent of the other routes; the fallback of the quadrature,
+        and the oracle the tests compare every route with.
+        """
+        return self._first_kept(complex(s),
+                                ((ROUTE_CONTINUATION, self._shells),))[:2]
 
     def residue(self) -> float:
         """Residue of Z_n at its pole s = n: 2 pi^(n/2) / Gamma(n/2)."""
         return 2.0 * math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0)
-
-
-def epstein_value(n: int, s: complex, tol: float = 1e-10) -> complex:
-    return EpsteinEvaluator(n, tol).value(s).value
 
 
 # (s - n) Z_n(s) is entire, so the trapezoid rule on a circle around n
@@ -644,10 +606,12 @@ CONTOUR_NODES = 16
 def epstein_pole_fit(n: int, tol: float = 1e-10) -> float:
     """Residue of Z_n at s = n: the mean of (s - n) Z_n(s) over
     CONTOUR_NODES equispaced points of the circle |s - n| = CONTOUR_RADIUS,
-    which is (1 / 2 pi i) times the contour integral by the trapezoid rule."""
+    which is (1 / 2 pi i) times the contour integral by the trapezoid rule;
+    the points are evaluated one at a time."""
     offsets = CONTOUR_RADIUS * np.exp(
         2j * math.pi * np.arange(CONTOUR_NODES) / CONTOUR_NODES)
-    values = EpsteinEvaluator(n, tol).values(n + offsets).values
+    ev = EpsteinEvaluator(n, tol)
+    values = np.array([ev.value(n + z).value for z in offsets])
     return float(np.mean(offsets * values).real)
 
 

@@ -62,6 +62,13 @@ class TestCutoffMoments:
         with pytest.raises(DivergentMomentError):
             moment_quadrature(lambda t: math.exp(-t), 0)
 
+    @pytest.mark.parametrize("family", ["exponential", "gaussian"])
+    @pytest.mark.parametrize("k", [0, -1, -2, math.nan])
+    def test_family_moment_at_non_positive_k_diverges(self, family, k):
+        # Gamma(k/2) is -1.77 at k = -1 and has poles at k = 0, -2
+        with pytest.raises(DivergentMomentError, match="k > 0"):
+            cutoff_moments({"family": family}, [2, k])
+
     def test_growing_table_rejected(self):
         table = [[t, math.exp(t)] for t in np.linspace(0, 5, 50)]
         with pytest.raises(DivergentMomentError):

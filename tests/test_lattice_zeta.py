@@ -7,6 +7,8 @@ import pytest
 
 from ncspectral import lattice_zeta
 from ncspectral.lattice_zeta import (
+    CONTOUR_NODES,
+    CONTOUR_RADIUS,
     ROUTE_CONTINUATION,
     ROUTE_L_SERIES,
     ROUTE_L_SERIES_EXTENDED,
@@ -18,7 +20,6 @@ from ncspectral.lattice_zeta import (
     PoleError,
     TwistedFamily,
     epstein_pole_fit,
-    epstein_value,
     radial_counts,
     residue_lattice_sum,
     sphere_moment,
@@ -52,12 +53,13 @@ def test_radial_counts_small():
 
 class TestEpsteinValue:
     def test_special_value_at_zero(self):
-        assert epstein_value(2, 0).real == pytest.approx(-1.0, abs=1e-10)
-        assert epstein_value(4, 0).real == pytest.approx(-1.0, abs=1e-10)
-        assert epstein_value(3, 0).real == pytest.approx(-1.0, abs=1e-10)
+        for n in (2, 4, 3):
+            assert EpsteinEvaluator(n).value(0).value.real == pytest.approx(
+                -1.0, abs=1e-10)
 
     def test_against_direct_summation(self):
-        assert epstein_value(2, 4).real == pytest.approx(Z2_AT_4, abs=1e-9)
+        assert EpsteinEvaluator(2).value(4).value.real == pytest.approx(
+            Z2_AT_4, abs=1e-9)
         # recompute the oracle at a modest radius to show it is the same object
         assert value_direct(2, 4, 400).real == pytest.approx(Z2_AT_4, abs=1e-5)
 
@@ -68,7 +70,7 @@ class TestEpsteinValue:
 
     def test_pole_raises_with_residue(self):
         with pytest.raises(PoleError) as err:
-            epstein_value(2, 2)
+            EpsteinEvaluator(2).value(2)
         assert err.value.residue == pytest.approx(2 * math.pi)
 
     def test_one_dimensional_case_is_twice_riemann(self):
@@ -88,6 +90,11 @@ class TestEpsteinValue:
             EpsteinEvaluator(7)
         with pytest.raises(ValueError):
             EpsteinEvaluator(0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            EpsteinEvaluator(2, tol=tol)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_functional_equation_sweep(self, n):
@@ -160,7 +167,7 @@ class TestEpsteinQuadrature:
     @staticmethod
     def _check(n, s, tol):
         try:
-            out = EpsteinEvaluator(n, tol=tol).values([s])
+            out = EpsteinEvaluator(n, tol=tol).value(s)
         except lattice_zeta.ToleranceError:
             # right only where no double is near enough: every route keeps
             # its error below 0.1 tol before the rounding to a double, and
@@ -169,24 +176,24 @@ class TestEpsteinQuadrature:
             assert _rounding(value) >= 0.9 * tol
             return
         value, oracle_bound = EpsteinEvaluator(
-            n, tol=_oracle_tol(out.values[0])).value_incomplete_gamma(s)
-        err = abs(out.values[0] - value)
+            n, tol=_oracle_tol(out.value)).value_incomplete_gamma(s)
+        err = abs(out.value - value)
         assert err <= tol
         # the float64 routes are kept below 0.1 tol; the extended and the
         # mpmath routes keep an error below 0.1 tol before they add the
         # rounding to a double
         rounding = 0.0
-        if out.routes[0] in (ROUTE_L_SERIES_EXTENDED, ROUTE_L_SERIES_MPMATH,
-                             ROUTE_CONTINUATION):
-            rounding = _rounding(out.values[0])
-        assert out.bounds[0] - rounding < 0.1 * tol
-        assert out.bounds[0] < tol
+        if out.route in (ROUTE_L_SERIES_EXTENDED, ROUTE_L_SERIES_MPMATH,
+                         ROUTE_CONTINUATION):
+            rounding = _rounding(out.value)
+        assert out.bound - rounding < 0.1 * tol
+        assert out.bound < tol
         # both bounds hold, so their sum covers the difference
-        assert err <= out.bounds[0] + oracle_bound, out.routes[0]
+        assert err <= out.bound + oracle_bound, out.route
         if s == 0:
-            assert out.values[0] == -1.0
+            assert out.value == -1.0
         elif s.imag == 0 and s.real < 0 and s.real % 2 == 0:
-            assert out.values[0] == 0.0
+            assert out.value == 0.0
 
     def test_against_oracle(self):
         from hypothesis import example, given, settings
@@ -348,16 +355,16 @@ class TestEpsteinQuadrature:
         points = [(n, s) for n, s, tol in SHELL_OPS_SEED_4242 if tol == 1e-12]
         extended = {}
         for n, s in points:
-            out = EpsteinEvaluator(n, tol=1e-12).values([s])
-            assert out.routes == (ROUTE_L_SERIES_EXTENDED,)
-            assert out.bounds[0] < 1e-12
-            extended[n, s] = out.values[0]
+            out = EpsteinEvaluator(n, tol=1e-12).value(s)
+            assert out.route == ROUTE_L_SERIES_EXTENDED
+            assert out.bound < 1e-12
+            extended[n, s] = out.value
         # where long double is a plain double the mpmath L-series takes them
         monkeypatch.setattr(lattice_zeta, "_EXTENDED", float)
         for n, s in points:
-            out = EpsteinEvaluator(n, tol=1e-12).values([s])
-            assert out.routes == (ROUTE_L_SERIES_MPMATH,)
-            assert abs(out.values[0] - extended[n, s]) <= 1e-12
+            out = EpsteinEvaluator(n, tol=1e-12).value(s)
+            assert out.route == ROUTE_L_SERIES_MPMATH
+            assert abs(out.value - extended[n, s]) <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
     def test_strip_takes_quadrature(self, n):
@@ -366,19 +373,20 @@ class TestEpsteinQuadrature:
         points = [complex(re, im) for re in np.linspace(0.0, n, 7)
                   for im in (-1.0, -0.4, 0.0, 0.5, 1.0)
                   if abs(complex(re, im) - n) >= 0.1]
-        out = EpsteinEvaluator(n, tol=1e-10).values(points)
-        assert list(out.routes) == [
-            ROUTE_QUADRATURE if n == 3 or _disc(n, s) else ROUTE_L_SERIES
-            for s in points]
-        assert np.all(out.bounds < 1e-11)
+        ev = EpsteinEvaluator(n, tol=1e-10)
+        for s in points:
+            out = ev.value(s)
+            assert out.route == (ROUTE_QUADRATURE if n == 3 or _disc(n, s)
+                                 else ROUTE_L_SERIES)
+            assert out.bound < 1e-11
 
     def test_high_imaginary_part_falls_back(self):
         # n = 3 has no L-series product, so the shells are its fallback
         s = 0.76 + 24.2j
-        out = EpsteinEvaluator(3, tol=1e-10).values([s])
-        assert out.routes == (ROUTE_CONTINUATION,)
-        assert out.bounds[0] < 1e-11
-        assert out.values[0] == pytest.approx(_oracle(3, s), abs=1e-10)
+        out = EpsteinEvaluator(3, tol=1e-10).value(s)
+        assert out.route == ROUTE_CONTINUATION
+        assert out.bound < 1e-11
+        assert out.value == pytest.approx(_oracle(3, s), abs=1e-10)
 
     def test_continuation_precision_follows_imaginary_part(self, monkeypatch):
         # the shells cancel by ~pi |Im s| / (4 ln 10) digits; at 30 fixed
@@ -414,7 +422,7 @@ class TestEpsteinQuadrature:
         with pytest.raises(ToleranceError, match="no double holds"):
             ev.value_incomplete_gamma(-50 + 1j)
         with pytest.raises(ToleranceError, match="no double holds"):
-            EpsteinEvaluator(2, tol=1e-10).values([-50 + 1j])
+            EpsteinEvaluator(2, tol=1e-10).value(-50 + 1j)
         # at a loose enough tolerance the bound is at least the rounding
         value, bound = EpsteinEvaluator(
             3, tol=1e15).value_incomplete_gamma(-50 + 1j)
@@ -434,19 +442,6 @@ class TestEpsteinQuadrature:
             EpsteinEvaluator(3, tol=1e-10).value_incomplete_gamma(
                 0.5 + 2000j)
 
-    def test_batch_matches_single_values(self):
-        ev = EpsteinEvaluator(4, tol=1e-12)
-        points = [0.5 + 0.3j, 9.5 - 1.0j, 0.76 + 24.2j, -4.0, 0.0, 2.05]
-        out = ev.values(points)
-        assert out.routes == (ROUTE_L_SERIES, ROUTE_L_SERIES,
-                              ROUTE_L_SERIES_EXTENDED, ROUTE_L_SERIES,
-                              ROUTE_QUADRATURE, ROUTE_QUADRATURE)
-        for s, v, b, r in zip(points, *out):
-            one = ev.value(s)
-            assert one.value == pytest.approx(v, rel=1e-14, abs=0)
-            assert one.bound == pytest.approx(b, rel=1e-14, abs=0)
-            assert one.route == r
-
     def test_l_series_needs_no_laguerre_tables(self, monkeypatch):
         def no_tables(*args):
             raise AssertionError("Laguerre tables built")
@@ -454,7 +449,8 @@ class TestEpsteinQuadrature:
         monkeypatch.setattr(lattice_zeta, "_theta_rule", no_tables)
         for n in (1, 2, 4, 6):
             ev = EpsteinEvaluator(n)
-            ev.values([0.5 + 0.3j, n + 1.5, -3.0 + 0.2j])
+            for s in (0.5 + 0.3j, n + 1.5, -3.0 + 0.2j):
+                ev.value(s)
             epstein_pole_fit(n)
 
     def test_far_out_overflow_falls_back(self):
@@ -463,23 +459,19 @@ class TestEpsteinQuadrature:
         # mpmath takes the point
         import warnings
 
-        out = EpsteinEvaluator(2).values([2100.0])
-        assert out.routes == (ROUTE_L_SERIES_EXTENDED,)
-        assert out.values[0] == pytest.approx(4.0, rel=1e-15)
+        out = EpsteinEvaluator(2).value(2100.0)
+        assert out.route == ROUTE_L_SERIES_EXTENDED
+        assert out.value == pytest.approx(4.0, rel=1e-15)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = EpsteinEvaluator(2).values([20000.0])
-        assert out.routes == (ROUTE_L_SERIES_MPMATH,)
-        assert out.values[0] == pytest.approx(4.0, rel=1e-15)
+            out = EpsteinEvaluator(2).value(20000.0)
+        assert out.route == ROUTE_L_SERIES_MPMATH
+        assert out.value == pytest.approx(4.0, rel=1e-15)
 
     def test_exact_special_values(self):
         for n in (2, 4):
-            assert epstein_value(n, 0) == -1.0
-            assert epstein_value(n, -2) == 0.0
-
-    def test_pole_in_batch_raises(self):
-        with pytest.raises(PoleError):
-            EpsteinEvaluator(3).values([0.5, 3.0])
+            assert EpsteinEvaluator(n).value(0).value == -1.0
+            assert EpsteinEvaluator(n).value(-2).value == 0.0
 
 
 class TestEpsteinResidue:
@@ -495,6 +487,20 @@ class TestEpsteinResidue:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_contour_residue(self, n):
         assert abs(epstein_pole_fit(n) - _residue(n)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pole_fit_evaluates_one_point_at_a_time(self, n, monkeypatch):
+        points = []
+        value = EpsteinEvaluator.value
+
+        def counted(self, s):
+            points.append(s)
+            return value(self, s)
+
+        monkeypatch.setattr(EpsteinEvaluator, "value", counted)
+        epstein_pole_fit(n)
+        assert len(points) == CONTOUR_NODES
+        assert all(abs(abs(s - n) - CONTOUR_RADIUS) < 1e-15 for s in points)
 
 
 class TestSphereMoment:
