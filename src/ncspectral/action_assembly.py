@@ -137,7 +137,10 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             if not k > 0:
                 raise DivergentMomentError(
                     f"family moments need k > 0, not {k}")
-            values[k] = scale * fam["moment"](k)
+            try:
+                values[k] = scale * fam["moment"](k)
+            except OverflowError:
+                raise OverflowError(f"Phi_{k} overflows a double") from None
             prov[k] = "analytic"
     elif isinstance(cutoff, dict) and "table" in cutoff:
         table = np.asarray(cutoff["table"], dtype=float)
@@ -225,7 +228,13 @@ class ExpansionReport:
 
     @property
     def total(self) -> complex:
-        return sum(c * self.lam ** p for p, c, _ in self.entries)
+        return sum(c * self._lam_power(p) for p, c, _ in self.entries)
+
+    def _lam_power(self, p) -> float:
+        try:
+            return self.lam ** p
+        except OverflowError:
+            raise OverflowError(f"Lambda^{p} overflows a double") from None
 
     def coefficient(self, power):
         for p, c, _ in self.entries:

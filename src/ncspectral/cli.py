@@ -34,9 +34,48 @@ class NonFiniteError(ArithmeticError):
     pass
 
 
+def report_text(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) in one
+    pass, without the generators of json's indenting encoder; a key that is
+    not a str raises TypeError, and NaN and +-inf raise ValueError."""
+    parts, encode = [], json.encoder.encode_basestring_ascii
+    put = parts.append
+
+    def write(obj, newline):
+        # newline: a line break and the indentation of obj's own line
+        if isinstance(obj, str):
+            put(encode(obj))
+        elif isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ValueError(f"{obj!r} is not a JSON number")
+            put(float.__repr__(obj))
+        elif isinstance(obj, dict):
+            inner, separator = newline + "  ", "{"
+            for key, value in sorted(obj.items()):
+                put(separator + inner + encode(key) + ": ")
+                write(value, inner)
+                separator = ","
+            put(newline + "}" if obj else "{}")
+        elif isinstance(obj, (list, tuple)):
+            inner, separator = newline + "  ", "["
+            for value in obj:
+                put(separator + inner)
+                write(value, inner)
+                separator = ","
+            put(newline + "]" if obj else "[]")
+        elif obj is None or isinstance(obj, int):
+            put("null" if obj is None else "true" if obj is True
+                else "false" if obj is False else int.__repr__(obj))
+        else:
+            raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    return "".join(parts)
+
+
 def _emit(doc: dict, path: str | None) -> None:
     try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        text = report_text(doc)
     except ValueError as exc:
         raise NonFiniteError(
             "the report holds a non-finite number (overflow or NaN)") from exc
@@ -68,13 +107,18 @@ def _parse_complex(text: str) -> complex:
     return value
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse):
+    """parse(the JSON at path); a read or parse failure is a SchemaError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     # the decoder recurses once per level of nesting
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"cannot read input file {path}: {exc}") from exc
+    try:
+        return parse(doc)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +145,7 @@ def _run_zeta(args) -> dict:
 
 
 def _run_torus(args) -> dict:
-    doc = _load_json(args.input)
-    try:
-        parsed = nt.load_potential(doc)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    parsed = _load_json(args.input, nt.load_potential)
     n, theta, flag, A = (parsed["n"], parsed["theta"],
                          parsed["diophantine_asserted"], parsed["A"])
     if n not in (2, 4):
@@ -142,11 +182,7 @@ def _run_torus(args) -> dict:
 
 
 def _run_suq2(args) -> dict:
-    doc = _load_json(args.one_form)
-    try:
-        q_file, pairs = suq2.load_one_form(doc)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    q_file, pairs = _load_json(args.one_form, suq2.load_one_form)
     q = args.q if args.q is not None else q_file
     if q is None:
         raise SchemaError("q missing: pass --q or put it in the input file")
@@ -180,11 +216,7 @@ def _run_suq2(args) -> dict:
 
 
 def _run_action(args) -> dict:
-    doc = _load_json(args.input)
-    try:
-        cutoff, lam, coeffs, zeta0 = load_action(doc)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    cutoff, lam, coeffs, zeta0 = _load_json(args.input, load_action)
     moments = cutoff_moments(cutoff, sorted(coeffs))
     rep = assemble(coeffs, zeta0, moments, lam)
     return {"command": "action", "moments": moments.to_dict(),
@@ -198,7 +230,9 @@ class UnsupportedError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser() -> tuple:
+    """The parser and its subparsers by name, unchanged by parsing."""
     parser = argparse.ArgumentParser(
         prog="ncspectral",
         description="Spectral-action coefficients on the noncommutative "
@@ -256,17 +290,17 @@ def _build_parser() -> argparse.ArgumentParser:
     options(p_action, "--out")
 
     sub.add_parser("selftest", help="run the acceptance suite")
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args leaves it unchanged."""
-    return _build_parser()
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # one parse, by the subcommand's parser
+        args = commands[argv[0]].parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # no name, -h or an unknown name: the top-level usage and help
+        args = parser.parse_args(argv)
     try:
         if args.command == "selftest":
             failures = acceptance.run_all(report=print)

@@ -117,6 +117,7 @@ _EPS = np.finfo(float).eps
 _EXTENDED = np.longdouble
 # digits of the constants of a wider type: 133 bits, past IEEE quad's 113
 _WIDE_DPS = 40
+_HURWITZ_ROWS = 256  # the most terms _hurwitz sums before its tail
 
 # Gauss-Laguerre node counts: the value comes from the larger rule and the
 # gap to the smaller one measures its quadrature error.  Chosen against the
@@ -167,6 +168,11 @@ class _Arith:
             self.stirling_const = wide((mp.log(2 * mp.pi) - 1) / 2)
         self.stirling_from = (float(abs(self.stirling[-1])) / self.eps) ** (
             1 / (2 * _EM_TERMS - 1))
+        # (a + k, |log(a + k)|) for the a of the L-series identities and
+        # k < _HURWITZ_ROWS, the bases of _hurwitz's head
+        self.hurwitz_rows = {a: tuple((real(a) + k, abs(math.log(real(a) + k)))
+                                      for k in range(_HURWITZ_ROWS))
+                             for a in (0.25, 1)}
 
 
 _arith = lru_cache(maxsize=None)(_Arith)
@@ -225,21 +231,21 @@ def _hurwitz(w, a: float, arith: _Arith) -> _Bounded:
     place, and one unit of every partial sum.
     """
     size = abs(w)
-    terms_n = min(max(16, math.ceil(size) + 8), 256)
-    a, log, minus_w = arith.real(a), math.log, -w
+    terms_n = min(max(16, math.ceil(size) + 8), _HURWITZ_ROWS)
+    minus_w = -w
     partial, spread = 0j, 0.0
-    for k in range(terms_n):
-        term = (a + k) ** minus_w
+    for base, log_base in arith.hurwitz_rows[a][:terms_n]:
+        term = base ** minus_w
         partial += term
-        spread += (abs(term) * (size * abs(log(a + k)) + 2)
-                   + abs(partial))
-    x = a + terms_n
+        spread += abs(term) * (size * log_base + 2) + abs(partial)
+    x = arith.real(a) + terms_n
     head = x ** minus_w
     # poch = (w)_(2j-1) / x^(2j-1), j = 1..M
     poch, corr, corr_size = w / x, 0j, 0.0
     for i, coef in enumerate(arith.em_coef):
-        corr += coef * poch
-        corr_size += abs(coef * poch)
+        term = coef * poch
+        corr += term
+        corr_size += abs(term)
         last = poch * (w + 2 * i + 1) / x
         poch = last * (w + 2 * i + 2) / x
     pole = x / (w - 1)
@@ -247,7 +253,7 @@ def _hurwitz(w, a: float, arith: _Arith) -> _Bounded:
     remainder = (abs(arith.em_coef[-1]) * abs(last) * x * abs(head)
                  / (w.real + 2 * _EM_TERMS - 1))
     tail = abs(head) * (abs(pole) + 0.5 + corr_size)
-    rounding = arith.eps * (spread + tail * (size * (log(x)
+    rounding = arith.eps * (spread + tail * (size * (math.log(x)
                                                      + 1 / abs(w - 1)) + 3))
     return _Bounded(value, remainder + rounding, arith.eps)
 
@@ -438,6 +444,13 @@ class EpsteinEvaluator:
             raise ValueError("tolerance must be positive")
         self.n = n
         self.tol = tol
+        chain = [(ROUTE_L_SERIES, partial(_l_series, n, arith=_arith(float)))]
+        wide = _arith(_EXTENDED)
+        if wide.eps < _EPS:
+            chain.append((ROUTE_L_SERIES_EXTENDED,
+                          partial(_l_series, n, arith=wide)))
+        chain.append((ROUTE_L_SERIES_MPMATH, self._value_l_series_mpmath))
+        self._l_chain = chain
 
     def _theta_shells(self, s: complex, lo: int, hi: int):
         """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)]."""
@@ -472,13 +485,7 @@ class EpsteinEvaluator:
                 n == 4 and abs(s - 2) < _DISC):
             return self._first_kept(s, ((ROUTE_QUADRATURE, self._quadrature),
                                         (ROUTE_CONTINUATION, self._shells)))
-        chain = [(ROUTE_L_SERIES, partial(_l_series, n, arith=_arith(float)))]
-        wide = _arith(_EXTENDED)
-        if wide.eps < _EPS:
-            chain.append((ROUTE_L_SERIES_EXTENDED,
-                          partial(_l_series, n, arith=wide)))
-        chain.append((ROUTE_L_SERIES_MPMATH, self._value_l_series_mpmath))
-        return self._first_kept(s, chain)
+        return self._first_kept(s, self._l_chain)
 
     def _first_kept(self, s: complex, chain) -> EpsteinValue:
         """The value of the first (route, evaluate) of chain whose error is

@@ -5,11 +5,11 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncspectral import suq2
-from ncspectral.cli import _build_parser, main
+from ncspectral.cli import _build_parser, main, report_text
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -255,6 +255,17 @@ class TestTorusCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "non-finite" in err
+
+    def test_lambda_power_overflow_names_the_power(self, tmp_path, capsys):
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(torus_doc()))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "1e300")
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Lambda^4 overflows" in err
 
     @pytest.mark.parametrize("entry", [2 ** 62, 10 ** 30])
     def test_wide_mode_is_tolerance_failure(self, tmp_path, capsys, entry):
@@ -568,6 +579,21 @@ class TestActionCommand:
         assert out == ""
         assert "nonnegative" in err
 
+    @pytest.mark.parametrize("lam,coefficients,power", [
+        (1e300, {"3": 2.0}, "Lambda^3"), (2.0, {"400": 1.0}, "Phi_400")])
+    def test_overflow_names_the_power(self, tmp_path, capsys, lam,
+                                      coefficients, power):
+        doc = {"cutoff": {"family": "exponential"}, "lambda": lam,
+               "coefficients": coefficients, "zeta0": 0.0}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert f"{power} overflows" in err
+
     # a cutoff is an object with exactly one of family and table, and a
     # table row is a [t, phi] pair
     @pytest.mark.parametrize("cutoff", [
@@ -703,11 +729,10 @@ class TestOptionSurface:
     }
 
     def test_long_options_per_subcommand(self):
-        sub, = [a for a in _build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)]
+        _, commands = _build_parser()
         surface = {name: {o for a in p._actions for o in a.option_strings
                           if o.startswith("--") and o != "--help"}
-                   for name, p in sub.choices.items()}
+                   for name, p in commands.items()}
         assert surface == self.SURFACE
 
     @pytest.mark.parametrize("argv", [
@@ -727,6 +752,43 @@ class TestOptionSurface:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_usage_error_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["zeta", "--n", "2", "--trunc", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ncspectral zeta: error: unrecognized arguments: --trunc 5")
+
+    # no name, help, an unknown name, and a name after "--"
+    @pytest.mark.parametrize("argv,code", [
+        ([], 2), (["-h"], 0), (["bogus"], 2), (["--", "zeta", "--n", "2"], 2)])
+    def test_top_level_usage(self, capsys, argv, code):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert "usage: ncspectral" in out + err
+
+    def test_one_parse_per_op(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counted)
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(torus_doc()))
+        for argv in (["zeta", "--n", "2", "--s", "0.5"],
+                     ["torus", "--input", str(path), "--lambda", "10"]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert calls == [f"ncspectral {argv[0]}"]
 
 
 # leaves and containers of arbitrary JSON, kept small; a number that lands
@@ -854,3 +916,50 @@ class TestSelftestPlumbing:
                             [(1, "stub", lambda: (False, "boom"))])
         assert main(["selftest"]) == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+
+# a report holds dicts with str keys, lists, tuples, str, int, float, bool
+# and None
+REPORT_LEAF = (st.none() | st.booleans()
+               | st.integers() | st.integers(-2 ** 70, 2 ** 70)
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 5e-324, 1e308])
+               | st.text(st.characters(), max_size=8)
+               | st.sampled_from(['"', "\\", "\x00\x1f\t\n", "\u00e9\u2203",
+                                  "\U0001d4b5"]))
+REPORT = st.recursive(
+    REPORT_LEAF,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+class TestReportText:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(REPORT)
+    @example({})
+    @example([])
+    @example({"a": []})
+    @example(-0.0)
+    def test_matches_json_dumps(self, doc):
+        assert report_text(doc) == json.dumps(doc, sort_keys=True, indent=2,
+                                              allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, bad):
+        for doc in (bad, {"a": [1.0, {"b": bad}]}):
+            with pytest.raises(ValueError):
+                json.dumps(doc, allow_nan=False)
+            with pytest.raises(ValueError):
+                report_text(doc)
+
+    def test_non_finite_report_exits_3(self, capsys, monkeypatch):
+        from ncspectral import cli
+
+        monkeypatch.setattr(cli, "_run_zeta",
+                            lambda args: {"value": [0.0, math.inf]})
+        code, out, err = run_cli(capsys, "zeta", "--n", "2")
+        assert code == 3
+        assert out == ""
+        assert "non-finite" in err and "Traceback" not in err

@@ -453,6 +453,21 @@ class TestEpsteinQuadrature:
                 ev.value(s)
             epstein_pole_fit(n)
 
+    def test_chain_and_hurwitz_bases_are_built_once(self, monkeypatch):
+        # the routes are chosen once per evaluator, and the bases of the
+        # Euler-Maclaurin head once per real type, 256 for each a
+        def no_arith(*args):
+            raise AssertionError("arithmetic looked up at a point")
+
+        arith = lattice_zeta._arith(float)
+        evaluators = [EpsteinEvaluator(n, tol=1e-12) for n in (1, 2, 4, 6)]
+        monkeypatch.setattr(lattice_zeta, "_arith", no_arith)
+        for ev in evaluators:
+            for s in (0.5 + 0.3j, ev.n + 1.5, -3.0 + 0.2j, 0.76 + 24.2j):
+                ev.value(s)
+        assert {a: len(rows) for a, rows in arith.hurwitz_rows.items()} == {
+            0.25: 256, 1: 256}
+
     def test_far_out_overflow_falls_back(self):
         # 4^(s/2) overflows float64 in beta at s = 2100, and long double
         # at s = 20000 (about 1e6020); numpy gives inf there, silently, and
