@@ -1,14 +1,13 @@
-"""Hermitian gamma matrices and traces of their products.
+"""Hermitian gamma matrices for the truncated Dirac operator of the torus.
 
 Representations are built by iterated tensor products of Pauli matrices:
 n = 2m matrices of size 2^m satisfying {g_i, g_j} = 2 delta_ij, plus the
-chirality-type extra generator for odd n.  Only traces are consumed
-downstream, and those are independent of the unitary convention chosen here.
+chirality-type extra generator for odd n.  `oracles.dirac_truncated`
+consumes only the spectrum of k_mu g^mu, which is independent of the
+unitary convention chosen here.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,12 +43,6 @@ class GammaRep:
                 if not np.allclose(anti, 2.0 * (i == j) * ident, atol=1e-12):
                     raise ValueError(f"anticommutator failure at ({i + 1},{j + 1})")
 
-    def matrix(self, index: int) -> np.ndarray:
-        """1-based access, matching the index convention of traces."""
-        if not 1 <= index <= self.n:
-            raise IndexError(f"gamma index {index} out of range 1..{self.n}")
-        return self.matrices[index - 1]
-
 
 def build_gamma(n: int) -> GammaRep:
     """Standard tensor-product construction of a hermitian gamma family."""
@@ -61,7 +54,7 @@ def build_gamma(n: int) -> GammaRep:
         return GammaRep(1, [np.array([[1.0]], dtype=complex)])
 
     mats = [_SIGMA1, _SIGMA2]
-    m = (n // 2) if n % 2 == 0 else (n // 2)
+    m = n // 2
     # grow even blocks: 2m matrices of size 2^m
     for _ in range(2, m + 1):
         dim = mats[0].shape[0]
@@ -76,58 +69,3 @@ def build_gamma(n: int) -> GammaRep:
             prod = prod @ g
         mats.append((-1.0j) ** m * prod)
     return GammaRep(n, mats)
-
-
-@lru_cache(maxsize=None)
-def _pair_sum(indices: tuple) -> float:
-    """Signed sum over complete pairings of delta-contractions.
-
-    Recursion: contract the first index against each later slot j with sign
-    (-1)^j; valid for even-length products in any dimension.
-    """
-    if not indices:
-        return 1.0
-    total = 0.0
-    first = indices[0]
-    for j in range(1, len(indices)):
-        if indices[j] == first:
-            rest = indices[1:j] + indices[j + 1:]
-            total += (-1.0) ** (j + 1) * _pair_sum(rest)
-    return total
-
-
-def gamma_trace(rep: GammaRep, indices, method: str = "pairing") -> complex:
-    """Trace of gamma^{i_1} ... gamma^{i_k}.
-
-    The default combinatorial path is exact; the "matrix" path multiplies the
-    matrices out and is kept as an independent oracle.
-    """
-    idx = tuple(int(i) for i in indices)
-    for i in idx:
-        if not 1 <= i <= rep.n:
-            raise IndexError(f"gamma index {i} out of range 1..{rep.n}")
-    if method == "matrix":
-        acc = np.eye(rep.dim, dtype=complex)
-        for i in idx:
-            acc = acc @ rep.matrix(i)
-        return complex(np.trace(acc))
-    if method != "pairing":
-        raise ValueError(f"unknown method {method!r}")
-    if len(idx) % 2 == 1:
-        if rep.n % 2 == 0:
-            return 0.0 + 0.0j
-        # odd products in odd dimensions are not captured by pairings
-        return gamma_trace(rep, idx, method="matrix")
-    return complex(rep.dim * _pair_sum(idx))
-
-
-def chirality(rep: GammaRep) -> np.ndarray:
-    """(-i)^(n/2) gamma^1 ... gamma^n; even n only."""
-    if rep.n % 2 != 0:
-        raise ValueError("chirality requires an even number of gamma matrices")
-    acc = np.eye(rep.dim, dtype=complex)
-    for g in rep.matrices:
-        acc = acc @ g
-    chi = (-1.0j) ** (rep.n // 2) * acc
-    chi.setflags(write=False)
-    return chi

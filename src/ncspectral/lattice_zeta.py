@@ -683,69 +683,3 @@ def residue_lattice_sum(n: int, poly: LatticePoly, r: float) -> complex:
         if abs((n + sum(p)) - r) < 1e-9:
             total += c * sphere_moment(n, p)
     return total
-
-
-# ---------------------------------------------------------------------------
-# twisted (phase-carrying) families
-
-
-def check_skew(theta: np.ndarray) -> None:
-    """ValueError unless max |theta + theta^T| <= 1e-14 (NaN or inf fail)."""
-    if not (np.isfinite(theta).all()
-            and np.max(np.abs(theta + theta.T), initial=0.0) <= 1e-14):
-        raise ValueError("theta must be skew-symmetric (tol 1e-14)")
-
-
-@dataclass
-class TwistedFamily:
-    """Finitely supported b on (Z^n)^q with signs eps and a skew matrix.
-
-    Residues of the associated phase-twisted sums are extracted through the
-    kernel rule: off-kernel members extend holomorphically under the
-    Diophantine hypothesis, which the caller asserts, never the library.
-    """
-
-    n: int
-    q: int
-    b: dict
-    eps: tuple
-    theta: np.ndarray
-    diophantine_asserted: bool = False
-
-    def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=float)
-        if self.theta.shape != (self.n, self.n):
-            raise ValueError("theta must be n x n")
-        check_skew(self.theta)
-        self.eps = tuple(int(e) for e in self.eps)
-        if len(self.eps) != self.q or any(e not in (-1, 0, 1) for e in self.eps):
-            raise ValueError("signs must lie in {-1, 0, 1}^q")
-        cleaned = {}
-        for key, c in self.b.items():
-            key = tuple(tuple(int(x) for x in block) for block in key)
-            if len(key) != self.q or any(len(block) != self.n for block in key):
-                raise ValueError(f"support key {key} has wrong shape")
-            cleaned[key] = cleaned.get(key, 0.0) + complex(c)
-        self.b = cleaned
-
-    def kernel_weight(self) -> complex:
-        """V = sum of b over the kernel {l : sum_i eps_i l_i = 0}."""
-        total = 0.0 + 0.0j
-        for key, c in self.b.items():
-            combo = np.zeros(self.n, dtype=np.int64)
-            for e, block in zip(self.eps, key):
-                combo += e * np.array(block, dtype=np.int64)
-            if not combo.any():
-                total += c
-        return total
-
-
-def twisted_residue(fam: TwistedFamily, poly: LatticePoly, r: float) -> complex:
-    """Kernel weight times the untwisted residue; off-kernel terms drop out."""
-    if not fam.diophantine_asserted:
-        raise AssumptionError(
-            "Diophantine assumption not asserted for this family; twisted "
-            "residues are only rule-evaluable under that hypothesis")
-    if fam.n != poly.n:
-        raise ValueError("dimension mismatch between family and polynomial")
-    return fam.kernel_weight() * residue_lattice_sum(fam.n, poly, r)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
                               json_integer, json_number)
-from .lattice_zeta import AssumptionError, check_skew
+from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
 SKEW_TOL = 1e-12     # |A + A*|_1 allowed in a potential component
@@ -32,9 +32,10 @@ class Theta:
         arr = np.array(entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("theta must be a square matrix")
-        if not np.isfinite(arr).all():
-            raise ValueError("theta entries must be finite")
-        check_skew(arr)
+        if not (np.isfinite(arr).all()
+                and np.max(np.abs(arr + arr.T), initial=0.0) <= 1e-14):
+            raise ValueError(
+                "theta must be finite and skew-symmetric (tol 1e-14)")
         arr.setflags(write=False)
         self.entries = arr
         self.n = arr.shape[0]

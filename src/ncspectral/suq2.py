@@ -2,8 +2,10 @@
 
 Three layers cooperate here.
 
-* The polynomial *-algebra on generators a, b with the q-commutation rules,
-  normalized in the basis a^i b^j b*^k (i in Z via a^-1 := a*).
+* Polynomials in the generators a, b, written in the basis a^i b^j b*^k
+  (i in Z via a^-1 := a*).  They enter only through their image in the
+  ladder algebra, so they are added and scaled but never multiplied or
+  normal-ordered here.
 * The ladder algebra: words over the eight letters a+, a-, b+, b-, and their
   adjoints, which realize the generators up to smoothing corrections.  Each
   letter shifts the shell index by its degree (+1 or -1).
@@ -74,7 +76,7 @@ class QContext:
 
 
 # ---------------------------------------------------------------------------
-# PBW algebra
+# polynomials in a, b
 
 
 @dataclass
@@ -95,10 +97,6 @@ class PBWElem:
         self.coeffs = {m: c for m, c in clean.items() if c != 0}
 
     @classmethod
-    def one(cls) -> "PBWElem":
-        return cls({(0, 0, 0): 1.0})
-
-    @classmethod
     def generator(cls, name: str) -> "PBWElem":
         table = {"a": (1, 0, 0), "a*": (-1, 0, 0),
                  "b": (0, 1, 0), "b*": (0, 0, 1)}
@@ -114,89 +112,14 @@ class PBWElem:
             out[m] = out.get(m, 0.0) + c
         return PBWElem(out)
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
     def __rmul__(self, scalar):
         return PBWElem({m: scalar * c for m, c in self.coeffs.items()})
-
-    def mul(self, other: "PBWElem", q: float) -> "PBWElem":
-        out = PBWElem({})
-        for m1, c1 in self.coeffs.items():
-            w1 = _monomial_word(m1)
-            for m2, c2 in other.coeffs.items():
-                piece = _normalize_word(w1 + _monomial_word(m2), q)
-                out = out + (c1 * c2) * PBWElem(dict(piece))
-        return out
-
-    def norm1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
 
 
 def _monomial_word(m) -> tuple:
     i, j, k = m
     a_part = ("a",) * i if i >= 0 else ("a*",) * (-i)
     return a_part + ("b",) * j + ("b*",) * k
-
-
-# a sweep over q adds entries under every q; evicting one mid-recursion
-# only costs its recomputation
-@lru_cache(maxsize=1 << 14)
-def _normalize_word(word: tuple, q: float) -> tuple:
-    """Rewrite a word over {a, a*, b, b*} into canonical monomials.
-
-    Returns a tuple of ((i, j, k), coeff) pairs.  The rules are the defining
-    relations: ba = q ab, b*a = q ab*, bb* = b*b, a*a = 1 - q^2 b*b,
-    aa* = 1 - bb*.
-    """
-    for pos in range(len(word) - 1):
-        x, y = word[pos], word[pos + 1]
-        head, tail = word[:pos], word[pos + 2:]
-        if x == "a" and y == "a*":
-            branches = ((head + tail, 1.0),
-                        (head + ("b", "b*") + tail, -1.0))
-        elif x == "a*" and y == "a":
-            branches = ((head + tail, 1.0),
-                        (head + ("b*", "b") + tail, -q * q))
-        elif x == "b" and y == "a":
-            branches = ((head + ("a", "b") + tail, q),)
-        elif x == "b*" and y == "a":
-            branches = ((head + ("a", "b*") + tail, q),)
-        elif x == "b" and y == "a*":
-            branches = ((head + ("a*", "b") + tail, 1.0 / q),)
-        elif x == "b*" and y == "a*":
-            branches = ((head + ("a*", "b*") + tail, 1.0 / q),)
-        elif x == "b*" and y == "b":
-            branches = ((head + ("b", "b*") + tail, 1.0),)
-        else:
-            continue
-        acc: dict = {}
-        for sub, factor in branches:
-            for mono, c in _normalize_word(sub, q):
-                acc[mono] = acc.get(mono, 0.0) + factor * c
-        return tuple(sorted((m, c) for m, c in acc.items() if c != 0))
-    # canonical: a-block, then b's, then b*'s
-    na = sum(1 for x in word if x == "a") - sum(1 for x in word if x == "a*")
-    nb = sum(1 for x in word if x == "b")
-    nbs = sum(1 for x in word if x == "b*")
-    return (((na, nb, nbs), 1.0),)
-
-
-def pbw_normalize(word, q: float) -> PBWElem:
-    """Canonical form of a word over the generators; idempotent on monomials."""
-    out: dict = {}
-    for mono, c in _normalize_word(tuple(word), q):
-        out[mono] = out.get(mono, 0.0) + c
-    return PBWElem(out)
-
-
-def pbw_adjoint(x: PBWElem, q: float) -> PBWElem:
-    out = PBWElem({})
-    star = {"a": "a*", "a*": "a", "b": "b*", "b*": "b"}
-    for m, c in x.coeffs.items():
-        word = tuple(star[l] for l in reversed(_monomial_word(m)))
-        out = out + c.conjugate() * pbw_normalize(word, q)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +250,6 @@ def delta_ladder(T: LadderElem) -> LadderElem:
     """Commutator with |D|: each homogeneous word times its degree."""
     return LadderElem._make({w: word_degree(w) * c
                              for w, c in T.words.items()}, T.f_power)
-
-
-def zero_degree(T: LadderElem) -> LadderElem:
-    return LadderElem._make({w: c for w, c in T.words.items()
-                             if word_degree(w) == 0}, T.f_power)
 
 
 def delta_one_form(x: PBWElem, y: PBWElem, f_flag: bool = False) -> LadderElem:

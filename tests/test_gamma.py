@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ncspectral.gamma import GammaRep, build_gamma, chirality, gamma_trace
+from ncspectral.gamma import GammaRep, build_gamma
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -28,95 +28,39 @@ def test_build_rejects_bad_dimension():
 
 
 def test_two_point_traces():
-    rep = build_gamma(4)
-    assert gamma_trace(rep, (1, 1)) == pytest.approx(4.0)
-    for i, j in itertools.product(range(1, 5), repeat=2):
-        expected = 4.0 * (i == j)
-        assert gamma_trace(rep, (i, j)) == pytest.approx(expected)
+    g = build_gamma(4).matrices
+    for i, j in itertools.product(range(4), repeat=2):
+        assert np.trace(g[i] @ g[j]) == pytest.approx(4.0 * (i == j))
 
 
 def test_odd_trace_vanishes_in_even_dimension():
-    rep = build_gamma(4)
-    assert gamma_trace(rep, (1, 2, 3)) == 0
-    assert gamma_trace(rep, (1,)) == 0
-    assert gamma_trace(rep, (2, 2, 2, 1, 3)) == 0
+    g = build_gamma(4).matrices
+    assert np.trace(g[0] @ g[1] @ g[2]) == 0
+    assert np.trace(g[0]) == 0
+    assert np.trace(g[1] @ g[1] @ g[1] @ g[0] @ g[2]) == 0
 
 
 def test_n2_alternating_four_trace():
-    rep = build_gamma(2)
-    assert gamma_trace(rep, (1, 2, 1, 2)) == pytest.approx(-2.0)
+    g1, g2 = build_gamma(2).matrices
+    assert np.trace(g1 @ g2 @ g1 @ g2) == pytest.approx(-2.0)
 
 
 def test_n3_triple_product_trace_is_imaginary():
-    # derived oracle: direct matrix multiply on the built representation
-    rep = build_gamma(3)
-    tr = gamma_trace(rep, (1, 2, 3), method="matrix")
+    # the third matrix is -i g1 g2, so the trace is 2i
+    g1, g2, g3 = build_gamma(3).matrices
+    tr = np.trace(g1 @ g2 @ g3)
     assert abs(tr.real) < 1e-12
     assert abs(tr) == pytest.approx(2.0)
-    # default path must fall back to the same value
-    assert gamma_trace(rep, (1, 2, 3)) == pytest.approx(tr)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_pairing_matches_matrix_trace(n):
-    rep = build_gamma(n)
-    rng = np.random.default_rng(7 * n)
-    for length in range(0, 9):
-        for _ in range(12):
-            idx = tuple(rng.integers(1, n + 1, size=length).tolist())
-            a = gamma_trace(rep, idx, method="pairing")
-            b = gamma_trace(rep, idx, method="matrix")
-            assert a == pytest.approx(b, abs=1e-10)
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_cyclic_invariance(n):
-    rep = build_gamma(n)
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        idx = tuple(rng.integers(1, n + 1, size=6).tolist())
-        rotated = idx[1:] + idx[:1]
-        assert gamma_trace(rep, idx) == pytest.approx(gamma_trace(rep, rotated))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_contraction_identity(n):
     # sum_mu Tr(g^a g^mu g^b g_mu) = 2^m (2-n) delta^ab
     rep = build_gamma(n)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            total = sum(gamma_trace(rep, (a, mu, b, mu)) for mu in range(1, n + 1))
-            assert total == pytest.approx(rep.dim * (2 - n) * (a == b), abs=1e-10)
-
-
-def test_index_out_of_range():
-    rep = build_gamma(2)
-    with pytest.raises(IndexError):
-        gamma_trace(rep, (1, 3))
-
-
-class TestChirality:
-    def test_n2_explicit(self):
-        rep = build_gamma(2)
-        chi = chirality(rep)
-        assert np.allclose(chi, -1j * rep.matrices[0] @ rep.matrices[1])
-        assert np.allclose(chi @ chi, np.eye(2), atol=1e-12)
-
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_properties(self, n):
-        rep = build_gamma(n)
-        chi = chirality(rep)
-        assert np.allclose(chi, chi.conj().T, atol=1e-12)
-        assert np.allclose(chi @ chi, np.eye(rep.dim), atol=1e-12)
-        for g in rep.matrices:
-            assert np.allclose(chi @ g + g @ chi, 0.0, atol=1e-12)
-
-    def test_traceless_in_n4(self):
-        assert abs(np.trace(chirality(build_gamma(4)))) < 1e-12
-
-    def test_odd_unsupported(self):
-        with pytest.raises(ValueError):
-            chirality(build_gamma(3))
+    g = rep.matrices
+    for a, b in itertools.product(range(n), repeat=2):
+        total = sum(np.trace(g[a] @ gm @ g[b] @ gm) for gm in g)
+        assert total == pytest.approx(rep.dim * (2 - n) * (a == b), abs=1e-10)
 
 
 def test_rep_rejects_invalid_matrices():

@@ -14,16 +14,13 @@ from ncspectral.lattice_zeta import (
     ROUTE_L_SERIES_EXTENDED,
     ROUTE_L_SERIES_MPMATH,
     ROUTE_QUADRATURE,
-    AssumptionError,
     EpsteinEvaluator,
     LatticePoly,
     PoleError,
-    TwistedFamily,
     epstein_pole_fit,
     radial_counts,
     residue_lattice_sum,
     sphere_moment,
-    twisted_residue,
 )
 from ncspectral.oracles import (
     residue_direct_oracle,
@@ -595,85 +592,6 @@ class TestResidueLatticeSum:
         assert residue_direct_oracle(
             4, LatticePoly.monomial(4, (2, 2, 0, 0)), 8, radius=22) == pytest.approx(
             math.pi ** 2 / 12, abs=1e-5)
-
-
-class TestTwistedResidue:
-    def _theta(self):
-        # skew matrix with golden-ratio bands; the Diophantine property of
-        # the assertion is documented, not checked
-        g = (math.sqrt(5) - 1) / 2
-        theta = np.zeros((2, 2))
-        theta[0, 1] = 2 * math.pi * g
-        theta[1, 0] = -2 * math.pi * g
-        return theta
-
-    def test_requires_assertion(self):
-        fam = TwistedFamily(2, 1, {((0, 0),): 1.0}, (1,), self._theta(),
-                            diophantine_asserted=False)
-        with pytest.raises(AssumptionError):
-            twisted_residue(fam, LatticePoly.monomial(2, (0, 0)), 2)
-
-    def test_support_at_origin(self):
-        fam = TwistedFamily(2, 1, {((0, 0),): 2.5}, (1,), self._theta(),
-                            diophantine_asserted=True)
-        poly = LatticePoly.monomial(2, (0, 0))
-        assert twisted_residue(fam, poly, 2).real == pytest.approx(
-            2.5 * _residue(2))
-
-    def test_off_kernel_support_contributes_zero(self):
-        fam = TwistedFamily(2, 1, {((1, 0),): 3.0, ((0, 2),): -1.0}, (1,),
-                            self._theta(), diophantine_asserted=True)
-        poly = LatticePoly.monomial(2, (0, 0))
-        assert twisted_residue(fam, poly, 2) == 0
-
-    def test_diagonal_kernel(self):
-        # q = 2 blocks, eps = (1, -1): pairs (l, l) lie in the kernel
-        weights = {((1, 0), (1, 0)): 0.5,
-                   ((0, 1), (0, 1)): 0.25,
-                   ((1, 1), (0, 0)): 9.0}
-        fam = TwistedFamily(2, 2, weights, (1, -1), self._theta(),
-                            diophantine_asserted=True)
-        assert fam.kernel_weight() == pytest.approx(0.75)
-        poly = LatticePoly.monomial(2, (0, 0))
-        assert twisted_residue(fam, poly, 2).real == pytest.approx(
-            0.75 * _residue(2))
-
-    def test_skewness_enforced(self):
-        theta = np.eye(2)
-        with pytest.raises(ValueError):
-            TwistedFamily(2, 1, {}, (1,), theta)
-        # 9e-6 off skew: within numpy's default rtol, not within 1e-14
-        with pytest.raises(ValueError, match="skew"):
-            TwistedFamily(2, 1, {}, (1,), [[0.0, 1.0], [-1.000009, 0.0]])
-        # np.allclose holds equal infinities close
-        with pytest.raises(ValueError, match="skew"):
-            TwistedFamily(2, 1, {}, (1,), [[0.0, math.inf], [-math.inf, 0]])
-
-    def test_kernel_weight_brute_force(self):
-        # oracle: enumerate the support and filter the kernel by hand
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        block = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-        support = st.dictionaries(st.tuples(block, block),
-                                  st.floats(-2, 2, allow_nan=False),
-                                  max_size=6)
-        eps = st.tuples(st.sampled_from([-1, 0, 1]),
-                        st.sampled_from([-1, 0, 1]))
-
-        @settings(max_examples=50, deadline=None)
-        @given(support, eps)
-        def run(b, signs):
-            fam = TwistedFamily(2, 2, b, signs, self._theta(),
-                                diophantine_asserted=True)
-            expected = sum(
-                c for (l1, l2), c in b.items()
-                if all(signs[0] * x + signs[1] * y == 0
-                       for x, y in zip(l1, l2)))
-            assert fam.kernel_weight().real == pytest.approx(expected,
-                                                             abs=1e-12)
-
-        run()
 
 
 class TestRiemannZeta:

@@ -2,12 +2,18 @@
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import ncspectral
 from ncspectral import oracles
+from ncspectral.gamma import GammaRep
+from ncspectral.suq2 import PBWElem
 
 PACKAGE = Path(ncspectral.__file__).parent
 LIBRARY = ("lattice_zeta", "nc_torus", "suq2", "action_assembly")
@@ -124,3 +130,46 @@ def test_one_number_rule_for_input_documents(name):
                           "_finite_numbers"}
     rules = {"json_number", "json_integer"}
     assert defined & rules == (rules if name == "action_assembly" else set())
+
+
+# no CLI path, selftest criterion or oracle route used these; they are gone
+DELETED = {"_normalize_word", "pbw_normalize", "pbw_adjoint", "zero_degree",
+           "TwistedFamily", "twisted_residue", "check_skew", "gamma_trace",
+           "_pair_sum", "chirality"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_deleted_names_stay_deleted(name):
+    assert not defined_names(name) & DELETED
+
+
+@pytest.mark.parametrize("cls, methods", [
+    (PBWElem, ("mul", "one", "norm1", "__sub__")), (GammaRep, ("matrix",))])
+def test_deleted_methods_stay_deleted(cls, methods):
+    assert not [m for m in methods if hasattr(cls, m)]
+
+
+def string_constants(name: str) -> set:
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_theta_owns_the_skew_check(name):
+    has_check = any("skew-symmetric" in text for text in string_constants(name))
+    assert has_check == (name == "nc_torus")
+
+
+def test_package_import_leaves_oracles_out():
+    probe = ("import json, sys, ncspectral; print(json.dumps("
+             "['ncspectral.oracles' in sys.modules, ncspectral.__all__]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded, exported = json.loads(out)
+    assert not loaded
+    oracle_names = {n for n in defined_names("oracles") if not n.startswith("_")}
+    assert oracle_names
+    assert not set(exported) & (oracle_names | {"oracles"})

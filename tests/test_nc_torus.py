@@ -309,6 +309,12 @@ class TestOneFormAndCurvature:
             Theta([[0.0, 1.0], [-1.000009, 0.0]])
         Theta([[0.0, 1.0], [-1.0 - 5e-15, 0.0]])
 
+    def test_theta_skewness_enforced(self):
+        with pytest.raises(ValueError, match="skew"):
+            Theta(np.eye(2))
+        with pytest.raises(ValueError, match="skew"):
+            Theta([[0.0, math.inf], [-math.inf, 0.0]])
+
     def test_non_skew_component_rejected(self):
         bad = TorusElement(2, {(1, 0): 1.0})
         with pytest.raises(ValueError):
