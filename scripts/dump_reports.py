@@ -8,8 +8,9 @@ For each workload of `perfbench.gen` and each seed it generates the inputs
 in a temporary directory and runs every op through `ncspectral.cli.main`
 with `--out DIR/<workload>/<seed>/<k>.json`, k counting the ops from 0 in
 the order of the op list.  An op that exits with a code other than 0
-writes that code to `<k>.exit` instead.  Two checkouts give the same
-reports exactly when `diff -r` of their trees is empty.
+writes that code to `<k>.exit` instead.  The selftest's criterion lines
+go to `DIR/selftest.txt`.  Two checkouts give the same reports and
+criterion lines exactly when `diff -r` of their trees is empty.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
+from ncspectral import acceptance  # noqa: E402
 from ncspectral.cli import main as cli_main  # noqa: E402
 from perfbench.gen import WORKLOADS, generate  # noqa: E402
 
@@ -45,6 +47,15 @@ def dump(workload: str, seed: int, outdir: Path) -> int:
     return len(ops)
 
 
+def dump_selftest(outdir: Path) -> int:
+    """The selftest's criterion lines; returns the number of failures."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    lines = []
+    failures = acceptance.run_all(report=lines.append)
+    (outdir / "selftest.txt").write_text("".join(f"{x}\n" for x in lines))
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"),
@@ -55,6 +66,8 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             count = dump(workload, seed, args.out / workload / str(seed))
             print(f"{workload} seed {seed}: {count} ops")
+    failures = dump_selftest(args.out)
+    print(f"selftest: {failures} failing criteria")
     return 0
 
 

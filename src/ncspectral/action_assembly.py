@@ -80,7 +80,8 @@ def _tabulated_moment(ts, vs, spline, k: int) -> tuple:
     terms = half * weights * poly * x ** (k - 1)
     head = vs[0] * ts[0] ** (k / 2.0) / k
     tN = float(ts[-1])
-    lam = math.log(vs[-2] / vs[-1]) / (tN - float(ts[-2]))
+    # in Python floats, whose quotient overflows to inf without a warning
+    lam = math.log(float(vs[-2]) / float(vs[-1])) / (tN - float(ts[-2]))
     # I(a) = int_tN^inf e^(-lam (t - tN)) t^(a-1) dt = lam^-a e^X Gamma(a, X)
     # with X = lam tN, from I(1/2) = sqrt(pi / lam) erfcx(sqrt X) or
     # I(1) = 1 / lam by I(a+1) = (a I(a) + tN^a) / lam; a tail beyond float

@@ -172,12 +172,11 @@ def _run_torus(args) -> dict:
                                 for q, v in zip((2, 3, 4), sums))
         report["zeta0_shift_power_sums"] = {
             "value": zshift_sums, "provenance": "alternating power sums"}
-    report["zeta0_shift"] = {
-        "value": nt.zeta0_shift(A, theta, n, diophantine_asserted=flag),
-        "provenance": "curvature closed form"}
-    report["expansion"] = nt.torus_action(
-        A, theta, n, moments, args.lam,
-        diophantine_asserted=flag).to_dict()
+    shift = nt.zeta0_shift(A, theta, diophantine_asserted=flag)
+    report["zeta0_shift"] = {"value": shift,
+                             "provenance": "curvature closed form"}
+    report["expansion"] = nt.torus_action(n, shift, moments,
+                                          args.lam).to_dict()
     return report
 
 

@@ -192,15 +192,16 @@ class OneFormTorus:
                 for d in supports]
         negatives = ({tuple(-x for x in k) for k in d} for d in kept)
         order = sorted({(0,) * n}.union(*kept, *negatives))
+        # pair sums k + l must not wrap around in int64; checked on the
+        # Python ints, which the int64 conversion would refuse past 2^63
+        if any(abs(x) >= 1 << 62 for k in order for x in k):
+            raise OverflowError("mode entries must be below 2^62 in size")
         row = {k: i for i, k in enumerate(order)}
         self.coeffs = np.zeros((len(order), n), dtype=complex)
         for a, d in enumerate(kept):
             for k, c in d.items():
                 self.coeffs[row[k], a] = c
         self.modes = np.array(order, dtype=np.int64)
-        # pair sums k + l must not wrap around in int64
-        if np.abs(self.modes).max() >= 1 << 62:
-            raise OverflowError("mode entries must be below 2^62 in size")
         self.n, self.mode_count = n, sum(map(len, kept))
         self._pairs = (None, None)
 
@@ -414,34 +415,33 @@ def cs_sums(A: OneFormTorus, theta: Theta, q: int) -> float:
     return float(total.real)
 
 
-def zeta0_shift(A: OneFormTorus, theta: Theta, n: int,
+def zeta0_shift(A: OneFormTorus, theta: Theta,
                 diophantine_asserted: bool = False) -> float:
-    """Scale-invariant coefficient zeta_{D_A}(0) - zeta_D(0).
+    """Scale-invariant coefficient zeta_{D_A}(0) - zeta_D(0), n = A.n.
 
     Vanishes identically for n = 2; equals -c tau(F F) for n = 4.  The
     crossed-term cancellation behind both closed forms holds under the
     Diophantine hypothesis on theta / 2 pi, which must be asserted.
     """
-    if n not in (2, 4):
+    if A.n not in (2, 4):
         raise ValueError("closed forms available for n in {2, 4} only")
     if not diophantine_asserted:
         raise AssumptionError(
             "Diophantine assumption on theta/2pi not asserted")
-    if A.n != n or theta.n != n:
+    if theta.n != A.n:
         raise ValueError("dimension mismatch")
-    if n == 2:
+    if A.n == 2:
         return 0.0
     return -YM_CONSTANT * yang_mills(A, theta)
 
 
-def torus_action(A: OneFormTorus, theta: Theta, n: int,
-                 moments: CutoffMoments, lam: float,
-                 diophantine_asserted: bool = False) -> ExpansionReport:
-    """Full expansion: n = 2 gives 4 pi Phi_2 L^2; n = 4 gives
-    8 pi^2 Phi_4 L^4 - c Phi(0) tau(F F).  Odd and L^(n-2) slots are zero."""
+def torus_action(n: int, shift: float, moments: CutoffMoments,
+                 lam: float) -> ExpansionReport:
+    """Full expansion from the scale-invariant term shift = zeta0_shift:
+    n = 2 gives 4 pi Phi_2 L^2; n = 4 gives 8 pi^2 Phi_4 L^4 + shift Phi(0),
+    with shift = -c tau(F F).  Odd and L^(n-2) slots are zero."""
     if n not in (2, 4):
         raise ValueError("action formulas available for n in {2, 4} only")
-    shift = zeta0_shift(A, theta, n, diophantine_asserted)
     if n == 2:
         coeffs = {2: 4.0 * math.pi, 1: 0.0}
     else:

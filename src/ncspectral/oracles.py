@@ -483,8 +483,6 @@ def shell_trace_oracle(T: LadderElem, j, ctx: QContext, cap: int = 200) -> float
         raise ValueError("j must be a half-integer")
     if u > cap:
         raise ValueError(f"shell cap exceeded: 2j = {u} > {cap}")
-    if T.f_power:
-        raise ValueError("shell oracle is for F-free elements")
     total = 0.0
     for comp in ("up", "down"):
         lmax = u + 1 if comp == "up" else u - 1

@@ -127,16 +127,15 @@ def _monomial_word(m) -> tuple:
 
 
 class LadderElem:
-    """Complex span of ladder words, with an optional overall factor of F.
+    """Complex span of ladder words.
 
     Words multiply freely; all relations are used only downstream, through
-    the representation.  The F power is 0 or 1 (F^2 = 1) and F commutes
-    with every letter.
+    the representation.
     """
 
-    __slots__ = ("words", "f_power")
+    __slots__ = ("words",)
 
-    def __init__(self, words=None, f_power: int = 0):
+    def __init__(self, words=None):
         data = {}
         if words:
             for w, c in words.items():
@@ -148,15 +147,13 @@ class LadderElem:
                 if c != 0:
                     data[w] = data.get(w, 0.0) + c
         self.words = {w: c for w, c in data.items() if c != 0}
-        self.f_power = int(f_power) % 2
 
     @classmethod
-    def _make(cls, words: dict, f_power: int) -> "LadderElem":
+    def _make(cls, words: dict) -> "LadderElem":
         """Build from complex values at words already checked as tuples of
         letters; the arithmetic below skips the checks of __init__."""
         out = cls.__new__(cls)
         out.words = {w: c for w, c in words.items() if c != 0}
-        out.f_power = f_power % 2
         return out
 
     @classmethod
@@ -172,21 +169,17 @@ class LadderElem:
         return cls({(name,): coeff})
 
     def __add__(self, other):
-        if self.f_power != other.f_power and self.words and other.words:
-            raise ValueError("cannot add elements with different F powers")
         out = dict(self.words)
         for w, c in other.words.items():
             out[w] = out.get(w, 0.0) + c
-        return LadderElem._make(out,
-                                self.f_power if self.words else other.f_power)
+        return LadderElem._make(out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __rmul__(self, scalar):
         scalar = complex(scalar)
-        return LadderElem._make({w: scalar * c for w, c in self.words.items()},
-                                self.f_power)
+        return LadderElem._make({w: scalar * c for w, c in self.words.items()})
 
     def __matmul__(self, other):
         out: dict = {}
@@ -194,28 +187,27 @@ class LadderElem:
             for w2, c2 in other.words.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0.0) + c1 * c2
-        return LadderElem._make(out, self.f_power + other.f_power)
+        return LadderElem._make(out)
 
     def adjoint(self) -> "LadderElem":
         out = {tuple(STAR[l] for l in reversed(w)): c.conjugate()
                for w, c in self.words.items()}
-        return LadderElem._make(out, self.f_power)
+        return LadderElem._make(out)
 
     def filter_letters(self, allowed: frozenset) -> "LadderElem":
         return LadderElem._make({w: c for w, c in self.words.items()
-                                 if allowed.issuperset(w)}, self.f_power)
+                                 if allowed.issuperset(w)})
 
     def norm1(self) -> float:
         return sum(abs(c) for c in self.words.values())
 
     def allclose(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).norm1() <= tol and self.f_power == other.f_power
+        return (self - other).norm1() <= tol
 
     def __repr__(self):
         terms = ", ".join(f"{'.'.join(w) or '1'}: {c:.3g}"
                           for w, c in sorted(self.words.items()))
-        f = " * F" if self.f_power else ""
-        return f"LadderElem({{{terms}}}{f})"
+        return f"LadderElem({{{terms}}})"
 
 
 # words repeat across the products of one run; the degree of each is
@@ -249,13 +241,12 @@ def rep_ladder(x: PBWElem) -> LadderElem:
 def delta_ladder(T: LadderElem) -> LadderElem:
     """Commutator with |D|: each homogeneous word times its degree."""
     return LadderElem._make({w: word_degree(w) * c
-                             for w, c in T.words.items()}, T.f_power)
+                             for w, c in T.words.items()})
 
 
-def delta_one_form(x: PBWElem, y: PBWElem, f_flag: bool = False) -> LadderElem:
-    """pi(x) delta(pi(y)); with f_flag it stands for pi(x) [D, pi(y)]."""
-    out = rep_ladder(x) @ delta_ladder(rep_ladder(y))
-    return LadderElem._make(out.words, 1 if f_flag else 0)
+def delta_one_form(x: PBWElem, y: PBWElem) -> LadderElem:
+    """pi(x) delta(pi(y))."""
+    return rep_ladder(x) @ delta_ladder(rep_ladder(y))
 
 
 # ---------------------------------------------------------------------------
@@ -412,35 +403,26 @@ def _tau_sum(rt: dict, ctx: QContext, combo) -> tuple:
     return total, bound + EPS * abs(total), size
 
 
-def _image_integral(rt: dict, f_power: int, k: int, ctx: QContext) -> tuple:
+def _image_integral(rt: dict, k: int, ctx: QContext) -> tuple:
     """(value, rounding bound, size) of the integral against |D|^-k, k in
-    {1, 2, 3}, of the element of F power f_power whose r-image is rt.
-
-    With the F flag set the weight-2 and weight-3 integrals vanish
-    identically and the weight-1 one switches to the antisymmetric
-    tau0/tau1 combination.
-    """
-    if f_power and k in (2, 3):
-        return 0.0 + 0.0j, 0.0, 0.0
+    {1, 2, 3}, of the element whose r-image is rt."""
     if k == 3:
         def combo(p, m):
             v = 2.0 * tau1(p) * tau1(m)
             return v, 0.0, v
         return _tau_sum(rt, ctx, combo)
-    if k == 2 or f_power:
-        # tau0(p) tau1(m) +- tau1(p) tau0(m), doubled at weight 2
-        sign, weight = (-1.0, 1.0) if f_power else (1.0, 2.0)
-
+    if k == 2:
+        # tau0(p) tau1(m) + tau1(p) tau0(m), doubled
         def combo(p, m):
             v = e = s = 0.0
             if tau1(m):
                 v, e, s = tau0(p, "+", ctx)
             if tau1(p):
                 v2, e2, s2 = tau0(m, "-", ctx)
-                v += sign * v2
+                v += v2
                 e += e2
                 s += s2
-            return weight * v, weight * e, weight * s
+            return 2.0 * v, 2.0 * e, 2.0 * s
         return _tau_sum(rt, ctx, combo)
 
     def combo(p, m):
@@ -458,7 +440,7 @@ def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
     """Integral of T against |D|^-k, k in {1, 2, 3}."""
     if k not in (1, 2, 3):
         raise ValueError("weight k must be 1, 2 or 3")
-    return _image_integral(hopf_r(T), T.f_power, k, ctx)[0]
+    return _image_integral(hopf_r(T), k, ctx)[0]
 
 
 def _convolve(p1: dict, p2: dict) -> dict:
@@ -477,9 +459,9 @@ def _integral_weight3_powers(A: LadderElem) -> tuple:
     Only words built purely from a+ and a+* survive tau1 x tau1 after r, each
     with weight 1 exactly when its degree is zero.  As w -> z^deg(w) is
     multiplicative, the integral of A^p is 2 [z^0] P(z)^p for the Laurent
-    polynomial P(z) = sum_w c_w z^deg(w) of the filtered words; an odd
-    power of F makes it vanish.  The size is 2 [z^0] |P|^p, and the bound
-    p (N + D + 1) ulps of it, for N words summed into D degrees.
+    polynomial P(z) = sum_w c_w z^deg(w) of the filtered words.  The size
+    is 2 [z^0] |P|^p, and the bound p (N + D + 1) ulps of it, for N words
+    summed into D degrees.
     """
     words = A.filter_letters(frozenset({AP, APS})).words
     poly, abs_poly = {}, {}
@@ -491,12 +473,9 @@ def _integral_weight3_powers(A: LadderElem) -> tuple:
     for power in (1, 2, 3):
         acc = _convolve(acc, poly)
         acc_abs = _convolve(acc_abs, abs_poly)
-        if power * A.f_power % 2:
-            out.append((0.0 + 0.0j, 0.0, 0.0))
-        else:
-            size = 2.0 * acc_abs.get(0, 0.0)
-            ulps = power * (len(words) + len(poly) + 1)
-            out.append((2.0 * acc.get(0, 0.0), ulps * EPS * size, size))
+        size = 2.0 * acc_abs.get(0, 0.0)
+        ulps = power * (len(words) + len(poly) + 1)
+        out.append((2.0 * acc.get(0, 0.0), ulps * EPS * size, size))
     return tuple(out)
 
 
@@ -544,9 +523,9 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     found = {
         "A|D|^-3": weight3[0], "A^2|D|^-3": weight3[1],
         "A^3|D|^-3": weight3[2],
-        "A|D|^-2": _image_integral(rt, A.f_power, 2, ctx),
+        "A|D|^-2": _image_integral(rt, 2, ctx),
         "A^2|D|^-2": _integral_weight2_square(A, ctx),
-        "A|D|^-1": _image_integral(rt, A.f_power, 1, ctx),
+        "A|D|^-1": _image_integral(rt, 1, ctx),
     }
     for name, (value, bound, size) in found.items():
         if not bound < ctx.tol * (1.0 + size):

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,9 +268,10 @@ class TestTorusCommand:
         assert len(err.strip().splitlines()) == 1
         assert "Lambda^4 overflows" in err
 
-    @pytest.mark.parametrize("entry", [2 ** 62, 10 ** 30])
+    @pytest.mark.parametrize("entry", [2 ** 62, 10 ** 30, 2 ** 63, 1e300])
     def test_wide_mode_is_tolerance_failure(self, tmp_path, capsys, entry):
-        # pair sums of such modes would wrap around in int64
+        # pair sums of such modes would wrap around in int64, and entries
+        # from 2^63 on do not fit it at all
         doc = torus_doc()
         doc["A"][0]["l"] = [entry, 0, 0, 0]
         path = tmp_path / "A4.json"
@@ -280,6 +282,7 @@ class TestTorusCommand:
         assert out == ""
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert "below 2^62" in err
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_run_leaves_the_oracle_algebra_alone(self, tmp_path, capsys,
@@ -546,6 +549,23 @@ class TestActionCommand:
         phi3, phi1 = math.sqrt(math.pi) / 4, math.sqrt(math.pi) / 2
         assert rep["expansion"]["total"] == pytest.approx(
             2 * phi3 * 8 - 0.5 * phi1 * 2)
+
+    def test_tiny_last_table_row_runs_without_warning(self, tmp_path,
+                                                      capsys):
+        # the tail rate divides by the last row: the quotient overflows to
+        # inf, a steep tail whose share is 0
+        doc = {"cutoff": {"table": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25],
+                                    [3.0, 1e-320]]},
+               "lambda": 2.0, "coefficients": {"2": 1.0, "1": 1.0},
+               "zeta0": 0.0}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 0
+        assert err == ""
+        assert math.isfinite(json.loads(out)["expansion"]["total"])
 
     def test_coefficient_list_is_schema_error(self, tmp_path, capsys):
         doc = {"cutoff": {"family": "exponential"}, "lambda": 2.0,

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import ncspectral
 from ncspectral import oracles
 from ncspectral.gamma import GammaRep
-from ncspectral.suq2 import PBWElem
+from ncspectral.suq2 import LadderElem, PBWElem, delta_one_form
 
 PACKAGE = Path(ncspectral.__file__).parent
 LIBRARY = ("lattice_zeta", "nc_torus", "suq2", "action_assembly")
@@ -147,6 +148,18 @@ def test_deleted_names_stay_deleted(name):
     (PBWElem, ("mul", "one", "norm1", "__sub__")), (GammaRep, ("matrix",))])
 def test_deleted_methods_stay_deleted(cls, methods):
     assert not [m for m in methods if hasattr(cls, m)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_suq2_elements_carry_no_f(name):
+    # every element is a delta-one-form: no F power, no F flag
+    source = (PACKAGE / f"{name}.py").read_text()
+    assert "f_power" not in source and "f_flag" not in source
+
+
+def test_ladder_element_is_its_words():
+    assert LadderElem.__slots__ == ("words",)
+    assert list(inspect.signature(delta_one_form).parameters) == ["x", "y"]
 
 
 def string_constants(name: str) -> set:

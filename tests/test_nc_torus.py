@@ -433,7 +433,7 @@ class TestClosedFormAction:
         c = 4 * math.pi ** 2 / 3
         for _ in range(10):
             A = random_one_form(rng)
-            z_direct = zeta0_shift(A, theta, 4, diophantine_asserted=True)
+            z_direct = zeta0_shift(A, theta, diophantine_asserted=True)
             z_sums = zeta0_shift_via_power_sums(A, theta,
                                                 diophantine_asserted=True)
             assert z_direct == pytest.approx(z_sums, abs=1e-10)
@@ -444,19 +444,19 @@ class TestClosedFormAction:
         rng = np.random.default_rng(11)
         theta = irrational_theta(2)
         A = OneFormTorus.from_entries(2, [(1, (1, 0), 0.4j), (2, (0, 1), 1.0)])
-        assert zeta0_shift(A, theta, 2, diophantine_asserted=True) == 0.0
+        assert zeta0_shift(A, theta, diophantine_asserted=True) == 0.0
 
     def test_flag_required(self):
         A = OneFormTorus.zero(4)
         with pytest.raises(AssumptionError):
-            zeta0_shift(A, irrational_theta(4), 4)
+            zeta0_shift(A, irrational_theta(4))
         with pytest.raises(AssumptionError):
             zeta0_shift_via_power_sums(A, irrational_theta(4))
 
     def test_unsupported_dimension(self):
         A = OneFormTorus.zero(3)
         with pytest.raises(ValueError):
-            zeta0_shift(A, Theta.zero(3), 3, diophantine_asserted=True)
+            zeta0_shift(A, Theta.zero(3), diophantine_asserted=True)
 
 
 class TestNoTadpole:
@@ -479,7 +479,7 @@ class TestNoTadpole:
         shifts = []
         for t in (1e-2, 1e-3):
             scaled = OneFormTorus([t * A.component(a) for a in range(1, 5)])
-            shifts.append(abs(zeta0_shift(scaled, theta, 4,
+            shifts.append(abs(zeta0_shift(scaled, theta,
                                           diophantine_asserted=True)))
         order = math.log(shifts[0] / shifts[1]) / math.log(10.0)
         assert order > 1.9
@@ -566,16 +566,17 @@ class TestTorusAction:
 
     def test_n2_expansion(self):
         A = OneFormTorus.from_entries(2, [(1, (1, 0), 0.2j)])
-        rep = torus_action(A, irrational_theta(2), 2, self.moments, 10.0,
-                           diophantine_asserted=True)
+        shift = zeta0_shift(A, irrational_theta(2), diophantine_asserted=True)
+        rep = torus_action(2, shift, self.moments, 10.0)
         assert rep.coefficient(2) == pytest.approx(4 * math.pi * 0.5)
         assert rep.coefficient(1) == 0.0
         assert rep.coefficient(0) == 0.0
         assert rep.total == pytest.approx(4 * math.pi * 0.5 * 100.0)
 
     def test_n4_zero_potential(self):
-        rep = torus_action(OneFormTorus.zero(4), irrational_theta(4), 4,
-                           self.moments, 2.0, diophantine_asserted=True)
+        shift = zeta0_shift(OneFormTorus.zero(4), irrational_theta(4),
+                            diophantine_asserted=True)
+        rep = torus_action(4, shift, self.moments, 2.0)
         assert rep.coefficient(4) == pytest.approx(8 * math.pi ** 2 * 0.5)
         for p in (3, 2, 1, 0):
             assert rep.coefficient(p) == 0.0
@@ -584,8 +585,8 @@ class TestTorusAction:
         rng = np.random.default_rng(12)
         theta = irrational_theta(4)
         A = random_one_form(rng)
-        rep = torus_action(A, theta, 4, self.moments, 3.0,
-                           diophantine_asserted=True)
+        rep = torus_action(4, zeta0_shift(A, theta, diophantine_asserted=True),
+                           self.moments, 3.0)
         c = 4 * math.pi ** 2 / 3
         assert rep.coefficient(0) == pytest.approx(
             -c * yang_mills(A, theta), rel=1e-12)

@@ -102,8 +102,6 @@ class TestLadder:
         one = PBWElem.monomial(0, 0, 0)
         assert delta_one_form(one, one).allclose(
             LadderElem.zero())
-        flagged = delta_one_form(gen("b"), gen("b*"), f_flag=True)
-        assert flagged.f_power == 1
 
     def test_adjoint_reverses_and_stars(self):
         T = LadderElem({(AP, BM): 2.0j})
@@ -112,12 +110,6 @@ class TestLadder:
     def test_unknown_letter_rejected(self):
         with pytest.raises(ValueError, match="unknown ladder letter"):
             LadderElem({("x",): 1})
-
-    def test_mixed_f_power_addition_rejected(self):
-        x = LadderElem({(AP,): 1.0}, f_power=0)
-        y = LadderElem({(AM,): 1.0}, f_power=1)
-        with pytest.raises(ValueError):
-            x + y
 
 
 class TestHopfR:
@@ -350,18 +342,6 @@ class TestNcIntegral:
                 for k in (2, 3):
                     assert nc_integral(elem, k, ctx) == 0
 
-    def test_f_flag_rules(self):
-        ctx = QContext(0.5)
-        T = delta_one_form(gen("b"), gen("b*"), f_flag=True)
-        assert nc_integral(T, 3, ctx) == 0
-        assert nc_integral(T, 2, ctx) == 0
-        # antisymmetric combination at weight 1: vanishes for a delta(a*)
-        # but not for the plain weight-1 integral
-        S = delta_one_form(gen("a"), gen("a*"), f_flag=True)
-        assert nc_integral(S, 1, ctx) == pytest.approx(0.0, abs=1e-10)
-        bare = nc_integral(delta_one_form(gen("a"), gen("a*")), 1, ctx)
-        assert abs(bare) > 1.0
-
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             nc_integral(LadderElem.one(), 4, QContext(0.5))
@@ -553,9 +533,6 @@ class TestSpectralAction:
                 y = gen(rng.choice(gens))
                 pairs.append((x, y, complex(rng.normal(), rng.normal())))
             forms.append(one_form_from_pairs(pairs))
-        # F-flagged forms: the weight-3 power integral vanishes at odd powers
-        forms += [delta_one_form(gen("a*"), gen("a"), f_flag=True),
-                  LadderElem(forms[0].words, f_power=1)]
         for A in forms:
             sq = A @ A
             powers = [out[0] for out in _integral_weight3_powers(A)]
@@ -597,8 +574,8 @@ class TestSpectralAction:
         for A in forms:
             rt = hopf_r(A)
             for T, k, (got, bound, size) in (
-                    (A, 1, _image_integral(rt, A.f_power, 1, ctx)),
-                    (A, 2, _image_integral(rt, A.f_power, 2, ctx)),
+                    (A, 1, _image_integral(rt, 1, ctx)),
+                    (A, 2, _image_integral(rt, 2, ctx)),
                     (A @ A, 2, _integral_weight2_square(A, ctx))):
                 re, im = integral_exact(T, k, q)
                 err = abs(complex(float(Fraction(got.real) - re),
