@@ -3,12 +3,14 @@
 A cutoff Phi enters the expansion only through Phi(0) and the moments
 Phi_k = (1/2) integral_0^inf Phi(t) t^(k/2 - 1) dt.  Built-in families carry
 analytic moments.  A table [[t, Phi(t)], ...] (t >= 0, increasing) is
-modelled by one cubic spline on [t0, tN], the constant Phi(t0) on [0, t0]
-and an exponential tail fitted on the last two rows; its integer moments are
-integrated exactly: Gauss-Legendre in x = sqrt(t) on each knot interval, and
-an incomplete-gamma closed form for the tail.  The error bound of a table is
-a rounding bound on that model.  Adaptive quadrature of a cutoff function
-(`moment_quadrature`) is an oracle and lives in `oracles`.
+modelled by one not-a-knot cubic spline on [t0, tN], the constant Phi(t0) on
+[0, t0] and an exponential tail fitted on the last two rows; its integer
+moments are integrated exactly: Gauss-Legendre in x = sqrt(t) on each knot
+interval, and an incomplete-gamma closed form for the tail.  The spline is
+solved here, as one tridiagonal system (`_not_a_knot`); scipy's CubicSpline,
+which gives the same coefficients, is its test oracle.  The error bound of a
+table is a rounding bound on that model.  Adaptive quadrature of a cutoff
+function (`moment_quadrature`) is an oracle and lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
-from scipy import interpolate, special
+from scipy import special
 
 
 class DivergentMomentError(ValueError):
@@ -59,33 +62,50 @@ def _gauss_legendre(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _tabulated_moment(ts, vs, spline, k: int) -> tuple:
-    """Exact Phi_k of the table model: Phi(t0) on [0, t0], the spline on
-    [t0, tN] and the exponential tail fitted on the last two rows.
+def _not_a_knot(ts, vs) -> np.ndarray:
+    """The (4, R - 1) coefficients of the not-a-knot cubic spline through
+    R >= 4 rows, in the arithmetic of scipy's CubicSpline(ts, vs).c.
 
-    With t = x^2 the spline part is sum_i int S(x^2) x^(k-1) dx over
-    [sqrt(t_i), sqrt(t_i+1)], a polynomial of degree k + 5 on each interval,
-    so ceil((k + 6) / 2) Gauss-Legendre nodes integrate it exactly.  The tail
-    is (1/2) vN lam^(-k/2) e^X Gamma(k/2, X) with X = lam tN.  Returns the
-    moment and a rounding bound on it.
+    The slopes s at the knots solve a tridiagonal system, held in (1, 1)
+    banded form; its first and last rows make the third derivative
+    continuous at t1 and t(N-1).  An overflow anywhere shows in s or c.
     """
-    nodes, weights = _gauss_legendre((k + 7) // 2)
-    r = np.sqrt(ts)
-    half = 0.5 * (r[1:] - r[:-1])[:, None]
-    s = half * (1.0 + nodes)            # offset from sqrt(t_i)
-    x = r[:-1, None] + s
-    d = s * (r[:-1, None] + x)          # x^2 - t_i without cancellation
-    c = spline.c[:, :, None]
-    poly = ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
-    terms = half * weights * poly * x ** (k - 1)
-    head = vs[0] * ts[0] ** (k / 2.0) / k
-    tN = float(ts[-1])
-    # in Python floats, whose quotient overflows to inf without a warning
-    lam = math.log(float(vs[-2]) / float(vs[-1])) / (tN - float(ts[-2]))
-    # I(a) = int_tN^inf e^(-lam (t - tN)) t^(a-1) dt = lam^-a e^X Gamma(a, X)
-    # with X = lam tN, from I(1/2) = sqrt(pi / lam) erfcx(sqrt X) or
-    # I(1) = 1 / lam by I(a+1) = (a I(a) + tN^a) / lam; a tail beyond float
-    # range is inf, which cutoff_moments reports as a divergent moment
+    from scipy.linalg import solve_banded
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = np.diff(ts)
+        slope = np.diff(vs) / dx
+        ab = np.zeros((3, len(ts)))  # upper, main and lower diagonal
+        b = np.empty(len(ts))
+        ab[0, 2:], ab[2, :-2] = dx[:-1], dx[1:]
+        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        d = ts[2] - ts[0]
+        ab[0, 1], ab[1, 0] = d, dx[1]
+        b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
+                + dx[0] ** 2 * slope[1]) / d
+        d = ts[-1] - ts[-3]
+        ab[1, -1], ab[2, -2] = dx[-2], d
+        b[-1] = (dx[-1] ** 2 * slope[-2]
+                 + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
+                         overwrite_b=True, check_finite=False)[:, 0]
+        if not np.isfinite(s).all():
+            raise ValueError("tabulated cutoff slopes overflow a double")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], vs[:-1]))
+    if not np.isfinite(c).all():
+        raise ValueError(
+            "tabulated cutoff spline coefficients overflow a double")
+    return c
+
+
+def _tail_integral(k: int, lam: float, tN: float) -> float:
+    """I(k/2), where I(a) = int_tN^inf e^(-lam (t - tN)) t^(a-1) dt
+    = lam^-a e^X Gamma(a, X) with X = lam tN, from I(1/2) = sqrt(pi / lam)
+    erfcx(sqrt X) or I(1) = 1 / lam by I(a+1) = (a I(a) + tN^a) / lam; a
+    tail beyond float range is inf, which cutoff_moments reports as a
+    divergent moment."""
     if k % 2 == 0:
         a, g = 1.0, 1.0 / lam
     else:
@@ -97,10 +117,52 @@ def _tabulated_moment(ts, vs, spline, k: int) -> tuple:
             a += 1.0
     except OverflowError:
         g = math.inf
-    tail = 0.5 * vs[-1] * g
-    value = terms.sum() + head + tail
-    bound = _ROUNDING * (np.abs(terms).sum() + head + tail)
-    return float(value), float(bound)
+    return g
+
+
+def _tabulated_moments(ts, vs, ks) -> tuple:
+    """Exact Phi_k, integer k in ks, of the table model: Phi(t0) on [0, t0],
+    the spline on [t0, tN] and the exponential tail fitted on the last two
+    rows.
+
+    With t = x^2 the spline part is sum_i int S(x^2) x^(k-1) dx over
+    [sqrt(t_i), sqrt(t_i+1)], a polynomial of degree k + 5 on each interval,
+    so ceil((k + 6) / 2) Gauss-Legendre nodes integrate it exactly; S is
+    evaluated at the nodes once per rule size.  The tail is
+    (1/2) vN lam^(-k/2) e^X Gamma(k/2, X) with X = lam tN.  Returns the
+    moments by k and a rounding bound on them.
+    """
+    # the spline of a table is checked even when no moment is asked for;
+    # the tail is fitted only when one is
+    c = _not_a_knot(ts, vs)[:, :, None]
+    values, bound = {}, 0.0
+    if not ks:
+        return values, bound
+    if vs[-1] <= 0 or vs[-2] <= vs[-1]:
+        raise DivergentMomentError("tabulated cutoff tail is not decaying")
+    r = np.sqrt(ts)
+    half = 0.5 * (r[1:] - r[:-1])[:, None]
+    tN = float(ts[-1])
+    # in Python floats, whose quotient overflows to inf without a warning
+    lam = math.log(float(vs[-2]) / float(vs[-1])) / (tN - float(ts[-2]))
+    rules = {}  # nodes per interval -> (half * weight * S(x^2), x)
+    for k in ks:
+        n = (k + 7) // 2
+        if n not in rules:
+            nodes, weights = _gauss_legendre(n)
+            s = half * (1.0 + nodes)        # offset from sqrt(t_i)
+            x = r[:-1, None] + s
+            d = s * (r[:-1, None] + x)      # x^2 - t_i without cancellation
+            rules[n] = (half * weights
+                        * (((c[0] * d + c[1]) * d + c[2]) * d + c[3]), x)
+        weighted, x = rules[n]
+        terms = weighted * x ** (k - 1)
+        head = vs[0] * ts[0] ** (k / 2.0) / k
+        tail = 0.5 * vs[-1] * _tail_integral(k, lam, tN)
+        values[k] = float(terms.sum() + head + tail)
+        bound = max(bound, float(
+            _ROUNDING * (np.abs(terms).sum() + head + tail)))
+    return values, bound
 
 
 _FAMILIES = {
@@ -147,6 +209,8 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
         table = np.asarray(cutoff["table"], dtype=float)
         if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 4:
             raise ValueError("table must be [[t, phi(t)], ...] with >= 4 rows")
+        if not np.isfinite(table).all():
+            raise ValueError("table entries must be finite")
         ts, vs = table[:, 0], table[:, 1]
         if ts[0] < 0:
             raise ValueError("table abscissae must be nonnegative")
@@ -161,15 +225,12 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             if not (k >= 1 and k == math.floor(k)):
                 raise DivergentMomentError(
                     f"tabulated moments need an integer k >= 1, not {k}")
-        spline = interpolate.CubicSpline(ts, vs)
         # the model is constant at Phi(t0) on [0, t0]
         phi0 = float(vs[0])
-        if ks and (vs[-1] <= 0 or vs[-2] <= vs[-1]):
-            raise DivergentMomentError("tabulated cutoff tail is not decaying")
+        moments, bound = _tabulated_moments(ts, vs, [int(k) for k in ks])
         for k in ks:
-            values[k], err = _tabulated_moment(ts, vs, spline, int(k))
+            values[k] = moments[int(k)]
             prov[k] = "spline Gauss-Legendre, exponential tail"
-            bound = max(bound, err)
     else:
         raise ValueError("cutoff must be a family dict or a table dict")
     for k, v in values.items():
@@ -177,6 +238,25 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
             raise DivergentMomentError(f"moment Phi_{k} is not finite")
     return CutoffMoments(phi0=phi0, values=values, provenance=prov,
                          error_bound=bound)
+
+
+def _table_rows(rows) -> np.ndarray:
+    """The [t, phi] rows of a table as one (R, 2) float array, each entry
+    under `json_number`'s rule: checked in bulk, and entry by entry (for the
+    message) only when the bulk check fails."""
+    if (type(rows) is list and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {2}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        try:
+            table = np.fromiter(chain.from_iterable(rows), float,
+                                2 * len(rows)).reshape(-1, 2)
+        except OverflowError:  # an int beyond float range
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table
+    return np.array([[json_number(t), json_number(phi)] for t, phi in rows],
+                    dtype=float)
 
 
 def load_action(doc: dict):
@@ -196,8 +276,7 @@ def load_action(doc: dict):
             cutoff = {"family": cutoff["family"],
                       "params": {"scale": json_number(scale)}}
         else:
-            cutoff = {"table": [[json_number(t), json_number(phi)]
-                                for t, phi in cutoff["table"]]}
+            cutoff = {"table": _table_rows(cutoff["table"])}
         for key, v in doc["coefficients"].items():
             if key != str(int(key)):
                 raise ValueError(

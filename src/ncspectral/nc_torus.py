@@ -460,7 +460,11 @@ def load_potential(doc: dict):
     """
     try:
         n = json_integer(doc["n"])
-        theta = Theta([[json_number(x) for x in row] for row in doc["theta"]])
+        rows = [[json_number(x) for x in row] for row in doc["theta"]]
+        # ragged rows, before numpy's own message about them
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("theta must be a square matrix")
+        theta = Theta(rows)
         flag = doc.get("diophantine_asserted", False)
         entries = [(json_integer(e["alpha"]),
                     tuple(json_integer(x) for x in e["l"]),

@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -7,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, interpolate
 
+from ncspectral import action_assembly
 from ncspectral.action_assembly import (
     MAX_TABLE_K,
     CutoffMoments,
     DivergentMomentError,
     ExpansionReport,
+    _not_a_knot,
     assemble,
     cutoff_moments,
+    load_action,
 )
 from ncspectral.oracles import moment_quadrature
 
@@ -159,30 +165,51 @@ class TestTabulatedMoments:
         _check_table_moments(ts, np.exp(-(rate * ts) ** 2))
 
     def test_one_spline_and_no_adaptive_quadrature(self, monkeypatch):
-        counts = {"splines": 0, "calls": 0}
+        counts = {"splines": 0}
 
-        class CountingSpline(interpolate.CubicSpline):
-            def __init__(self, *args, **kwargs):
-                counts["splines"] += 1
-                super().__init__(*args, **kwargs)
+        def counting_spline(ts, vs):
+            counts["splines"] += 1
+            return _not_a_knot(ts, vs)
 
-            def __call__(self, *args, **kwargs):
-                counts["calls"] += 1
-                return super().__call__(*args, **kwargs)
+        def oracle_only(*args, **kwargs):
+            raise AssertionError("an oracle route on the table route")
 
-        def no_quad(*args, **kwargs):
-            raise AssertionError("adaptive quadrature on the table route")
-
-        monkeypatch.setattr(interpolate, "CubicSpline", CountingSpline)
-        monkeypatch.setattr(integrate, "quad", no_quad)
+        monkeypatch.setattr(action_assembly, "_not_a_knot", counting_spline)
+        monkeypatch.setattr(integrate, "quad", oracle_only)
+        monkeypatch.setattr(interpolate, "CubicSpline", oracle_only)
         ts = np.linspace(0.0, 30.0, 100)
         cutoff_moments({"table": [[t, math.exp(-t)] for t in ts]},
                        [1, 2, 3, 4])
-        assert counts == {"splines": 1, "calls": 0}
+        assert counts == {"splines": 1}
         # a table starting past 0 takes Phi(0) = Phi(t0) from the table too
         cutoff_moments({"table": [[t, math.exp(-t)] for t in ts + 0.5]},
                        [1, 2, 3, 4])
-        assert counts == {"splines": 2, "calls": 0}
+        assert counts == {"splines": 2}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(decaying_tables())
+    def test_moments_in_one_call_equal_one_k_at_a_time(self, table):
+        # the rule sizes shared by k = 1, 2 and by k = 3, 4 change no bit
+        rows = np.column_stack(table).tolist()
+        together = cutoff_moments({"table": rows}, [1, 2, 3, 4])
+        apart = [cutoff_moments({"table": rows}, [k]) for k in (1, 2, 3, 4)]
+        assert together.values == {k: m.phi(k)
+                                   for k, m in zip((1, 2, 3, 4), apart)}
+        assert together.error_bound == max(m.error_bound for m in apart)
+
+    def test_spline_coefficients_beyond_float_range_rejected(self):
+        # knots 1e-200 apart: the slopes are near 1e200, the cubic
+        # coefficients near 1e400
+        table = [[0.0, 1.0], [1e-200, 0.5], [2e-200, 0.3], [3e-200, 0.1]]
+        with pytest.raises(ValueError, match="spline coefficients overflow"):
+            cutoff_moments({"table": table}, [2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        table = [[t, math.exp(-t)] for t in np.linspace(0.0, 10.0, 50)]
+        table[7][1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            cutoff_moments({"table": table}, [2])
 
     def test_table_starting_past_zero_is_one_model(self):
         # Phi(0) and the moments both read Phi as Phi(t0) on [0, t0]: each
@@ -232,6 +259,54 @@ class TestTabulatedMoments:
         table = [[t, math.exp(-t)] for t in np.linspace(0.0, 10.0, 50)]
         with pytest.raises(ValueError, match="go up to"):
             cutoff_moments({"table": table}, [k])
+
+
+def _benchmark_tables(seeds, outdir) -> list:
+    """The cutoff tables of the benchmark's action ops, as `load_action`
+    reads them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    tables = []
+    for seed in seeds:
+        for group in gen.generate("suq2-action", seed, outdir / str(seed)):
+            for op in group["ops"]:
+                if op["cmd"] == "action":
+                    with open(op["argv"][-1]) as fh:
+                        cutoff, *_ = load_action(json.load(fh))
+                    tables.append(cutoff["table"])
+    return tables
+
+
+@st.composite
+def increasing_tables(draw):
+    rows = draw(st.integers(4, 200))
+    t0 = draw(st.sampled_from([0.0]) | st.floats(0.0, 1e3))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=rows - 1,
+                          max_size=rows - 1))
+    vs = draw(st.lists(st.floats(-1e6, 1e6), min_size=rows, max_size=rows))
+    return t0 + np.concatenate([[0.0], np.cumsum(steps)]), np.array(vs)
+
+
+class TestNotAKnot:
+    """The spline of the table route against scipy's CubicSpline, its oracle,
+    coefficient for coefficient."""
+
+    def test_benchmark_tables_of_seeds_1_to_5(self, tmp_path):
+        tables = _benchmark_tables(range(1, 6), tmp_path)
+        assert len(tables) == 50
+        for table in tables:
+            ts, vs = table[:, 0], table[:, 1]
+            np.testing.assert_array_equal(
+                _not_a_knot(ts, vs), interpolate.CubicSpline(ts, vs).c)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(increasing_tables() | decaying_tables())
+    def test_increasing_tables(self, table):
+        ts, vs = table
+        np.testing.assert_array_equal(_not_a_knot(ts, vs),
+                                      interpolate.CubicSpline(ts, vs).c)
 
 
 class TestAssemble:

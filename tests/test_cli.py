@@ -209,6 +209,18 @@ class TestTorusCommand:
         assert out == ""
         assert "skew" in err
 
+    def test_ragged_theta_is_schema_error(self, tmp_path, capsys):
+        doc = torus_doc(n=2)
+        doc["theta"] = [[0, 1], [-1]]
+        path = tmp_path / "A2.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 2
+        assert out == ""
+        assert "theta must be a square matrix" in err
+        assert "sequence" not in err
+
     def test_schema_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"n\": 4}")
@@ -588,6 +600,36 @@ class TestActionCommand:
         assert code == 4
         assert out == ""
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("table", [
+        # 2 (tN - t(N-2)) overflows in the last row of the slope system
+        [[0.0, 1.0], [1.0, 0.5], [2.0, 0.3], [1.7e308, 0.1]],
+        # 3 (dx slope + dx slope) overflows in an inner row
+        [[0.0, 1e308], [1.0, 0.0], [2.0, 1e308], [3.0, 5e307],
+         [4.0, 1e307]],
+    ])
+    def test_table_slopes_beyond_float_range_are_unsupported(
+            self, tmp_path, capsys, table):
+        doc = {"cutoff": {"table": table}, "lambda": 2.0,
+               "coefficients": {"2": 1.0}, "zeta0": 1.0}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert err == ("unsupported: tabulated cutoff slopes overflow a "
+                       "double\n")
+
+    def test_zero_last_row_without_coefficients_runs(self, tmp_path, capsys):
+        # no moment is asked for, so the tail is never fitted
+        doc = {"cutoff": {"table": [[0.0, 1.0], [1.0, 0.5], [2.0, 0.25],
+                                    [3.0, 0.0]]},
+               "lambda": 2.0, "coefficients": {}, "zeta0": 1.5}
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["expansion"]["total"] == 1.5
 
     def test_negative_scale_is_unsupported(self, tmp_path, capsys):
         doc = {"cutoff": {"family": "exponential", "params": {"scale": -1}},

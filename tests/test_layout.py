@@ -80,7 +80,19 @@ def test_action_assembly_takes_no_quadrature_from_scipy():
     names = {alias.name for node in tree.body
              if isinstance(node, ast.ImportFrom) and node.module == "scipy"
              for alias in node.names}
-    assert names == {"interpolate", "special"}
+    # the spline of a table is solved in the module, with a lazy
+    # scipy.linalg import; scipy's CubicSpline is its test oracle
+    assert names == {"special"}
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    probe = ("import sys, ncspectral.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_lattice_zeta_takes_two_functions_from_scipy():
