@@ -50,7 +50,7 @@ def _random_one_form(rng, n=4, nmodes=3):
             continue
         taken.add((alpha, l))
         entries.append((alpha, l, c))
-    return nt.OneFormTorus.from_entries(n, entries)
+    return nt.OneFormTorus(n, entries)
 
 
 def _check(errs, tol, label):

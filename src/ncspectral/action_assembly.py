@@ -66,30 +66,32 @@ def _not_a_knot(ts, vs) -> np.ndarray:
     """The (4, R - 1) coefficients of the not-a-knot cubic spline through
     R >= 4 rows, in the arithmetic of scipy's CubicSpline(ts, vs).c.
 
-    The slopes s at the knots solve a tridiagonal system, held in (1, 1)
-    banded form; its first and last rows make the third derivative
-    continuous at t1 and t(N-1).  An overflow anywhere shows in s or c.
+    The slopes s at the knots solve a tridiagonal system, solved by
+    LAPACK's gtsv on its three diagonals as scipy's solve_banded does; its
+    first and last rows make the third derivative continuous at t1 and
+    t(N-1).  An overflow anywhere shows in s or c.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(ts)
         slope = np.diff(vs) / dx
-        ab = np.zeros((3, len(ts)))  # upper, main and lower diagonal
-        b = np.empty(len(ts))
-        ab[0, 2:], ab[2, :-2] = dx[:-1], dx[1:]
-        ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        lower, upper = np.empty(len(dx)), np.empty(len(dx))
+        main, b = np.empty(len(ts)), np.empty(len(ts))
+        upper[1:], lower[:-1] = dx[:-1], dx[1:]
+        main[1:-1] = 2 * (dx[:-1] + dx[1:])
         b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
         d = ts[2] - ts[0]
-        ab[0, 1], ab[1, 0] = d, dx[1]
+        upper[0], main[0] = d, dx[1]
         b[0] = ((dx[0] + 2 * d) * dx[1] * slope[0]
                 + dx[0] ** 2 * slope[1]) / d
         d = ts[-1] - ts[-3]
-        ab[1, -1], ab[2, -2] = dx[-2], d
+        main[-1], lower[-1] = dx[-2], d
         b[-1] = (dx[-1] ** 2 * slope[-2]
                  + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        s = solve_banded((1, 1), ab, b[:, None], overwrite_ab=True,
-                         overwrite_b=True, check_finite=False)[:, 0]
+        *_, s, info = dgtsv(lower, main, upper, b, True, True, True, True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
         if not np.isfinite(s).all():
             raise ValueError("tabulated cutoff slopes overflow a double")
         t = (s[:-1] + s[1:] - 2 * slope) / dx

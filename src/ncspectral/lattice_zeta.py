@@ -452,10 +452,10 @@ class EpsteinEvaluator:
         chain.append((ROUTE_L_SERIES_MPMATH, self._value_l_series_mpmath))
         self._l_chain = chain
 
-    def _theta_shells(self, s: complex, lo: int, hi: int):
-        """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)]."""
+    def _theta_shells(self, s: complex, lo: int, hi: int, counts):
+        """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)],
+        r(m) = counts[m] (radial_counts)."""
         n = self.n
-        counts = radial_counts(n, hi)
         a1 = mp.mpc(s) / 2
         a2 = (n - mp.mpc(s)) / 2
         acc = mp.mpc(0)
@@ -571,13 +571,15 @@ class EpsteinEvaluator:
         if dps > _GAMMAINC_MAX_DPS:
             raise ToleranceError(f"Z_{n}({s}) needs {dps} working digits, "
                                  f"over the ceiling of {_GAMMAINC_MAX_DPS}")
+        ends = range(16, 409, 8)
+        counts = radial_counts(n, ends[-1])
         with mp.workdps(dps):
             ms = mp.mpc(s)
 
             def approximations():
                 block, lo = 0, 1
-                for hi in range(16, 409, 8):
-                    block += self._theta_shells(s, lo, hi)
+                for hi in ends:
+                    block += self._theta_shells(s, lo, hi, counts)
                     lo = hi + 1
                     # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ]
                     # / Gamma(s/2+1)
@@ -647,15 +649,6 @@ class LatticePoly:
     @classmethod
     def monomial(cls, n: int, exponents, coeff=1.0) -> "LatticePoly":
         return cls(n, [(tuple(exponents), coeff)])
-
-    @property
-    def degree(self) -> int:
-        return max((sum(p) for p, _ in self.terms), default=0)
-
-    def __call__(self, k) -> complex:
-        k = np.asarray(k)
-        return sum(c * np.prod(np.asarray(k, dtype=float) ** np.array(p))
-                   for p, c in self.terms)
 
 
 def sphere_moment(n: int, p) -> float:

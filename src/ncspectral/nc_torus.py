@@ -20,7 +20,6 @@ from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
 from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
-SKEW_TOL = 1e-12     # |A + A*|_1 allowed in a potential component
 UNITARY_TOL = 1e-10  # |u u* - 1|_1 and |u* u - 1|_1 allowed in a gauge element
 YM_CONSTANT = 4.0 * math.pi ** 2 / 3.0  # the n = 4 coupling 4 pi^2 / 3
 
@@ -166,43 +165,51 @@ def commutator(a, b, theta):
 class OneFormTorus:
     """Gauge potential: one skew-adjoint coefficient element per direction.
 
-    Held as a mode table: `modes`, the (U, n) union of the supports, their
-    negatives and 0 in lexicographic order, and `coeffs`, whose row i holds
-    the n component coefficients at modes[i] (0 where a component lacks
-    it).  The TorusElement components are a view built on first use.
+    Built from (alpha, mode, coeff) entries: every listed (l, c) of
+    component alpha implies (-l, -conj(c)); listed entries that conflict
+    by more than 1e-12 are rejected.  Held as a mode table: `modes`, the
+    (U, n) union of the completed supports and 0 in lexicographic order,
+    and `coeffs`, whose row i holds the n component coefficients at
+    modes[i] (0 where a component lacks it).  The TorusElement components
+    are a view built on first use.
     """
 
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise ValueError("need at least one component")
-        n = comps[0].n
-        if len(comps) != n:
-            raise ValueError(f"expected {n} components, got {len(comps)}")
-        for alpha, comp in enumerate(comps, start=1):
-            if (comp + comp.adjoint()).norm1() > SKEW_TOL:
+    def __init__(self, n: int, entries=()):
+        table = {}  # (alpha, mode): coeff
+        for alpha, l, c in entries:
+            if not 1 <= alpha <= n:
+                raise ValueError(f"component index {alpha} out of range 1..{n}")
+            l = tuple(int(x) for x in l)
+            if len(l) != n:
+                raise ValueError(f"mode {l} has wrong length")
+            c = complex(c)
+            if abs(table.get((alpha, l), c) - c) > 1e-12:
+                raise ValueError(f"conflicting entries for component {alpha}, mode {l}")
+            table[alpha, l] = c
+        # complete in listing order: the value at (alpha, -l) changes only
+        # on the turns of l and -l, and the turn of -l leaves its listed
+        # value there, so each check compares two listed values
+        for (alpha, l), c in list(table.items()):
+            neg = tuple(-x for x in l)
+            completed = -c.conjugate()
+            if abs(table.get((alpha, neg), completed) - completed) > 1e-12:
                 raise ValueError(
-                    f"component {alpha} violates skew-adjointness A* = -A")
-        self._tabulate(n, [comp.coeffs for comp in comps])
-        self.components = comps
-
-    def _tabulate(self, n: int, supports) -> None:
-        """Mode table from one {mode: coeff} dict per component."""
-        kept = [{k: c for k, c in d.items() if not abs(c) <= PRUNE_EPS}
-                for d in supports]
-        negatives = ({tuple(-x for x in k) for k in d} for d in kept)
-        order = sorted({(0,) * n}.union(*kept, *negatives))
+                    f"entries at {l} and {neg} violate skew-adjointness")
+            table[alpha, l], table[alpha, neg] = c, completed
+        # |c| = |completed|, so the kept supports stay closed under negation
+        kept = [(key, c) for key, c in table.items()
+                if not abs(c) <= PRUNE_EPS]
+        order = sorted({(0,) * n}.union(l for (_, l), _ in kept))
         # pair sums k + l must not wrap around in int64; checked on the
         # Python ints, which the int64 conversion would refuse past 2^63
         if any(abs(x) >= 1 << 62 for k in order for x in k):
             raise OverflowError("mode entries must be below 2^62 in size")
         row = {k: i for i, k in enumerate(order)}
         self.coeffs = np.zeros((len(order), n), dtype=complex)
-        for a, d in enumerate(kept):
-            for k, c in d.items():
-                self.coeffs[row[k], a] = c
+        self.coeffs[[row[l] for (_, l), _ in kept],
+                    [alpha - 1 for (alpha, _), _ in kept]] = [c for _, c in kept]
         self.modes = np.array(order, dtype=np.int64)
-        self.n, self.mode_count = n, sum(map(len, kept))
+        self.n, self.mode_count = n, len(kept)
         self._pairs = (None, None)
 
     @cached_property
@@ -217,41 +224,6 @@ class OneFormTorus:
         if self._pairs[0] != key:
             self._pairs = (key, PairTable(self, theta))
         return self._pairs[1]
-
-    @classmethod
-    def zero(cls, n: int) -> "OneFormTorus":
-        return cls([TorusElement(n) for _ in range(n)])
-
-    @classmethod
-    def from_entries(cls, n: int, entries) -> "OneFormTorus":
-        """Build from (alpha, mode, coeff) triples with skew completion.
-
-        Every listed (l, c) implies (-l, -conj(c)); explicitly listed
-        conflicting pairs are rejected.
-        """
-        data, explicit = [{} for _ in range(n)], [{} for _ in range(n)]
-        for alpha, l, c in entries:
-            if not 1 <= alpha <= n:
-                raise ValueError(f"component index {alpha} out of range 1..{n}")
-            l = tuple(int(x) for x in l)
-            if len(l) != n:
-                raise ValueError(f"mode {l} has wrong length")
-            c = complex(c)
-            d = explicit[alpha - 1]
-            if l in d and abs(d[l] - c) > 1e-12:
-                raise ValueError(f"conflicting entries for component {alpha}, mode {l}")
-            d[l] = c
-        for alpha in range(n):
-            for l, c in explicit[alpha].items():
-                neg = tuple(-x for x in l)
-                completed = -c.conjugate()
-                if neg in explicit[alpha] and abs(explicit[alpha][neg] - completed) > 1e-12:
-                    raise ValueError(
-                        f"entries at {l} and {neg} violate skew-adjointness")
-                data[alpha][l] = c
-                data[alpha][neg] = completed
-        (A := cls.__new__(cls))._tabulate(n, data)
-        return A
 
     def component(self, alpha: int) -> TorusElement:
         return self.components[alpha - 1]
@@ -361,12 +333,12 @@ def gauge_transform(A: OneFormTorus, u: TorusElement,
     if not (weyl_mul(u, ustar, theta).allclose(unit, UNITARY_TOL)
             and weyl_mul(ustar, u, theta).allclose(unit, UNITARY_TOL)):
         raise ValueError("gauge element is not unitary within tolerance")
-    comps = []
+    entries = []
     for a in range(1, A.n + 1):
         transported = weyl_mul(weyl_mul(u, A.component(a), theta), ustar, theta)
         inhom = weyl_mul(u, ustar.delta(a), theta)
-        comps.append(transported + inhom)
-    return OneFormTorus(comps)
+        entries += [(a, k, c) for k, c in (transported + inhom).coeffs.items()]
+    return OneFormTorus(A.n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -477,5 +449,5 @@ def load_potential(doc: dict):
         raise ValueError("diophantine_asserted must be true or false")
     if theta.n != n:
         raise ValueError("theta size does not match n")
-    A = OneFormTorus.from_entries(n, entries)
+    A = OneFormTorus(n, entries)
     return {"n": n, "theta": theta, "diophantine_asserted": flag, "A": A}

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,6 +297,32 @@ class TestTorusCommand:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "below 2^62" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"alpha": 1, "l": [0, 1, 0, 0], "im": 0.4},
+         "conflicting entries for component 1, mode (0, 1, 0, 0)"),
+        ({"alpha": 1, "l": [0, -1, 0, 0], "im": -0.3},
+         "entries at (0, 1, 0, 0) and (0, -1, 0, 0) violate skew-adjointness"),
+        ({"alpha": 3, "l": [0, 0, 0, 0], "re": 0.5},
+         "entries at (0, 0, 0, 0) and (0, 0, 0, 0) violate skew-adjointness"),
+        ({"alpha": 5, "l": [0, 0, 1, 0], "re": 0.5},
+         "component index 5 out of range 1..4"),
+        ({"alpha": 1, "l": [1, 0, 0], "im": 0.2},
+         "mode (1, 0, 0) has wrong length")],
+        ids=["repeated-mode", "plus-minus-l", "real-zero-mode",
+             "alpha-range", "mode-length"])
+    def test_one_defective_entry_is_schema_error(self, tmp_path, capsys,
+                                                 entry, message):
+        # torus_doc lists a = 0.3i at (0, 1, 0, 0) in component 1
+        doc = torus_doc()
+        doc["A"].append(entry)
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 2
+        assert out == ""
+        assert err == f"schema error: {message}\n"
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_run_leaves_the_oracle_algebra_alone(self, tmp_path, capsys,
@@ -978,6 +1006,16 @@ class TestSelftestPlumbing:
                             [(1, "stub", lambda: (False, "boom"))])
         assert main(["selftest"]) == 3
         assert "[FAIL]" in capsys.readouterr().out
+
+    def test_console_script_is_cli_main(self):
+        # CI runs `python -m ncspectral.cli`; the installed `ncspectral`
+        # command must reach the same entry point
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(Path(__file__).parent.parent / "pyproject.toml", "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts["ncspectral"] == "ncspectral.cli:main"
+        module, _, name = scripts["ncspectral"].partition(":")
+        assert callable(getattr(importlib.import_module(module), name))
 
 
 # a report holds dicts with str keys, lists, tuples, str, int, float, bool

@@ -14,6 +14,7 @@ import pytest
 import ncspectral
 from ncspectral import oracles
 from ncspectral.gamma import GammaRep
+from ncspectral.nc_torus import OneFormTorus
 from ncspectral.suq2 import LadderElem, PBWElem, delta_one_form
 
 PACKAGE = Path(ncspectral.__file__).parent
@@ -125,10 +126,13 @@ def test_oracle_route_lives_in_oracles(name):
 
 
 def defined_names(name: str) -> set:
-    """The functions and classes the module defines at module level."""
+    """The functions, methods and classes the module defines, and the
+    names it assigns at module level."""
     tree = ast.parse((PACKAGE / f"{name}.py").read_text())
-    return {node.name for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return ({node.name for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            | {target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets if isinstance(target, ast.Name)})
 
 
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -148,7 +152,7 @@ def test_one_number_rule_for_input_documents(name):
 # no CLI path, selftest criterion or oracle route used these; they are gone
 DELETED = {"_normalize_word", "pbw_normalize", "pbw_adjoint", "zero_degree",
            "TwistedFamily", "twisted_residue", "check_skew", "gamma_trace",
-           "_pair_sum", "chirality"}
+           "_pair_sum", "chirality", "_tabulate", "SKEW_TOL", "degree"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -157,7 +161,8 @@ def test_deleted_names_stay_deleted(name):
 
 
 @pytest.mark.parametrize("cls, methods", [
-    (PBWElem, ("mul", "one", "norm1", "__sub__")), (GammaRep, ("matrix",))])
+    (PBWElem, ("mul", "one", "norm1", "__sub__")), (GammaRep, ("matrix",)),
+    (OneFormTorus, ("from_entries", "zero"))])
 def test_deleted_methods_stay_deleted(cls, methods):
     assert not [m for m in methods if hasattr(cls, m)]
 

@@ -53,7 +53,7 @@ def random_element(rng, n, support=3, scale=0.5):
     return TorusElement(n, coeffs)
 
 
-def random_one_form(rng, n=4, nmodes=3):
+def random_entries(rng, n=4, nmodes=3):
     entries = []
     for _ in range(nmodes):
         alpha = int(rng.integers(1, n + 1))
@@ -62,7 +62,11 @@ def random_one_form(rng, n=4, nmodes=3):
             continue
         entries.append((alpha, l, complex(rng.normal(scale=0.4),
                                           rng.normal(scale=0.4))))
-    return OneFormTorus.from_entries(n, entries)
+    return entries
+
+
+def random_one_form(rng, n=4, nmodes=3):
+    return OneFormTorus(n, random_entries(rng, n, nmodes))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +155,7 @@ def potential(entries, empty=0, n=4):
             continue
         seen.add((alpha, l))
         kept.append((alpha, l, 1j * c.imag if not any(l) else c))
-    return OneFormTorus.from_entries(n, kept)
+    return OneFormTorus(n, kept)
 
 
 def skew_theta(upper):
@@ -284,7 +288,7 @@ class TestAdjointTauDelta:
 
 class TestOneFormAndCurvature:
     def test_skew_completion(self):
-        A = OneFormTorus.from_entries(2, [(1, (1, 0), 0.5 + 0.5j)])
+        A = OneFormTorus(2, [(1, (1, 0), 0.5 + 0.5j)])
         comp = A.component(1)
         assert comp.coeffs[(1, 0)] == pytest.approx(0.5 + 0.5j)
         assert comp.coeffs[(-1, 0)] == pytest.approx(-0.5 + 0.5j)
@@ -293,15 +297,38 @@ class TestOneFormAndCurvature:
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):
-            OneFormTorus.from_entries(
-                2, [(1, (1, 0), 1.0), (1, (-1, 0), 1.0)])
+            OneFormTorus(2, [(1, (1, 0), 1.0), (1, (-1, 0), 1.0)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 4), modes4, coeff, st.booleans()),
+                    max_size=9))
+    def test_listed_negatives_change_nothing(self, draws):
+        # listing (alpha, -l, -conj c) next to (alpha, l, c), before or
+        # after it, gives bit for bit the potential that lists (l, c) only
+        seen, entries, mirrors, interleaved = set(), [], [], []
+        for alpha, l, c, mirrored in draws:
+            neg = tuple(-x for x in l)
+            if not any(l) or (alpha, l) in seen or (alpha, neg) in seen:
+                continue
+            seen.add((alpha, l))
+            entries.append((alpha, l, c))
+            interleaved.append((alpha, l, c))
+            if mirrored:
+                mirrors.append((alpha, neg, -c.conjugate()))
+                interleaved.append(mirrors[-1])
+        A = OneFormTorus(4, entries)
+        for B in (OneFormTorus(4, interleaved),
+                  OneFormTorus(4, mirrors + entries)):
+            assert B.modes.tobytes() == A.modes.tobytes()
+            assert B.coeffs.tobytes() == A.coeffs.tobytes()
+            assert B.mode_count == A.mode_count
 
     def test_zero_mode_must_be_imaginary(self):
         # at l = 0 the completion forces c = -conj(c)
-        A = OneFormTorus.from_entries(2, [(1, (0, 0), 0.7j)])
+        A = OneFormTorus(2, [(1, (0, 0), 0.7j)])
         assert A.component(1).coeffs[(0, 0)] == pytest.approx(0.7j)
         with pytest.raises(ValueError):
-            OneFormTorus.from_entries(2, [(1, (0, 0), 0.5)])
+            OneFormTorus(2, [(1, (0, 0), 0.5)])
 
     def test_theta_skew_to_1e_14(self):
         # 9e-6 off skew: within numpy's default rtol, not within 1e-14
@@ -315,13 +342,8 @@ class TestOneFormAndCurvature:
         with pytest.raises(ValueError, match="skew"):
             Theta([[0.0, math.inf], [-math.inf, 0.0]])
 
-    def test_non_skew_component_rejected(self):
-        bad = TorusElement(2, {(1, 0): 1.0})
-        with pytest.raises(ValueError):
-            OneFormTorus([bad, TorusElement(2)])
-
     def test_constant_potential_is_flat(self):
-        A = OneFormTorus.from_entries(2, [(1, (0, 0), 1j), (2, (0, 0), 2j)])
+        A = OneFormTorus(2, [(1, (0, 0), 1j), (2, (0, 0), 2j)])
         F = curvature(A, irrational_theta(2))
         assert F.component(1, 2).norm1() < 1e-14
 
@@ -354,13 +376,13 @@ class TestOneFormAndCurvature:
 
 class TestYangMillsAndGauge:
     def test_zero_potential(self):
-        assert yang_mills(OneFormTorus.zero(4), irrational_theta(4)) == 0.0
+        assert yang_mills(OneFormTorus(4), irrational_theta(4)) == 0.0
 
     def test_abelian_single_mode_value(self):
         # theta = 0, one-mode potential: hand expansion of the field strength
         t = 0.7
         l = (0, 1, 0, 0)
-        A = OneFormTorus.from_entries(4, [(1, l, 1j * t)])
+        A = OneFormTorus(4, [(1, l, 1j * t)])
         got = yang_mills(A, Theta.zero(4))
         # F_{1b} = -i sum_k a_{1,k} k_b U_k; only b = 2 survives with
         # tau(F_{12} F_{12}) = -2 t^2, counted twice by index symmetry
@@ -380,7 +402,7 @@ class TestYangMillsAndGauge:
         theta = irrational_theta(4)
         k = (1, 0, -1, 2)
         u = TorusElement.weyl(4, k)
-        A = gauge_transform(OneFormTorus.zero(4), u, theta)
+        A = gauge_transform(OneFormTorus(4), u, theta)
         for a in range(1, 5):
             expected = TorusElement(4, {(0, 0, 0, 0): -1j * k[a - 1]})
             assert A.component(a).allclose(expected)
@@ -408,20 +430,20 @@ class TestYangMillsAndGauge:
         theta = irrational_theta(4)
         u = TorusElement.weyl(4, (1, 0, 0, 0), 2.0)
         with pytest.raises(ValueError):
-            gauge_transform(OneFormTorus.zero(4), u, theta)
+            gauge_transform(OneFormTorus(4), u, theta)
 
 
 class TestClosedFormAction:
     def test_cs_sums_vanish_for_zero_potential(self):
         theta = irrational_theta(4)
-        A = OneFormTorus.zero(4)
+        A = OneFormTorus(4)
         for q in (2, 3, 4):
             assert cs_sums(A, theta, q) == 0.0
 
     def test_cs_sum_single_mode_quadratic(self):
         t = 0.3
         l = (0, 1, 0, 0)
-        A = OneFormTorus.from_entries(4, [(1, l, 1j * t)])
+        A = OneFormTorus(4, [(1, l, 1j * t)])
         c = 4 * math.pi ** 2 / 3
         # sum over modes +-l of a a (l_1^2 - |l|^2) = 2 (it)(it)(0 - 1) = 2 t^2
         assert cs_sums(A, irrational_theta(4), 2) == pytest.approx(
@@ -443,18 +465,18 @@ class TestClosedFormAction:
     def test_zeta_shift_n2_vanishes(self):
         rng = np.random.default_rng(11)
         theta = irrational_theta(2)
-        A = OneFormTorus.from_entries(2, [(1, (1, 0), 0.4j), (2, (0, 1), 1.0)])
+        A = OneFormTorus(2, [(1, (1, 0), 0.4j), (2, (0, 1), 1.0)])
         assert zeta0_shift(A, theta, diophantine_asserted=True) == 0.0
 
     def test_flag_required(self):
-        A = OneFormTorus.zero(4)
+        A = OneFormTorus(4)
         with pytest.raises(AssumptionError):
             zeta0_shift(A, irrational_theta(4))
         with pytest.raises(AssumptionError):
             zeta0_shift_via_power_sums(A, irrational_theta(4))
 
     def test_unsupported_dimension(self):
-        A = OneFormTorus.zero(3)
+        A = OneFormTorus(3)
         with pytest.raises(ValueError):
             zeta0_shift(A, Theta.zero(3), diophantine_asserted=True)
 
@@ -475,10 +497,10 @@ class TestNoTadpole:
     def test_scale_invariant_term_is_at_least_quadratic(self):
         rng = np.random.default_rng(21)
         theta = irrational_theta(4)
-        A = random_one_form(rng)
+        entries = random_entries(rng)
         shifts = []
         for t in (1e-2, 1e-3):
-            scaled = OneFormTorus([t * A.component(a) for a in range(1, 5)])
+            scaled = OneFormTorus(4, [(a, l, t * c) for a, l, c in entries])
             shifts.append(abs(zeta0_shift(scaled, theta,
                                           diophantine_asserted=True)))
         order = math.log(shifts[0] / shifts[1]) / math.log(10.0)
@@ -493,7 +515,7 @@ class TestOracleRoutes:
     @given(potentials4, thetas4)
     @example(COLLIDING, Theta.zero(4))
     @example(COLLIDING, irrational_theta(4))
-    @example(OneFormTorus.zero(4), irrational_theta(4))
+    @example(OneFormTorus(4), irrational_theta(4))
     def test_yang_mills_matches_ff_trace(self, A, theta):
         # the oracle's weyl_mul prunes each of the 12 traces tau(F_ab F_ab)
         # that comes out at or below PRUNE_EPS
@@ -502,7 +524,7 @@ class TestOracleRoutes:
 
     @settings(max_examples=60, deadline=None)
     @given(potentials2, thetas2)
-    @example(OneFormTorus.zero(2), irrational_theta(2))
+    @example(OneFormTorus(2), irrational_theta(2))
     def test_yang_mills_matches_ff_trace_n2(self, A, theta):
         assert yang_mills(A, theta) == pytest.approx(
             ff_trace_oracle(A, theta), rel=1e-12, abs=2 * PRUNE_EPS)
@@ -511,7 +533,7 @@ class TestOracleRoutes:
     @given(potentials4, thetas4)
     @example(COLLIDING, Theta.zero(4))
     @example(COLLIDING, irrational_theta(4))
-    @example(OneFormTorus.zero(4), irrational_theta(4))
+    @example(OneFormTorus(4), irrational_theta(4))
     def test_cs_sums_match_loops(self, A, theta):
         for q in (2, 3, 4):
             want, scale = cs_sums_oracle(A, theta, q)
@@ -530,7 +552,7 @@ class TestOracleRoutes:
 
     def test_pair_table_closed_under_negation_with_wide_entries(self):
         big = 10 ** 15
-        A = OneFormTorus.from_entries(4, [
+        A = OneFormTorus(4, [
             (1, (big, -big, 0, 1), 0.3 + 0.1j),
             (2, (big, big, big, big), -0.2j),
             (3, (0, 0, 0, 1), 0.4),
@@ -565,7 +587,7 @@ class TestTorusAction:
         self.moments = cutoff_moments({"family": "exponential"}, [1, 2, 3, 4])
 
     def test_n2_expansion(self):
-        A = OneFormTorus.from_entries(2, [(1, (1, 0), 0.2j)])
+        A = OneFormTorus(2, [(1, (1, 0), 0.2j)])
         shift = zeta0_shift(A, irrational_theta(2), diophantine_asserted=True)
         rep = torus_action(2, shift, self.moments, 10.0)
         assert rep.coefficient(2) == pytest.approx(4 * math.pi * 0.5)
@@ -574,7 +596,7 @@ class TestTorusAction:
         assert rep.total == pytest.approx(4 * math.pi * 0.5 * 100.0)
 
     def test_n4_zero_potential(self):
-        shift = zeta0_shift(OneFormTorus.zero(4), irrational_theta(4),
+        shift = zeta0_shift(OneFormTorus(4), irrational_theta(4),
                             diophantine_asserted=True)
         rep = torus_action(4, shift, self.moments, 2.0)
         assert rep.coefficient(4) == pytest.approx(8 * math.pi ** 2 * 0.5)
