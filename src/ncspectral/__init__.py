@@ -3,12 +3,11 @@ noncommutative torus and on SU_q(2)."""
 
 from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
                               cutoff_moments)
-from .gamma import GammaRep, build_gamma
 from .lattice_zeta import (EpsteinEvaluator, LatticePoly, residue_lattice_sum,
                            sphere_moment)
-from .nc_torus import (Curvature, OneFormTorus, Theta, TorusElement, cs_sums,
-                       curvature, gauge_transform, torus_action, weyl_mul,
-                       yang_mills, zeta0_shift)
+from .nc_torus import (OneFormTorus, Theta, TorusElement, cs_sums, curvature,
+                       gauge_transform, torus_action, weyl_mul, yang_mills,
+                       zeta0_shift)
 from .suq2 import (LadderElem, PBWElem, QContext, delta_ladder,
                    delta_one_form, hopf_r, nc_integral, rep_ladder,
                    suq2_action, tau0, tau1)

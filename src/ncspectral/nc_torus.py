@@ -158,10 +158,6 @@ def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:
     return TorusElement._pruned(a.n, out)
 
 
-def commutator(a, b, theta):
-    return weyl_mul(a, b, theta) - weyl_mul(b, a, theta)
-
-
 class OneFormTorus:
     """Gauge potential: one skew-adjoint coefficient element per direction.
 
@@ -281,24 +277,10 @@ class PairTable:
         return np.add.reduceat(terms, self.starts)
 
 
-class Curvature:
-    """Field strength F_{ab} = d_a A_b - d_b A_a + [A_a, A_b]."""
-
-    def __init__(self, n, table):
-        self.n = n
-        self._table = table  # keys (a, b) with a < b
-
-    def component(self, a: int, b: int) -> TorusElement:
-        if a == b:
-            return TorusElement(self.n)
-        if a < b:
-            return self._table[(a, b)]
-        return -self._table[(b, a)]
-
-
-def curvature(A: OneFormTorus, theta: Theta) -> Curvature:
-    """F_{ab} for a < b; the components are skew-adjoint, so the product
-    A_b A_a in the commutator is (A_a A_b)* and is not multiplied out."""
+def curvature(A: OneFormTorus, theta: Theta) -> dict:
+    """{(a, b): F_ab} for a < b, F_ab = d_a A_b - d_b A_a + [A_a, A_b]; the
+    components are skew-adjoint, so the product A_b A_a in the commutator
+    is (A_a A_b)* and is not multiplied out."""
     n = A.n
     table = {}
     for a in range(1, n + 1):
@@ -306,7 +288,7 @@ def curvature(A: OneFormTorus, theta: Theta) -> Curvature:
             prod = weyl_mul(A.component(a), A.component(b), theta)
             table[(a, b)] = (A.component(b).delta(a) - A.component(a).delta(b)
                              + (prod - prod.adjoint()))
-    return Curvature(n, table)
+    return table
 
 
 def yang_mills(A: OneFormTorus, theta: Theta) -> float:

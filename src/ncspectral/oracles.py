@@ -18,11 +18,9 @@ from scipy import integrate
 
 from . import lattice_zeta as lz
 from .action_assembly import DivergentMomentError
-from .gamma import build_gamma
 from .lattice_zeta import (AssumptionError, LatticePoly, PoleError,
                            ToleranceError, radial_counts, sphere_moment)
-from .nc_torus import (Curvature, OneFormTorus, Theta, TorusElement, cs_sums,
-                       curvature)
+from .nc_torus import OneFormTorus, Theta, TorusElement, cs_sums, curvature
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
                    QContext, delta_ladder, leg_diag_coeff, leg_shift,
                    rep_ladder, tau1)
@@ -154,11 +152,12 @@ def pairing(theta: Theta, k, q) -> float:
     return float(np.dot(k, theta.entries @ np.asarray(q, dtype=float)))
 
 
-def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> Curvature:
+def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> dict:
     """Second, independent route: the explicit mode-space expansion
 
     F_{ab} = i sum_k [ (a_{b,k} k_a - a_{a,k} k_b)
-                       - 2 sum_l a_{a,k-l} a_{b,l} sin(k.Theta l / 2) ] U_k.
+                       - 2 sum_l a_{a,k-l} a_{b,l} sin(k.Theta l / 2) ] U_k,
+    as {(a, b): F_ab} for a < b.
     """
     n = A.n
     table = {}
@@ -177,15 +176,13 @@ def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> Curvature:
                     s = math.sin(0.5 * pairing(theta, k, lb))
                     out[k] = out.get(k, 0.0) - 2.0j * va * vb * s
             table[(a, b)] = TorusElement(n, out)
-    return Curvature(n, table)
+    return table
 
 
 def _curvature_ff_trace(A, theta):
     """tau(F F) = 2 sum_{a<b} sum_k f_k f_{-k} from the dict curvature, a
     route apart from the pair table behind yang_mills and cs_sums."""
-    F = curvature(A, theta)
-    fs = [F.component(a, b).coeffs for a in range(1, A.n + 1)
-          for b in range(a + 1, A.n + 1)]
+    fs = [f.coeffs for f in curvature(A, theta).values()]
     return 2.0 * complex(sum(c * f.get(tuple(-x for x in k), 0.0)
                              for f in fs for k, c in f.items())).real
 
@@ -216,24 +213,52 @@ class TruncatedSpectrum:
         return int(np.sum(np.abs(self.eigenvalues - value) < tol))
 
 
+def gamma_matrices(n: int) -> tuple:
+    """n hermitian matrices on C^(2^(n//2)) with {g_i, g_j} = 2 delta_ij,
+    n >= 1, from iterated tensor products of Pauli matrices: 2m of size
+    2^m, and for odd n the product (-i)^m g_1 ... g_2m.  dirac_truncated
+    uses only the spectrum of k_mu g^mu, which does not depend on this
+    unitary convention."""
+    if n == 1:
+        return (np.array([[1.0]], dtype=complex),)
+    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sigma2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+    sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+    mats = [sigma1, sigma2]
+    m = n // 2
+    # grow even blocks: 2m matrices of size 2^m
+    for _ in range(2, m + 1):
+        eye = np.eye(mats[0].shape[0], dtype=complex)
+        mats = [np.kron(g, sigma3) for g in mats]
+        mats += [np.kron(eye, sigma1), np.kron(eye, sigma2)]
+    if n % 2 == 1:
+        prod = np.eye(mats[0].shape[0], dtype=complex)
+        for g in mats:
+            prod = prod @ g
+        mats.append((-1.0j) ** m * prod)
+    return tuple(mats)
+
+
 def dirac_truncated(n: int, K: int, max_dim: int = 2_000_000) -> TruncatedSpectrum:
     """Eigenvalues of D restricted to modes |k| <= K, via exact
     diagonalization of the fiber matrices k_mu gamma^mu."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"spatial dimension must be a positive integer, got {n!r}")
     if K < 1:
         raise ValueError("truncation radius must be >= 1")
-    rep = build_gamma(n)
     grid = np.arange(-K, K + 1)
-    n_modes = (2 * K + 1) ** n
-    if n_modes * rep.dim > max_dim:
+    size = (2 * K + 1) ** n * 2 ** (n // 2)
+    if size > max_dim:
         raise MemoryError(
-            f"truncated Dirac needs {n_modes * rep.dim} basis vectors, "
+            f"truncated Dirac needs {size} basis vectors, "
             f"over the guard {max_dim}")
+    gammas = gamma_matrices(n)
     mesh = np.meshgrid(*([grid] * n), indexing="ij")
     modes = np.stack([m.ravel() for m in mesh], axis=1)
     modes = modes[np.sum(modes.astype(float) ** 2, axis=1) <= K * K + 1e-9]
     eigs = []
     for k in modes:
-        fiber = sum(float(ki) * g for ki, g in zip(k, rep.matrices))
+        fiber = sum(float(ki) * g for ki, g in zip(k, gammas))
         eigs.append(np.linalg.eigvalsh(fiber))
     return TruncatedSpectrum(n=n, radius=K,
                              eigenvalues=np.sort(np.concatenate(eigs)))

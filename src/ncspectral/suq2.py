@@ -316,11 +316,13 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
 
     On a zero-shift leg of length L the walk never meets the boundary from
     n >= L on, and f(n) = leg_diag_coeff(leg, side, n, q) is a polynomial
-    P(x) = sum_j c_j x^j in x = q^n: the two crossings of each edge pair up
-    into a factor (1 - q^(2(d+1)) x^2) per a step from offset d to d + 1,
-    and each b or b* letter at offset d adds x q^d (times -1 on side "-").
-    Its constant term c_0 is tau1, so exactly
-        tau0 = sum_{n<L} (f(n) - tau1) + sum_{j>=1} c_j q^(jL) / (1 - q^j),
+    P(x) = sum_j c_j x^j in x = q^(n-L): the two crossings of each edge
+    pair up into a factor (1 - q^(2(d+L+1)) x^2) per a step from offset d
+    to d + 1, and each b or b* letter at offset d adds x q^(d+L) (times -1
+    on side "-").  Offsets stay above -L, so no power of q has a negative
+    exponent, and none overflows at small q.  The constant term c_0 is
+    tau1, so exactly
+        tau0 = sum_{n<L} (f(n) - tau1) + sum_{j>=1} c_j / (1 - q^j),
     the half-line (Toeplitz) picture of A. Connes, J. Inst. Math. Jussieu 3
     (2004).
 
@@ -346,28 +348,28 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
     length = len(leg)
     t1 = tau1(leg)
     head = [leg_diag_coeff(leg, side, n, q) - t1 for n in range(length)]
-    # P(x) = scale x^nb Q(x^2), Q(y) = prod (1 - q^(2(d+1)) y) over the a steps
+    # P(x) = scale x^nb Q(x^2), Q(y) = prod (1 - q^(2(d+L+1)) y) over a steps
     scale, nb, d, ys = 1.0, 0, 0, [1.0]
     for letter in reversed(leg):
         if letter == "a":
             d += 1
-            r = q ** (2 * d)
+            r = q ** (2 * (d + length))
             ys.append(0.0)
             for k in range(len(ys) - 1, 0, -1):
                 ys[k] -= r * ys[k - 1]
         elif letter == "a*":
             d -= 1
         else:
-            scale *= q ** d if side == "+" else -q ** d
+            scale *= q ** (d + length) if side == "+" else -q ** (d + length)
             nb += 1
-    # sum_{n>=L} x^j = q^(jL) / (1 - q^j), through expm1 so that 1 - q^j
-    # keeps its relative accuracy as q -> 1
+    # sum_{n>=L} x^j = 1 / (1 - q^j), through expm1 so that 1 - q^j keeps
+    # its relative accuracy as q -> 1
     log_q = math.log(q)
     tail = []
     for k, c in enumerate(ys):
         j = nb + 2 * k
         if j:
-            tail.append(scale * c * q ** (j * length) / -math.expm1(j * log_q))
+            tail.append(scale * c / -math.expm1(j * log_q))
     value = math.fsum(head + tail)
     m = len(ys) - 1
     tail_size = sum(map(abs, tail))

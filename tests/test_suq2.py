@@ -288,6 +288,23 @@ class TestTauFunctionals:
         assert abs(Fraction(value) - tau0_exact(leg, side, q)) <= bound
         assert abs(value) <= size
 
+    @pytest.mark.parametrize("q", [1e-13, 1e-26, 1e-77, 1e-300])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tau0_at_small_q(self, k, q):
+        # a^k d a^-k walks its legs below their start, where a power q^d
+        # with d < 0 would overflow at these q and turn inf * 0 into nan
+        ctx = QContext(q)
+        A = delta_one_form(PBWElem.monomial(k, 0, 0),
+                           PBWElem.monomial(-k, 0, 0))
+        for (plus, minus, _), _ in hopf_r(A @ A).items():
+            for leg, side in ((plus, "+"), (minus, "-")):
+                value, bound, size = tau0(leg, side, ctx)
+                assert math.isfinite(size)
+                assert abs(value - tau0_series(leg, side, ctx)) <= bound
+        moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
+        integrals = suq2_action(A, ctx, moments, 1.0)["integrals"]
+        assert integrals["A^2|D|^-2"] == -4.0 * k ** 3
+
     @pytest.mark.parametrize("leg", [("a", "a*"), ("a*", "a"), ("b", "b*"),
                                      ("a", "b", "a*"), ("b", "b", "a*", "a")])
     @pytest.mark.parametrize("side", ["+", "-"])
