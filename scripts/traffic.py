@@ -1,0 +1,103 @@
+"""List the library functions that no benchmark op enters.
+
+Run from the root of a checkout:
+
+    python3 scripts/traffic.py --seeds 1-5
+
+For each workload of `perfbench.gen` and each seed it generates the inputs
+in a temporary directory, as `dump_reports.py` does, and runs every op
+through `ncspectral.cli.main` in this one process, with its report sent to
+that directory.  A `sys.settrace` hook notes each function of
+`src/ncspectral` that is entered.  The script then prints every function,
+method and nested function of `cli`, `lattice_zeta`, `nc_torus`, `suq2` and
+`action_assembly` that no op entered, one `module.qualified_name` a line.
+It writes nothing in the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+# dump_reports puts the checkout's src and root first on sys.path
+from dump_reports import ROOT, _seeds  # noqa: E402
+from ncspectral.cli import main as cli_main  # noqa: E402
+from perfbench.gen import WORKLOADS, generate  # noqa: E402
+
+PACKAGE = ROOT / "src" / "ncspectral"
+MODULES = ("cli", "lattice_zeta", "nc_torus", "suq2", "action_assembly")
+
+
+def defined_functions(path: Path) -> dict:
+    """{(first line, name) of the code object: qualified name} of every
+    function in the file; a decorated function's code starts at its first
+    decorator."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in
+                                               child.decorator_list])
+                found[first, child.name] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def entered_functions(seeds) -> set:
+    """(file name, first line, name) of each package function the ops
+    entered."""
+    entered = set()
+    package = str(PACKAGE)
+
+    def trace(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename.startswith(package):
+            entered.add((code.co_filename, code.co_firstlineno,
+                         code.co_name))
+        # no line events: only calls are noted
+
+    for workload in WORKLOADS:
+        for seed in seeds:
+            with tempfile.TemporaryDirectory() as tmp:
+                ops = [op for group in generate(workload, seed, tmp)
+                       for op in group["ops"]]
+                failed = 0
+                sys.settrace(trace)
+                try:
+                    for op in ops:
+                        out = str(Path(tmp) / "report.json")
+                        failed += cli_main(op["argv"] + ["--out", out]) != 0
+                finally:
+                    sys.settrace(None)
+            print(f"{workload} seed {seed}: {len(ops)} ops, "
+                  f"{failed} non-zero exits", file=sys.stderr)
+    return entered
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"),
+                        help="a seed or an inclusive range such as 1-5")
+    args = parser.parse_args(argv)
+    entered = entered_functions(args.seeds)
+    for module in MODULES:
+        path = PACKAGE / f"{module}.py"
+        for key, name in sorted(defined_functions(path).items()):
+            if (str(path), *key) not in entered:
+                print(f"{module}.{name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -351,9 +352,10 @@ def json_number(x) -> float:
 
 
 def json_integer(x) -> int:
-    """An integer of an input document: an int, not a bool, or an integral
-    float; its size is left to the caller."""
-    if ((isinstance(x, int) and not isinstance(x, bool))
+    """An integer of an input document or a library constructor: an Integral
+    (int goes first: Integral is an ABC), not a bool, or an integral float;
+    its size is left to the caller."""
+    if ((isinstance(x, (int, numbers.Integral)) and not isinstance(x, bool))
             or (isinstance(x, float) and x.is_integer())):
         return int(x)
     raise ValueError(f"{x!r} is not an integer")

@@ -150,10 +150,6 @@ def _run_torus(args) -> dict:
                          parsed["diophantine_asserted"], parsed["A"])
     if n not in (2, 4):
         raise UnsupportedError(f"torus action implemented for n in {{2, 4}}, got {n}")
-    if A.mode_count > args.trunc:
-        raise UnsupportedError(
-            f"potential has {A.mode_count} modes after skew completion, over the "
-            f"cap {args.trunc}")
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)
     report = {
@@ -186,11 +182,6 @@ def _run_suq2(args) -> dict:
     if q is None:
         raise SchemaError("q missing: pass --q or put it in the input file")
     ctx = suq2.QContext(q, tol=args.tol)
-    bound = suq2.ladder_word_bound(pairs)
-    if bound > args.trunc:
-        raise UnsupportedError(
-            f"one-form may expand to {bound:.6g} ladder words, over the "
-            f"cap {args.trunc}")
     A = suq2.one_form_from_pairs(pairs)
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3])
     out = suq2.suq2_action(A, ctx, moments, args.lam,
@@ -241,10 +232,6 @@ def _build_parser() -> tuple:
     shared = {
         "--tol": dict(type=_finite_float, default=1e-10,
                       help="accuracy the reported values must meet"),
-        "--trunc": dict(type=int, default=200000,
-                        help="cap on a bound on the expanded ladder words "
-                             "(suq2) or on skew-completed potential modes "
-                             "(torus)"),
         "--out": dict(default=None, help="write the report here"),
     }
 
@@ -268,7 +255,7 @@ def _build_parser() -> tuple:
                          required=True)
     p_torus.add_argument("--cutoff", default="exponential",
                          choices=["exponential", "gaussian"])
-    options(p_torus, "--trunc", "--out")
+    options(p_torus, "--out")
 
     p_suq2 = sub.add_parser("suq2", help="SU_q(2) spectral action")
     p_suq2.add_argument("--q", type=_finite_float, default=None)
@@ -280,7 +267,7 @@ def _build_parser() -> tuple:
                         choices=["exponential", "gaussian"])
     p_suq2.add_argument("--no-reality", action="store_true",
                         help="drop the real-structure doubling")
-    options(p_suq2, "--tol", "--trunc", "--out")
+    options(p_suq2, "--tol", "--out")
 
     p_action = sub.add_parser("action", help="assemble an expansion from "
                                              "coefficients and a cutoff")

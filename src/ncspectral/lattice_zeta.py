@@ -44,6 +44,8 @@ import mpmath as mp
 import numpy as np
 from scipy.special import rgamma, roots_laguerre
 
+from .action_assembly import json_integer
+
 _MP_DPS = 30
 # the mpmath L-series gives up beyond this working precision
 _MP_MAX_DPS = 100
@@ -638,7 +640,7 @@ class LatticePoly:
     def __post_init__(self):
         merged: dict = {}
         for p, c in self.terms:
-            p = tuple(int(e) for e in p)
+            p = tuple(json_integer(e) for e in p)
             if len(p) != self.n:
                 raise ValueError(f"exponent vector {p} has wrong length for n = {self.n}")
             if any(e < 0 for e in p):
@@ -653,7 +655,7 @@ class LatticePoly:
 
 def sphere_moment(n: int, p) -> float:
     """Integral of u^p over the unit sphere S^{n-1}; zero for odd exponents."""
-    p = tuple(int(e) for e in p)
+    p = tuple(json_integer(e) for e in p)
     if len(p) != n:
         raise ValueError("exponent vector length must equal n")
     if any(e < 0 for e in p):

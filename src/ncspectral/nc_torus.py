@@ -20,6 +20,7 @@ from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
 from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
+MAX_MODES = 2048  # of a potential, 0 included, in a pair table: 2048^2 pairs
 UNITARY_TOL = 1e-10  # |u u* - 1|_1 and |u* u - 1|_1 allowed in a gauge element
 YM_CONSTANT = 4.0 * math.pi ** 2 / 3.0  # the n = 4 coupling 4 pi^2 / 3
 
@@ -56,7 +57,7 @@ class TorusElement:
         # of being pruned away
         if coeffs:
             for k, c in coeffs.items():
-                k = tuple(map(int, k))
+                k = tuple(map(json_integer, k))
                 if len(k) != n:
                     raise ValueError(f"mode {k} has wrong length for n = {n}")
                 c = complex(c)
@@ -64,16 +65,6 @@ class TorusElement:
                     data[k] = data.get(k, 0.0) + c
         self.coeffs = {k: c for k, c in data.items()
                        if not abs(c) <= PRUNE_EPS}
-
-    @classmethod
-    def _pruned(cls, n: int, coeffs: dict) -> "TorusElement":
-        """Build from complex values at modes already checked as tuples of
-        n ints; the arithmetic below skips the checks of __init__."""
-        out = cls.__new__(cls)
-        out.n = n
-        out.coeffs = {k: c for k, c in coeffs.items()
-                      if not abs(c) <= PRUNE_EPS}
-        return out
 
     @classmethod
     def unit(cls, n: int) -> "TorusElement":
@@ -88,17 +79,17 @@ class TorusElement:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) + c
-        return TorusElement._pruned(self.n, out)
+        return TorusElement(self.n, out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) - c
-        return TorusElement._pruned(self.n, out)
+        return TorusElement(self.n, out)
 
     def __rmul__(self, scalar):
-        return TorusElement._pruned(
+        return TorusElement(
             self.n, {k: complex(scalar * c) for k, c in self.coeffs.items()})
 
     def __neg__(self):
@@ -109,7 +100,7 @@ class TorusElement:
             raise ValueError("dimension mismatch between torus elements")
 
     def adjoint(self) -> "TorusElement":
-        return TorusElement._pruned(
+        return TorusElement(
             self.n, {tuple(-x for x in k): c.conjugate()
                      for k, c in self.coeffs.items()})
 
@@ -121,7 +112,7 @@ class TorusElement:
         """Canonical derivation number mu (1-based): U_k -> i k_mu U_k."""
         if not 1 <= mu <= self.n:
             raise IndexError(f"derivation index {mu} out of range 1..{self.n}")
-        return TorusElement._pruned(
+        return TorusElement(
             self.n, {k: 1.0j * k[mu - 1] * c for k, c in self.coeffs.items()})
 
     def norm1(self) -> float:
@@ -155,7 +146,7 @@ def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:
         for (q, cq), phase in zip(terms, row):
             m = tuple(map(operator.add, k, q))
             out[m] = out.get(m, 0.0) + ck * cq * phase
-    return TorusElement._pruned(a.n, out)
+    return TorusElement(a.n, out)
 
 
 class OneFormTorus:
@@ -173,9 +164,10 @@ class OneFormTorus:
     def __init__(self, n: int, entries=()):
         table = {}  # (alpha, mode): coeff
         for alpha, l, c in entries:
+            alpha = json_integer(alpha)
             if not 1 <= alpha <= n:
                 raise ValueError(f"component index {alpha} out of range 1..{n}")
-            l = tuple(int(x) for x in l)
+            l = tuple(json_integer(x) for x in l)
             if len(l) != n:
                 raise ValueError(f"mode {l} has wrong length")
             c = complex(c)
@@ -205,13 +197,13 @@ class OneFormTorus:
         self.coeffs[[row[l] for (_, l), _ in kept],
                     [alpha - 1 for (alpha, _), _ in kept]] = [c for _, c in kept]
         self.modes = np.array(order, dtype=np.int64)
-        self.n, self.mode_count = n, len(kept)
+        self.n = n
         self._pairs = (None, None)
 
     @cached_property
     def components(self) -> tuple:
         keys = [tuple(k) for k in self.modes.tolist()]
-        return tuple(TorusElement._pruned(self.n, dict(zip(keys, col)))
+        return tuple(TorusElement(self.n, dict(zip(keys, col)))
                      for col in self.coeffs.T.tolist())
 
     def pair_table(self, theta: Theta) -> "PairTable":
@@ -244,13 +236,18 @@ class PairTable:
     Column c of `X` holds X_ab(m) = sum_{k+l=m} a_{a,k} a_{b,l}
     sin(k.Theta l / 2) for the c-th pair a < b: [A_a, A_b] = -2i X_ab.
     `ff` is tau(F_{mn} F^{mn}) (see yang_mills); callers build the table
-    under np.errstate and report an overflow.
+    under np.errstate and report an overflow.  A potential of more than
+    MAX_MODES modes raises MemoryError before any of it is built.
     """
 
     def __init__(self, A: OneFormTorus, theta: Theta):
         if theta.n != A.n:
             raise ValueError("theta dimension mismatch")
         modes, coeffs, count = A.modes, A.coeffs, len(A.modes)
+        if count > MAX_MODES:
+            raise MemoryError(
+                f"potential has {count} modes after skew completion, 0 "
+                f"included, over the cap {MAX_MODES} of the pair table")
         sums = (modes[:, None] + modes[None, :]).reshape(-1, A.n)
         order = np.lexsort(sums.T[::-1])
         sums = sums[order]

@@ -59,11 +59,12 @@ MINUS_LEG_CLEAN = frozenset({AP, APS, BM, BMS})
 
 # machine epsilon, the unit of the rounding bounds below
 EPS = sys.float_info.epsilon
+MAX_LADDER_WORDS = 200_000  # cap on ladder_word_bound of a one-form
 
 
 class QContext:
-    """Deformation parameter, the accuracy the integrals must meet (in units
-    of 1 + the size of the terms each sums), and the tau0 cache."""
+    """Deformation parameter and the accuracy the integrals must meet (in
+    units of 1 + the size of the terms each sums)."""
 
     def __init__(self, q: float, tol: float = 1e-12):
         if not 0.0 < q < 1.0:
@@ -72,7 +73,6 @@ class QContext:
             raise ValueError(f"tolerance must be positive, got {tol}")
         self.q = float(q)
         self.tol = tol
-        self._tau0_cache: dict = {}
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,8 @@ class PBWElem:
     def __post_init__(self):
         clean = {}
         for key, c in self.coeffs.items():
-            i, j, k = (int(key[0]), int(key[1]), int(key[2]))
+            i, j, k = (json_integer(key[0]), json_integer(key[1]),
+                       json_integer(key[2]))
             if j < 0 or k < 0:
                 raise ValueError("b exponents must be nonnegative")
             c = complex(c)
@@ -336,14 +337,8 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
     size counts each head term at its largest, 1 + tau1, and each tail term
     at its modulus.
     """
-    leg = tuple(leg)
-    key = (side, leg)
-    cached = ctx._tau0_cache.get(key)
-    if cached is not None:
-        return cached
     if leg_shift(leg) != 0:
-        out = ctx._tau0_cache[key] = (0.0, 0.0, 0.0)
-        return out
+        return (0.0, 0.0, 0.0)
     q = ctx.q
     length = len(leg)
     t1 = tau1(leg)
@@ -376,8 +371,7 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
     bound = EPS * ((2 * length + 1) * length
                    + (2 * m + 2 * nb + 5) * tail_size + abs(value))
     size = (1.0 + t1) * length + tail_size
-    out = ctx._tau0_cache[key] = (value, bound, size)
-    return out
+    return value, bound, size
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +570,14 @@ def one_form_from_pairs(pairs) -> LadderElem:
     """Associated delta-one-form of sum_i c_i pi(x_i) d pi(y_i).
 
     A pair whose x, y or c is zero is skipped unexpanded, so the expansion
-    work stays within a multiple of `ladder_word_bound(pairs)`.
+    work stays within a multiple of `ladder_word_bound(pairs)`, which over
+    MAX_LADDER_WORDS raises MemoryError before any monomial is expanded.
     """
+    bound = ladder_word_bound(pairs)
+    if bound > MAX_LADDER_WORDS:
+        raise MemoryError(
+            f"one-form may expand to {bound:.6g} ladder words, over the "
+            f"cap {MAX_LADDER_WORDS}")
     total = LadderElem.zero()
     for x, y, c in pairs:
         if c != 0 and x.coeffs and y.coeffs:

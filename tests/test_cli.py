@@ -7,6 +7,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -335,7 +336,6 @@ class TestTorusCommand:
         monkeypatch.setattr(nt, "weyl_mul", refuse)
         monkeypatch.setattr(nt, "curvature", refuse)
         monkeypatch.setattr(nt.TorusElement, "__init__", refuse)
-        monkeypatch.setattr(nt.TorusElement, "_pruned", classmethod(refuse))
         path = tmp_path / "A.json"
         path.write_text(json.dumps(torus_doc(n)))
         code, out, _ = run_cli(capsys, "torus", "--input", str(path),
@@ -345,17 +345,39 @@ class TestTorusCommand:
         assert doc["yang_mills"]["value"] != 0.0
         assert ("power_sums" in doc) == (n == 4)
 
-    def test_mode_cap(self, tmp_path, capsys):
-        # two explicit entries, four modes after skew completion
+    def test_mode_cap(self, tmp_path, capsys, monkeypatch):
+        from ncspectral import nc_torus as nt
+
+        # two explicit entries, five modes after skew completion with 0
         path = tmp_path / "A4.json"
         path.write_text(json.dumps(torus_doc()))
+        monkeypatch.setattr(nt, "MAX_MODES", 4)
         code, _, err = run_cli(capsys, "torus", "--input", str(path),
-                               "--lambda", "10", "--trunc", "3")
+                               "--lambda", "10")
         assert code == 4
         assert "cap" in err
+        monkeypatch.setattr(nt, "MAX_MODES", 5)
         code, _, _ = run_cli(capsys, "torus", "--input", str(path),
-                             "--lambda", "10", "--trunc", "4")
+                             "--lambda", "10")
         assert code == 0
+
+    def test_mode_cap_comes_before_the_pair_table(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # 1,024 entries with a positive first entry: 2,049 modes with 0
+        def refuse(*args, **kwargs):
+            raise AssertionError("pair table built")
+
+        monkeypatch.setattr(np, "lexsort", refuse)
+        doc = torus_doc()
+        doc["A"] = [{"alpha": 1, "l": [i, j, 0, 0], "im": 0.1}
+                    for i in range(1, 33) for j in range(32)]
+        path = tmp_path / "A.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "10")
+        assert code == 4
+        assert out == ""
+        assert "2049 modes" in err and "cap 2048" in err
 
     def test_unwritable_output_is_schema_error(self, tmp_path, capsys):
         path = tmp_path / "A4.json"
@@ -490,29 +512,29 @@ class TestSuq2Command:
             raise AssertionError("monomial expanded")
 
         monkeypatch.setattr(suq2, "rep_ladder", no_expansion)
+        monkeypatch.setattr(suq2, "MAX_LADDER_WORDS", 1000)
         doc = {"q": 0.5, "one_form": [{"x": x, "y": y}]}
         path = tmp_path / "one_form.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
-                                 "--trunc", "1000")
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
         assert code == expected
         if expected == 4:
             assert out == ""
             assert "cap 1000" in err
 
-    def test_word_cap_is_on_the_bound(self, tmp_path, capsys):
+    def test_word_cap_is_on_the_bound(self, tmp_path, capsys, monkeypatch):
         # 1 d(b b*) has a bound of 4 words but 2 after the expansion, since
         # the degree-0 words of b b* drop out of the derivation
         doc = {"q": 0.5, "one_form": [{"x": [{}],
                                        "y": [{"b": 1, "bstar": 1}]}]}
         path = tmp_path / "one_form.json"
         path.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "suq2", "--one-form", str(path),
-                               "--trunc", "4")
+        monkeypatch.setattr(suq2, "MAX_LADDER_WORDS", 4)
+        code, out, _ = run_cli(capsys, "suq2", "--one-form", str(path))
         assert code == 0
         assert json.loads(out)["ladder_words"] == 2
-        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
-                                 "--trunc", "3")
+        monkeypatch.setattr(suq2, "MAX_LADDER_WORDS", 3)
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
         assert code == 4
         assert "4 ladder words" in err
 
@@ -566,11 +588,12 @@ class TestSuq2Command:
         assert out == ""
         assert "rounding bound" in err
 
-    def test_word_cap(self, tmp_path, capsys):
+    def test_word_cap(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
+        monkeypatch.setattr(suq2, "MAX_LADDER_WORDS", 1)
         code, _, err = run_cli(capsys, "suq2", "--q", "0.5",
-                               "--one-form", str(path), "--trunc", "1")
+                               "--one-form", str(path))
         assert code == 4
         assert "cap" in err
 
@@ -811,9 +834,9 @@ class TestOptionSurface:
 
     SURFACE = {
         "zeta": {"--n", "--s", "--residue", "--tol", "--out"},
-        "torus": {"--input", "--lambda", "--cutoff", "--trunc", "--out"},
+        "torus": {"--input", "--lambda", "--cutoff", "--out"},
         "suq2": {"--q", "--one-form", "--lambda", "--cutoff", "--no-reality",
-                 "--tol", "--trunc", "--out"},
+                 "--tol", "--out"},
         "action": {"--input", "--out"},
         "selftest": set(),
     }
@@ -837,6 +860,9 @@ class TestOptionSurface:
         ["zeta", "--n", "2", "--s", "0", "--residue"],
         # tau0 is a closed form: no series to cap
         ["suq2", "--one-form", "A.json", "--max-terms", "10"],
+        # the caps are constants of the code they guard
+        ["torus", "--input", "A4.json", "--lambda", "1", "--trunc", "5"],
+        ["suq2", "--one-form", "A.json", "--trunc", "5"],
     ])
     def test_unread_option_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -882,8 +908,8 @@ class TestOptionSurface:
 
 
 # leaves and containers of arbitrary JSON, kept small; a number that lands
-# on an SU_q(2) monomial exponent may be large, because --trunc is checked
-# against a bound on the ladder words before any monomial is expanded
+# on an SU_q(2) monomial exponent may be large, because the word cap is
+# checked against a bound on the ladder words before any monomial is expanded
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-40, 40) | st.text(max_size=3)
     | st.floats(-40.0, 40.0) | st.sampled_from([math.nan, math.inf, 1e300]),

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncspectral
 from ncspectral import oracles
-from ncspectral.nc_torus import OneFormTorus, Theta
+from ncspectral.lattice_zeta import LatticePoly, sphere_moment
+from ncspectral.nc_torus import OneFormTorus, Theta, TorusElement
 from ncspectral.suq2 import LadderElem, PBWElem, delta_one_form
 
 PACKAGE = Path(ncspectral.__file__).parent
@@ -148,11 +150,28 @@ def test_one_number_rule_for_input_documents(name):
     assert defined & rules == (rules if name == "action_assembly" else set())
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: OneFormTorus(2, [(1, (x, 0), 0.5j)]).modes.tolist(),
+    lambda x: OneFormTorus(2, [(x, (1, 0), 0.5j)]).coeffs.tolist(),
+    lambda x: TorusElement(2, {(x, 0): 1}).coeffs,
+    lambda x: PBWElem({(0, x, 0): 1}).coeffs,
+    lambda x: LatticePoly(2, [((x, 0), 1.0)]).terms,
+    lambda x: sphere_moment(2, (x + 1, 0))],
+    ids=["torus-mode", "torus-component", "torus-element", "pbw",
+         "lattice-poly", "sphere-moment"])
+def test_library_integers_follow_the_document_rule(build):
+    # json_integer: an integral float or a numpy integer is the integer,
+    # and a fraction is refused, not truncated
+    assert build(1.0) == build(np.int64(1)) == build(1)
+    with pytest.raises(ValueError, match="not an integer"):
+        build(1.5)
+
+
 # no CLI path, selftest criterion or oracle route used these; they are gone
 DELETED = {"_normalize_word", "pbw_normalize", "pbw_adjoint", "zero_degree",
            "TwistedFamily", "twisted_residue", "check_skew", "gamma_trace",
            "_pair_sum", "chirality", "_tabulate", "SKEW_TOL", "degree",
-           "GammaRep", "build_gamma", "Curvature", "commutator"}
+           "GammaRep", "build_gamma", "Curvature", "commutator", "_pruned"}
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -316,7 +316,6 @@ class TestOneFormAndCurvature:
                   OneFormTorus(4, mirrors + entries)):
             assert B.modes.tobytes() == A.modes.tobytes()
             assert B.coeffs.tobytes() == A.coeffs.tobytes()
-            assert B.mode_count == A.mode_count
 
     def test_zero_mode_must_be_imaginary(self):
         # at l = 0 the completion forces c = -conj(c)

@@ -59,6 +59,10 @@ class TestQContext:
         with pytest.raises(ValueError):
             QContext(0.5, tol=tol)
 
+    def test_holds_q_and_tol_only(self):
+        # tau0 keeps no cache: it is a function of (leg, side, q)
+        assert vars(QContext(0.5)) == {"q": 0.5, "tol": 1e-12}
+
     def test_near_one_is_quiet(self):
         # the closed form of tau0 has no series to condition near q = 1
         with warnings.catch_warnings():
