@@ -407,7 +407,8 @@ def torus_action(n: int, shift: float, moments: CutoffMoments,
 def load_potential(doc: dict):
     """Parse {"n", "theta", "diophantine_asserted", "A": [{alpha, l, re, im}]}.
 
-    Numbers go through `json_number`, n, alpha and mode entries `json_integer`.
+    Numbers go through `json_number` and n through `json_integer`; alpha and
+    the mode entries are checked by `OneFormTorus`.
     """
     try:
         n = json_integer(doc["n"])
@@ -417,8 +418,7 @@ def load_potential(doc: dict):
             raise ValueError("theta must be a square matrix")
         theta = Theta(rows)
         flag = doc.get("diophantine_asserted", False)
-        entries = [(json_integer(e["alpha"]),
-                    tuple(json_integer(x) for x in e["l"]),
+        entries = [(e["alpha"], tuple(e["l"]),
                     complex(json_number(e.get("re", 0.0)),
                             json_number(e.get("im", 0.0))))
                    for e in doc.get("A", [])]

@@ -87,14 +87,34 @@ def test_action_assembly_takes_no_quadrature_from_scipy():
     assert names == {"special"}
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
-    probe = ("import sys, ncspectral.cli; "
-             "print('scipy.interpolate' in sys.modules)")
+def run_probe(code: str):
+    """The JSON that `code` prints in a fresh interpreter, with the package
+    and the repository root on its path."""
+    root = PACKAGE.parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+        p for p in (str(PACKAGE.parent), str(root),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_defers_scipy_integrate():
+    # the quadrature oracle's scipy.integrate, with the optimize, sparse and
+    # spatial trees it imports, loads on the first quadrature, not with the
+    # CLI; the table spline's scipy.linalg loads when a table is read
+    loaded, value, later = run_probe(
+        "import json, math, sys, ncspectral.cli\n"
+        "from ncspectral import oracles\n"
+        "heavy = ['scipy.interpolate', 'scipy.optimize', 'scipy.sparse',\n"
+        "         'scipy.spatial', 'scipy.linalg']\n"
+        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "value, _ = oracles.moment_quadrature(lambda t: math.exp(-t), 2)\n"
+        "print(json.dumps([loaded, value, 'scipy.optimize' in sys.modules]))\n")
+    assert loaded == []
+    assert abs(value - 0.5) <= 1e-10
+    assert later
 
 
 def test_lattice_zeta_takes_two_functions_from_scipy():
@@ -215,13 +235,9 @@ def test_theta_owns_the_skew_check(name):
 
 
 def test_package_import_leaves_oracles_out():
-    probe = ("import json, sys, ncspectral; print(json.dumps("
-             "['ncspectral.oracles' in sys.modules, ncspectral.__all__]))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    loaded, exported = json.loads(out)
+    loaded, exported = run_probe(
+        "import json, sys, ncspectral; print(json.dumps("
+        "['ncspectral.oracles' in sys.modules, ncspectral.__all__]))")
     assert not loaded
     oracle_names = {n for n in defined_names("oracles") if not n.startswith("_")}
     assert oracle_names
@@ -229,27 +245,17 @@ def test_package_import_leaves_oracles_out():
 
 
 def test_traced_names_resolve():
-    # the traced benchmark run wraps these by module and attribute path;
-    # a rename would otherwise show only when that run fails
-    probe = (
-        "import importlib, json, ncspectral.cli\n"
+    # the traced benchmark run imports the CLI alone and then wraps these by
+    # module and attribute path; a rename, or a module that the CLI import
+    # no longer registers, would otherwise show only when that run fails
+    count, missing = run_probe(
+        "import json, ncspectral.cli\n"
         "from perfbench import tracing\n"
         "names = [(m, p) for m, p, *_ in tracing.SPANS + tracing.COUNTS]\n"
         "names.append(('ncspectral.suq2', 'tau0'))\n"
-        "missing = []\n"
-        "for module, path in names:\n"
-        "    importlib.import_module(module)\n"
-        "    try:\n"
-        "        owner, attr = tracing._resolve(module, path)\n"
-        "        callable(getattr(owner, attr)) or missing.append(path)\n"
-        "    except AttributeError:\n"
-        "        missing.append(path)\n"
+        "with tracing.Recorder():\n"
+        "    pass\n"
+        "missing = [p for m, p in names\n"
+        "           if not callable(getattr(*tracing._resolve(m, p)))]\n"
         "print(json.dumps([len(names), missing]))\n")
-    root = PACKAGE.parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(PACKAGE.parent), str(root),
-                    os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, cwd=root).stdout
-    count, missing = json.loads(out)
     assert count and not missing

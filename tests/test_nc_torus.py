@@ -665,3 +665,14 @@ class TestJsonInterface:
         with pytest.raises(ValueError):
             load_potential({"n": 2, "theta": [[0, 0.3], [-0.3, 0]],
                             "A": [{"alpha": 5, "l": [1, 0], "re": 1.0}]})
+        # the structure of an entry is checked by load_potential, its
+        # integers once, by OneFormTorus
+        theta = [[0, 0.3], [-0.3, 0]]
+        for entry in ({"alpha": 1, "l": 5}, {"alpha": 1, "l": None},
+                      {"l": [1, 0]}, [1, 0]):
+            with pytest.raises(ValueError, match="malformed potential"):
+                load_potential({"n": 2, "theta": theta, "A": [entry]})
+        for entry in ({"alpha": "1", "l": [1, 0]}, {"alpha": True, "l": [1, 0]},
+                      {"alpha": 1, "l": "10"}, {"alpha": 1, "l": [1, 0.5]}):
+            with pytest.raises(ValueError, match="not an integer"):
+                load_potential({"n": 2, "theta": theta, "A": [entry]})
