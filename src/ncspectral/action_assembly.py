@@ -6,7 +6,8 @@ analytic moments.  A table [[t, Phi(t)], ...] (t >= 0, increasing) is
 modelled by one not-a-knot cubic spline on [t0, tN], the constant Phi(t0) on
 [0, t0] and an exponential tail fitted on the last two rows; its integer
 moments are integrated exactly: Gauss-Legendre in x = sqrt(t) on each knot
-interval, and an incomplete-gamma closed form for the tail.  The spline is
+interval, and an incomplete-gamma closed form for the tail, through the
+module's own scaled complementary error function (`_erfcx`).  The spline is
 solved here, as one tridiagonal system (`_not_a_knot`); scipy's CubicSpline,
 which gives the same coefficients, is its test oracle.  The error bound of a
 table is a rounding bound on that model.  Adaptive quadrature of a cutoff
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
-from scipy import special
 
 
 class DivergentMomentError(ValueError):
@@ -103,6 +103,34 @@ def _not_a_knot(ts, vs) -> np.ndarray:
     return c
 
 
+# 2^27 + 1: Veltkamp's constant, which splits a double into two halves whose
+# products are exact
+_SPLIT = 134217729.0
+_RSQRT_PI = 0.5641895835477563  # 1 / sqrt(pi), correctly rounded
+
+
+def _erfcx(x: float) -> float:
+    """exp(x^2) erfc(x) for x >= 0, within 8 units of 2^-53 (0 at inf).
+
+    Below 26, where erfc(x) is a normal double, x^2 = hi + lo exactly
+    (Dekker's product on Veltkamp's halves of x) and the value is
+    exp(hi) erfc(x) (1 + lo); above it, 12 terms of Laplace's continued
+    fraction 1 / (sqrt(pi) (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...))))),
+    whose truncation error there is far below a unit.
+    """
+    if x < 26.0:
+        c = _SPLIT * x
+        x_hi = c - (c - x)
+        x_lo = x - x_hi
+        hi = x * x
+        lo = ((x_hi * x_hi - hi) + 2 * x_hi * x_lo) + x_lo * x_lo
+        return math.exp(hi) * math.erfc(x) * (1 + lo)
+    t = x
+    for k in range(12, 0, -1):
+        t = x + 0.5 * k / t
+    return _RSQRT_PI / t
+
+
 def _tail_integral(k: int, lam: float, tN: float) -> float:
     """I(k/2), where I(a) = int_tN^inf e^(-lam (t - tN)) t^(a-1) dt
     = lam^-a e^X Gamma(a, X) with X = lam tN, from I(1/2) = sqrt(pi / lam)
@@ -112,8 +140,7 @@ def _tail_integral(k: int, lam: float, tN: float) -> float:
     if k % 2 == 0:
         a, g = 1.0, 1.0 / lam
     else:
-        a, g = 0.5, math.sqrt(math.pi / lam) * special.erfcx(
-            math.sqrt(lam * tN))
+        a, g = 0.5, math.sqrt(math.pi / lam) * _erfcx(math.sqrt(lam * tN))
     try:
         while a < k / 2.0:
             g = (a * g + tN ** a) / lam

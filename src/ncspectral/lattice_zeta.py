@@ -26,6 +26,8 @@ same split, read as a Mellin integral of theta(t)^n - 1 over [1, inf), is
 evaluated in float64 by Gauss-Laguerre quadrature for n = 3 and 5 and where
 the L-series identities are 0 * inf; the mpmath incomplete-gamma sum takes
 over wherever that bound is not small enough, and is the tests' oracle.
+The Laguerre rule, log Gamma and 1/Gamma are the module's own, each with
+its error bound; nothing comes from scipy.
 
 Residues of polynomial-weighted sums sum' P(k) |k|^{-s-r} are pure surface
 integrals: a homogeneous term of degree d contributes its sphere moment
@@ -36,13 +38,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from scipy.special import rgamma, roots_laguerre
 
 from .action_assembly import json_integer
 
@@ -124,16 +126,18 @@ _HURWITZ_ROWS = 256  # the most terms _hurwitz sums before its tail
 # Gauss-Laguerre node counts: the value comes from the larger rule and the
 # gap to the smaller one measures its quadrature error.  Chosen against the
 # mpmath route over n in {1, 2, 3, 4, 6}, Re s in [-6, n + 6],
-# |Im s| <= 25 (scipy 1.17): more nodes is not better, because scipy's
-# nodes carry a relative error of up to about 1e-14 that depends on the
-# count (60, 80, 90 and 130 worse, 55 and 70 best).
+# |Im s| <= 25, with scipy 1.17's nodes, whose count-dependent error of up
+# to about 1e-14 made 55 and 70 the best counts; `_laguerre_rule` gives the
+# nearest doubles at both.
 _LAGUERRE_NODES = (55, 70)
 # The bound is this factor times the larger of the node gap and the
 # round-off estimate, which counts one unit in the last place of the
-# largest bracket term.  scipy's complex rgamma alone is off by up to about
-# 20 units for |Im s| <= 10 (45 near |Im s| = 25, where the node gap takes
-# over); over 3241 points checked against mpmath the largest error was 22
-# times the larger of the two.
+# largest bracket term, plus the error bound of 1/Gamma (`_rgamma`) times
+# the value.  Over 3241 points checked against the mpmath route (n in
+# {1, 2, 3, 4, 6}, Re s in [-6, n + 6], |Im s| <= 25: a grid, 728 random
+# points and the s of zeta-grid seeds 1-10) the error with an exact
+# 1/Gamma was at most 6.5 times the larger of the two, and the whole
+# error at most 0.16 of the bound.
 _BOUND_SAFETY = 32.0
 # theta(t) - 1 = 2 sum_k exp(-pi k^2 t); at t >= 1 the k = 7 term is below
 # exp(-48 pi) relative to the k = 1 term
@@ -321,6 +325,32 @@ def _l_identity(n: int, s, zeta, power):
     return 16 * z2 * beta(w, z) - 4 * z * beta(w - 2, z2)
 
 
+# CPython's math.gamma is within 10 ulps over the whole float domain, by
+# the account of its source (Modules/mathmodule.c); with a unit of the
+# quotient, 1/gamma is within 11 units of eps
+_MATH_RGAMMA_ERROR = 11 * _EPS
+
+
+def _rgamma(z: complex) -> tuple:
+    """1/Gamma(z) and a bound on its relative error: exactly 0 at the poles
+    z = 0, -1, -2, ...; on the rest of the real axis 1 / math.gamma(z)
+    (exactly 1 at z = 1) where math.gamma is a finite normal double; and
+    elsewhere exp(-log Gamma(z)), whose bound adds two units of exp to that
+    of `_log_gamma`."""
+    if z.imag == 0:
+        x = z.real
+        if x <= 0 and x.is_integer():
+            return 0.0, 0.0
+        try:
+            gamma = math.gamma(x)
+        except OverflowError:
+            gamma = math.inf
+        if sys.float_info.min <= abs(gamma) < math.inf:
+            return 1 / gamma, _MATH_RGAMMA_ERROR
+    log_gamma, error = _log_gamma(complex(z), _arith(float))
+    return cmath.exp(-log_gamma), math.expm1(error) + 2 * _EPS
+
+
 def _reflection(n: int, s: complex, arith: _Arith) -> _Bounded:
     """pi^(s-n/2) Gamma((n-s)/2) / Gamma(s/2), the functional-equation
     factor for Re s < n/2, in the complex type of arith.  The error of its
@@ -369,6 +399,30 @@ def _l_series_mpmath(n: int, s):
     return _l_identity(n, s, mp.zeta, mp.power)
 
 
+def _laguerre_rule(count: int) -> tuple:
+    """Nodes and weights, as doubles, of the count-point Gauss-Laguerre
+    rule for int_0^inf e^{-u} f(u) du.
+
+    numpy's laggauss nodes take two Newton steps in long double, with
+    L_count from (k + 1) L_{k+1} = (2k + 1 - u) L_k - k L_{k-1} and
+    u L_count' = count (L_count - L_{count-1}); the weights are
+    u / ((count + 1) L_{count+1}(u))^2 (Abramowitz and Stegun 25.4.45).
+    """
+    u = np.polynomial.laguerre.laggauss(count)[0].astype(_EXTENDED)
+
+    def last_two(order):
+        prev, cur = np.ones_like(u), 1 - u
+        for k in range(1, order):
+            prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+        return prev, cur
+
+    for _ in range(2):
+        prev, cur = last_two(count)
+        u -= u * cur / (count * (cur - prev))
+    weights = u / ((count + 1) * last_two(count + 1)[1]) ** 2
+    return u.astype(float), weights.astype(float)
+
+
 @lru_cache(maxsize=None)
 def _theta_rule(n: int, nodes: int):
     """(log t_i, W_i) for int_1^inf (theta(t)^n - 1) f(t) dt ~ sum W_i f(t_i).
@@ -377,7 +431,7 @@ def _theta_rule(n: int, nodes: int):
     g = (theta^n - 1) e^u / pi, which tends to 2n e^{-pi}/pi as u grows, so
     the Laguerre weight carries the exponential decay.
     """
-    u, w = roots_laguerre(nodes)
+    u, w = _laguerre_rule(nodes)
     t = 1.0 + u / math.pi
     k2 = np.arange(1, _THETA_TERMS + 1) ** 2
     theta_m1 = 2.0 * np.exp(-math.pi * np.outer(t, k2)).sum(axis=1)
@@ -434,9 +488,10 @@ class EpsteinEvaluator:
     and evaluates it with two Gauss-Laguerre rules at once.  Its bound is a
     safety factor times the larger of the gap between the rules and the
     float64 round-off, which grows with pi^{s/2}/Gamma(s/2+1) (like
-    e^{pi |Im s|/4}).  After it comes the mpmath incomplete-gamma route,
-    whose shell cutoff grows until two successive evaluations agree within
-    a tenth of the tolerance.
+    e^{pi |Im s|/4}), plus |Z| times the relative error bound of
+    1/Gamma(s/2+1) (`_rgamma`).  After it comes the mpmath incomplete-gamma
+    route, whose shell cutoff grows until two successive evaluations agree
+    within a tenth of the tolerance.
     """
 
     def __init__(self, n: int, tol: float = 1e-10):
@@ -505,6 +560,10 @@ class EpsteinEvaluator:
                     continue
                 value, bound = _to_double(value, error)
                 if error < 0.1 * self.tol and bound < self.tol:
+                    if s.imag == 0:
+                        # Z_n is real on the real axis: the imaginary part
+                        # is rounding, and + 0.0 makes a trivial zero 0.0
+                        value = complex(value.real + 0.0)
                     return EpsteinValue(value, bound, route)
         raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
                              f" it within {self.tol:g} (bound {bound:.3g})")
@@ -519,15 +578,17 @@ class EpsteinEvaluator:
                                    for nodes in _LAGUERRE_NODES))
         integral = fine.sum()
         # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
-        pref = np.exp(half * _arith(float).log_pi) * rgamma(half + 1)
+        rgamma, rgamma_error = _rgamma(half + 1)
+        pref = np.exp(half * _arith(float).log_pi) * rgamma
         pole = s / (n - s)
         gap = abs(pref * half * (integral - coarse.sum()))
         # np.maximum, not max: a NaN (overflow far out in s) must fail
         largest = np.maximum(np.maximum(abs(half) * np.abs(fine).sum(), 1.0),
                              abs(pole))
         roundoff = _EPS * largest * abs(pref)
-        return (complex(pref * (half * integral - 1 - pole)),
-                float(_BOUND_SAFETY * np.maximum(gap, roundoff)))
+        value = complex(pref * (half * integral - 1 - pole))
+        return value, float(_BOUND_SAFETY * np.maximum(gap, roundoff)
+                            + rgamma_error * abs(value))
 
     def _converge(self, approximations, failure: str) -> tuple:
         """The first of successive mpmath approximations that differs from

@@ -16,6 +16,7 @@ from ncspectral.action_assembly import (
     CutoffMoments,
     DivergentMomentError,
     ExpansionReport,
+    _erfcx,
     _not_a_knot,
     assemble,
     cutoff_moments,
@@ -307,6 +308,36 @@ class TestNotAKnot:
         ts, vs = table
         np.testing.assert_array_equal(_not_a_knot(ts, vs),
                                       interpolate.CubicSpline(ts, vs).c)
+
+
+def _erfcx_reference(x: float):
+    """exp(x^2) erfc(x) at 40 digits; past 1e6, where mpmath's erfc fails,
+    four terms of the asymptotic series, whose relative error is below
+    105 / (16 x^8) < 1e-47."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x)
+        if x > 1e6:
+            y = 1 / (2 * x * x)
+            return ((1 - y + 3 * y * y - 15 * y ** 3)
+                    / (x * mpmath.sqrt(mpmath.pi)))
+        return mpmath.exp(x * x) * mpmath.erfc(x)
+
+
+class TestErfcx:
+    """The tail integral's erfcx against mpmath: within 8 units of 2^-53."""
+
+    @pytest.mark.parametrize("xs", [
+        np.linspace(0.0, 30.0, 3001),
+        np.concatenate([[0.0], np.logspace(-300, 300, 601)]),
+        [26.0, np.nextafter(26.0, 0.0), 25.9999999, 26.0000001]],
+        ids=["0-30", "log-grid", "switch"])
+    def test_against_mpmath(self, xs):
+        worst = max(float(abs(_erfcx(float(x)) / _erfcx_reference(x) - 1))
+                    for x in xs)
+        assert worst <= 8 * 2.0 ** -53
+
+    def test_infinity_gives_zero(self):
+        assert _erfcx(math.inf) == 0.0
 
 
 class TestAssemble:

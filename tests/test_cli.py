@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncspectral import suq2
+from ncspectral import lattice_zeta, suq2
 from ncspectral.cli import _build_parser, main, report_text
 
 GOLDEN = (math.sqrt(5) - 1) / 2
@@ -134,6 +134,35 @@ class TestZetaCommand:
         assert doc["tolerance"] == 1e-10
         assert doc["n"] == 2
 
+    def test_real_s_gives_a_real_value_on_every_route(self, capsys):
+        # Z_n is real on the real axis: the report's value is a JSON number,
+        # with no imaginary rounding noise, and a trivial zero is 0.0, not
+        # -0.0, whichever route computed it
+        routes = set()
+        for n in range(1, 7):
+            for s in ("-5.5", "-4", "-2.5", "-2", "0", "0.05", "1.5",
+                      str(n + 3.5), "2100", "20000", "-400"):
+                code, out, _ = run_cli(capsys, "zeta", "--n", str(n),
+                                       f"--s={s}")
+                assert code == 0, (n, s)
+                value = json.loads(out)["value"]
+                assert type(value["value"]) is float, (n, s, value)
+                assert repr(value["value"]) != "-0.0", (n, s)
+                routes.add(value["provenance"])
+        assert routes == {lattice_zeta.ROUTE_L_SERIES,
+                          lattice_zeta.ROUTE_L_SERIES_EXTENDED,
+                          lattice_zeta.ROUTE_L_SERIES_MPMATH,
+                          lattice_zeta.ROUTE_QUADRATURE,
+                          lattice_zeta.ROUTE_CONTINUATION}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--n", "3", "--s=-400"], 0),
+        (["--n", "3", "--s=-345.5"], 3),
+        (["--n", "5", "--s=-3000.5+0.01j"], 3)])
+    def test_far_left_points_keep_their_exit_codes(self, capsys, argv, code):
+        # 1/Gamma(s/2 + 1) is 0 at s = -400, overflows a double at -345.5,
+        # and its log Gamma overflows at -3000.5 + 0.01i
+        assert run_cli(capsys, "zeta", *argv)[0] == code
 
     def test_value_beyond_double_precision_is_tolerance_failure(self,
                                                                 capsys):

@@ -495,6 +495,61 @@ class TestEpsteinQuadrature:
             assert EpsteinEvaluator(n).value(-2).value == 0.0
 
 
+def _laguerre_reference(count: int, dps: int = 40) -> tuple:
+    """Nodes and weights of the count-point Gauss-Laguerre rule at dps
+    digits: numpy's nodes after six Newton steps on L_count."""
+    with mpmath.workdps(dps):
+        def last_two(order, u):
+            prev, cur = mpmath.mpf(1), 1 - u
+            for k in range(1, order):
+                prev, cur = cur, ((2 * k + 1 - u) * cur - k * prev) / (k + 1)
+            return prev, cur
+
+        nodes, weights = [], []
+        for u in np.polynomial.laguerre.laggauss(count)[0]:
+            u = mpmath.mpf(u)
+            for _ in range(6):
+                prev, cur = last_two(count, u)
+                u -= u * cur / (count * (cur - prev))
+            nodes.append(u)
+            weights.append(u / ((count + 1) * last_two(count + 1, u)[1]) ** 2)
+        return nodes, weights
+
+
+class TestSpecialFunctions:
+    """The quadrature route's Laguerre rule and 1/Gamma against mpmath."""
+
+    @pytest.mark.parametrize("count", lattice_zeta._LAGUERRE_NODES)
+    def test_laguerre_rule_against_mpmath(self, count):
+        # the nodes are the doubles nearest the reference (one unit where
+        # long double is a plain double); scipy 1.17's weights are off by
+        # up to 2.3e-13 (55 nodes) and 6.9e-13 (70) relative
+        nodes, weights = lattice_zeta._laguerre_rule(count)
+        ref_nodes, ref_weights = _laguerre_reference(count)
+        ulps = 0 if np.finfo(np.longdouble).eps < np.finfo(float).eps else 1
+        for node, ref in zip(nodes, ref_nodes):
+            assert abs(node - float(ref)) <= ulps * math.ulp(node)
+        assert max(float(abs(w / ref - 1))
+                   for w, ref in zip(weights, ref_weights)) <= 1e-14
+
+    def test_rgamma_within_its_bound(self):
+        # z = s/2 + 1 over the quadrature domain Re s in [-6, n + 6],
+        # |Im s| <= 25, n <= 6; the real axis takes math.gamma
+        for re in np.linspace(-2.0, 7.0, 73):
+            for im in (0.0, 1e-9, 0.01, -0.5, 1.3, -3.0, 6.1, -9.0, 12.5):
+                z = complex(re, im)
+                value, bound = lattice_zeta._rgamma(z)
+                with mpmath.workdps(30):
+                    ref = mpmath.rgamma(mpmath.mpc(z))
+                    err = abs(mpmath.mpc(value) - ref)
+                assert err <= bound * abs(ref), z
+
+    def test_rgamma_exact_values(self):
+        for pole in (0.0, -1.0, -2.0, -199.0):
+            assert lattice_zeta._rgamma(complex(pole)) == (0.0, 0.0)
+        assert lattice_zeta._rgamma(1 + 0j)[0] == 1.0
+
+
 class TestEpsteinResidue:
     def test_closed_forms(self):
         assert _residue(2) == pytest.approx(2 * math.pi)

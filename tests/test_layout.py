@@ -77,14 +77,46 @@ def test_oracles_import_no_cli_or_acceptance():
     assert not imports("oracles") & {"cli", "acceptance"}
 
 
+def scipy_imports(path: Path) -> set:
+    """(enclosing function or None, module.name) for every scipy import of
+    the file, at any depth."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.update((scope, alias.name) for alias in child.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif (isinstance(child, ast.ImportFrom)
+                  and (child.module or "").split(".")[0] == "scipy"):
+                found.update((scope, f"{child.module}.{alias.name}")
+                             for alias in child.names)
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_scipy_reader_sees_every_import_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import numpy, scipy.special\n"
+        "from scipy import integrate\n"
+        "def late():\n"
+        "    if True:\n"
+        "        from scipy.linalg.lapack import dgtsv\n")
+    assert scipy_imports(probe) == {
+        (None, "scipy.special"), (None, "scipy.integrate"),
+        ("late", "scipy.linalg.lapack.dgtsv")}
+
+
 def test_action_assembly_takes_no_quadrature_from_scipy():
-    tree = ast.parse((PACKAGE / "action_assembly.py").read_text())
-    names = {alias.name for node in tree.body
-             if isinstance(node, ast.ImportFrom) and node.module == "scipy"
-             for alias in node.names}
-    # the spline of a table is solved in the module, with a lazy
-    # scipy.linalg import; scipy's CubicSpline is its test oracle
-    assert names == {"special"}
+    # the spline of a table is solved in the module, with LAPACK's gtsv
+    # imported when a table is read; scipy's CubicSpline is its test
+    # oracle, and erfcx is the module's own
+    assert scipy_imports(PACKAGE / "action_assembly.py") == {
+        ("_not_a_knot", "scipy.linalg.lapack.dgtsv")}
 
 
 def run_probe(code: str):
@@ -103,12 +135,13 @@ def run_probe(code: str):
 def test_cli_import_defers_scipy_integrate():
     # the quadrature oracle's scipy.integrate, with the optimize, sparse and
     # spatial trees it imports, loads on the first quadrature, not with the
-    # CLI; the table spline's scipy.linalg loads when a table is read
+    # CLI; the table spline's scipy.linalg loads when a table is read, and
+    # no CLI path takes anything from scipy.special
     loaded, value, later = run_probe(
         "import json, math, sys, ncspectral.cli\n"
         "from ncspectral import oracles\n"
         "heavy = ['scipy.interpolate', 'scipy.optimize', 'scipy.sparse',\n"
-        "         'scipy.spatial', 'scipy.linalg']\n"
+        "         'scipy.spatial', 'scipy.linalg', 'scipy.special']\n"
         "loaded = [m for m in heavy if m in sys.modules]\n"
         "value, _ = oracles.moment_quadrature(lambda t: math.exp(-t), 2)\n"
         "print(json.dumps([loaded, value, 'scipy.optimize' in sys.modules]))\n")
@@ -117,17 +150,31 @@ def test_cli_import_defers_scipy_integrate():
     assert later
 
 
-def test_lattice_zeta_takes_two_functions_from_scipy():
-    # the log Gamma of the L-series reflection is its own Stirling series
-    tree = ast.parse((PACKAGE / "lattice_zeta.py").read_text())
-    names = {(node.module, alias.name) for node in ast.walk(tree)
-             if isinstance(node, ast.ImportFrom)
-             and (node.module or "").startswith("scipy")
-             for alias in node.names}
-    assert names == {("scipy.special", "rgamma"),
-                     ("scipy.special", "roots_laguerre")}
-    assert not any(alias.name.startswith("scipy") for node in ast.walk(tree)
-                   if isinstance(node, ast.Import) for alias in node.names)
+def test_torus_and_zeta_ops_load_no_scipy_special_or_linalg(tmp_path):
+    # a torus op and a Z_n(0) op, which takes the quadrature route, run on
+    # the library's own 1/Gamma, Laguerre rule and erfcx
+    potential = tmp_path / "potential.json"
+    potential.write_text(json.dumps({
+        "n": 2, "theta": [[0.0, 1.0], [-1.0, 0.0]],
+        "diophantine_asserted": True,
+        "A": [{"alpha": 1, "l": [0, 1], "re": 0.0, "im": 0.3}]}))
+    codes, loaded = run_probe(
+        "import io, json, sys, contextlib\n"
+        "from ncspectral.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['torus', '--input', {str(potential)!r},\n"
+        "                   '--lambda', '10']),\n"
+        "             main(['zeta', '--n', '3', '--s=0'])]\n"
+        "print(json.dumps([codes, [m for m in ('scipy.special',\n"
+        "    'scipy.linalg') if m in sys.modules]]))\n")
+    assert codes == [0, 0]
+    assert loaded == []
+
+
+def test_lattice_zeta_imports_nothing_from_scipy():
+    # log Gamma, 1/Gamma and the Laguerre rule of the quadrature are the
+    # module's own
+    assert scipy_imports(PACKAGE / "lattice_zeta.py") == set()
 
 
 @pytest.mark.parametrize("name", [
