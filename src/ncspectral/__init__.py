@@ -6,8 +6,7 @@ from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
 from .lattice_zeta import (EpsteinEvaluator, LatticePoly, residue_lattice_sum,
                            sphere_moment)
 from .nc_torus import (OneFormTorus, Theta, TorusElement, cs_sums, curvature,
-                       gauge_transform, torus_action, weyl_mul, yang_mills,
-                       zeta0_shift)
+                       torus_action, weyl_mul, yang_mills, zeta0_shift)
 from .suq2 import (LadderElem, PBWElem, QContext, delta_ladder,
                    delta_one_form, hopf_r, nc_integral, rep_ladder,
                    suq2_action, tau0, tau1)

@@ -149,7 +149,7 @@ def _run_torus(args) -> dict:
     n, theta, flag, A = (parsed["n"], parsed["theta"],
                          parsed["diophantine_asserted"], parsed["A"])
     if n not in (2, 4):
-        raise UnsupportedError(f"torus action implemented for n in {{2, 4}}, got {n}")
+        raise ValueError(f"torus action implemented for n in {{2, 4}}, got {n}")
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)
     report = {
@@ -211,10 +211,6 @@ def _run_action(args) -> dict:
     rep = assemble(coeffs, zeta0, moments, lam)
     return {"command": "action", "moments": moments.to_dict(),
             "expansion": rep.to_dict()}
-
-
-class UnsupportedError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def main(argv=None) -> int:
     except lz.ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (UnsupportedError, lz.PoleError, MemoryError, ValueError) as exc:
+    except (lz.PoleError, MemoryError, ValueError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ArithmeticError as exc:

@@ -21,7 +21,6 @@ from .lattice_zeta import AssumptionError
 
 PRUNE_EPS = 1e-15
 MAX_MODES = 2048  # of a potential, 0 included, in a pair table: 2048^2 pairs
-UNITARY_TOL = 1e-10  # |u u* - 1|_1 and |u* u - 1|_1 allowed in a gauge element
 YM_CONSTANT = 4.0 * math.pi ** 2 / 3.0  # the n = 4 coupling 4 pi^2 / 3
 
 
@@ -302,22 +301,6 @@ def yang_mills(A: OneFormTorus, theta: Theta) -> float:
     if abs(total.imag) > 1e-9 * (1.0 + abs(total)):
         raise ArithmeticError(f"Yang-Mills density came out non-real: {total}")
     return float(total.real)
-
-
-def gauge_transform(A: OneFormTorus, u: TorusElement,
-                    theta: Theta) -> OneFormTorus:
-    """A_a -> u A_a u* + u d_a(u*), for unitary u."""
-    ustar = u.adjoint()
-    unit = TorusElement.unit(A.n)
-    if not (weyl_mul(u, ustar, theta).allclose(unit, UNITARY_TOL)
-            and weyl_mul(ustar, u, theta).allclose(unit, UNITARY_TOL)):
-        raise ValueError("gauge element is not unitary within tolerance")
-    entries = []
-    for a in range(1, A.n + 1):
-        transported = weyl_mul(weyl_mul(u, A.component(a), theta), ustar, theta)
-        inhom = weyl_mul(u, ustar.delta(a), theta)
-        entries += [(a, k, c) for k, c in (transported + inhom).coeffs.items()]
-    return OneFormTorus(A.n, entries)
 
 
 # ---------------------------------------------------------------------------

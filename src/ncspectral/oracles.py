@@ -2,7 +2,8 @@
 
 Each route here reaches its number independently of the production path:
 adaptive quadrature of cutoff moments, truncated spectra, direct lattice
-summation, shell traces on the spinorial basis and the L/M substitution
+summation, gauge moves in the Weyl algebra, the weight-3 tau1 sum over the
+r-image, shell traces on the spinorial basis and the L/M substitution
 calculus.  The acceptance suite and the tests import them; no library module
 does.
 """
@@ -21,9 +22,10 @@ from . import lattice_zeta as lz
 from .action_assembly import DivergentMomentError
 from .lattice_zeta import (AssumptionError, LatticePoly, PoleError,
                            ToleranceError, radial_counts, sphere_moment)
-from .nc_torus import OneFormTorus, Theta, TorusElement, cs_sums, curvature
+from .nc_torus import (OneFormTorus, Theta, TorusElement, cs_sums, curvature,
+                       weyl_mul)
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
-                   QContext, delta_ladder, leg_diag_coeff, leg_shift,
+                   QContext, delta_ladder, hopf_r, leg_diag_coeff, leg_shift,
                    rep_ladder, tau1)
 
 
@@ -203,6 +205,25 @@ def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> dict:
     return table
 
 
+UNITARY_TOL = 1e-10  # |u u* - 1|_1 and |u* u - 1|_1 allowed in a gauge element
+
+
+def gauge_transform(A: OneFormTorus, u: TorusElement,
+                    theta: Theta) -> OneFormTorus:
+    """A_a -> u A_a u* + u d_a(u*), for unitary u, in the Weyl algebra."""
+    ustar = u.adjoint()
+    unit = TorusElement.unit(A.n)
+    if not (weyl_mul(u, ustar, theta).allclose(unit, UNITARY_TOL)
+            and weyl_mul(ustar, u, theta).allclose(unit, UNITARY_TOL)):
+        raise ValueError("gauge element is not unitary within tolerance")
+    entries = []
+    for a in range(1, A.n + 1):
+        transported = weyl_mul(weyl_mul(u, A.component(a), theta), ustar, theta)
+        inhom = weyl_mul(u, ustar.delta(a), theta)
+        entries += [(a, k, c) for k, c in (transported + inhom).coeffs.items()]
+    return OneFormTorus(A.n, entries)
+
+
 def _curvature_ff_trace(A, theta):
     """tau(F F) = 2 sum_{a<b} sum_k f_k f_{-k} from the dict curvature, a
     route apart from the pair table behind yang_mills and cs_sums."""
@@ -339,6 +360,16 @@ def tau0_series(leg, side: str, ctx: QContext,
     raise ToleranceError(
         f"tau0 series for {leg} did not meet tol {ctx.tol} within "
         f"{max_terms} terms")
+
+
+def weight3_tau1_integral(T: LadderElem, ctx: QContext) -> complex:
+    """Integral of T against |D|^-3 as 2 sum_w c_w q^qpow tau1(leg+)
+    tau1(leg-) over the r-image of T, against the degree grading of
+    `suq2.nc_integral`."""
+    terms = [2.0 * c * ctx.q ** qpow * tau1(plus) * tau1(minus)
+             for (plus, minus, qpow), c in hopf_r(T).items()]
+    return complex(math.fsum(t.real for t in terms),
+                   math.fsum(t.imag for t in terms))
 
 
 def zeta_D_suq2(s: complex) -> complex:

@@ -4,8 +4,8 @@ Three layers cooperate here.
 
 * Polynomials in the generators a, b, written in the basis a^i b^j b*^k
   (i in Z via a^-1 := a*).  They enter only through their image in the
-  ladder algebra, so they are added and scaled but never multiplied or
-  normal-ordered here.
+  ladder algebra, so a polynomial is a validated table of monomials with
+  no arithmetic of its own.
 * The ladder algebra: words over the eight letters a+, a-, b+, b-, and their
   adjoints, which realize the generators up to smoothing corrections.  Each
   letter shifts the shell index by its degree (+1 or -1).
@@ -26,6 +26,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 from .action_assembly import CutoffMoments, assemble, json_integer, json_number
 from .lattice_zeta import ToleranceError
@@ -81,7 +82,8 @@ class QContext:
 
 @dataclass
 class PBWElem:
-    """Linear combination of canonical monomials a^i b^j b*^k."""
+    """Linear combination of canonical monomials a^i b^j b*^k: the table
+    {(i, j, k): c}, with integral exponents, j, k >= 0 and no zero c."""
 
     coeffs: dict = field(default_factory=dict)
 
@@ -106,21 +108,6 @@ class PBWElem:
     @classmethod
     def monomial(cls, i: int, j: int, k: int, coeff=1.0) -> "PBWElem":
         return cls({(i, j, k): coeff})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0.0) + c
-        return PBWElem(out)
-
-    def __rmul__(self, scalar):
-        return PBWElem({m: scalar * c for m, c in self.coeffs.items()})
-
-
-def _monomial_word(m) -> tuple:
-    i, j, k = m
-    a_part = ("a",) * i if i >= 0 else ("a*",) * (-i)
-    return a_part + ("b",) * j + ("b*",) * k
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +205,20 @@ def word_degree(word: tuple) -> int:
     return sum(DEGREE[l] for l in word)
 
 
-# images of the generators; no LadderElem operation changes its operands
-_REP_GENERATORS = {
-    "a": LadderElem({(AP,): 1.0, (AM,): 1.0}),
-    "a*": LadderElem({(APS,): 1.0, (AMS,): 1.0}),
-    "b": LadderElem({(BP,): 1.0, (BM,): 1.0}),
-    "b*": LadderElem({(BPS,): 1.0, (BMS,): 1.0}),
-}
-
-
 def rep_ladder(x: PBWElem) -> LadderElem:
     """Image of a polynomial under the approximate representation
-    a -> a+ + a-, b -> b+ + b- (adjoints likewise)."""
-    total = LadderElem.zero()
-    for m, c in x.coeffs.items():
-        acc = LadderElem.one()
-        for letter in _monomial_word(m):
-            acc = acc @ _REP_GENERATORS[letter]
-        total = total + c * acc
-    return total
+    a -> a+ + a-, b -> b+ + b- (adjoints likewise).
+
+    a^i b^j b*^k at c gives its 2^(|i| + j + k) words at c, one of its
+    generator's two letters at each position.  No two generators share a
+    letter, so no two monomials share a word.
+    """
+    words = {}
+    for (i, j, k), c in x.coeffs.items():
+        a = (AP, AM) if i >= 0 else (APS, AMS)
+        for w in product(*[a] * abs(i), *[(BP, BM)] * j, *[(BPS, BMS)] * k):
+            words[w] = c
+    return LadderElem._make(words)
 
 
 def delta_ladder(T: LadderElem) -> LadderElem:
@@ -401,12 +383,7 @@ def _tau_sum(rt: dict, ctx: QContext, combo) -> tuple:
 
 def _image_integral(rt: dict, k: int, ctx: QContext) -> tuple:
     """(value, rounding bound, size) of the integral against |D|^-k, k in
-    {1, 2, 3}, of the element whose r-image is rt."""
-    if k == 3:
-        def combo(p, m):
-            v = 2.0 * tau1(p) * tau1(m)
-            return v, 0.0, v
-        return _tau_sum(rt, ctx, combo)
+    {1, 2}, of the element whose r-image is rt."""
     if k == 2:
         # tau0(p) tau1(m) + tau1(p) tau0(m), doubled
         def combo(p, m):
@@ -433,9 +410,12 @@ def _image_integral(rt: dict, k: int, ctx: QContext) -> tuple:
 
 
 def nc_integral(T: LadderElem, k: int, ctx: QContext) -> complex:
-    """Integral of T against |D|^-k, k in {1, 2, 3}."""
+    """Integral of T against |D|^-k, k in {1, 2, 3}; weight 3 through the
+    degree grading."""
     if k not in (1, 2, 3):
         raise ValueError("weight k must be 1, 2 or 3")
+    if k == 3:
+        return complex(_integral_weight3_powers(T)[0][0])
     return _image_integral(hopf_r(T), k, ctx)[0]
 
 
@@ -569,20 +549,24 @@ def ladder_word_bound(pairs) -> float:
 def one_form_from_pairs(pairs) -> LadderElem:
     """Associated delta-one-form of sum_i c_i pi(x_i) d pi(y_i).
 
-    A pair whose x, y or c is zero is skipped unexpanded, so the expansion
-    work stays within a multiple of `ladder_word_bound(pairs)`, which over
-    MAX_LADDER_WORDS raises MemoryError before any monomial is expanded.
+    Each pair's c_i pi(x_i) delta(pi(y_i)) is added into one word table, in
+    the order of the pairs.  A pair whose x, y or c is zero is skipped
+    unexpanded, so the expansion work stays within a multiple of
+    `ladder_word_bound(pairs)`, which over MAX_LADDER_WORDS raises
+    MemoryError before any monomial is expanded.
     """
     bound = ladder_word_bound(pairs)
     if bound > MAX_LADDER_WORDS:
         raise MemoryError(
             f"one-form may expand to {bound:.6g} ladder words, over the "
             f"cap {MAX_LADDER_WORDS}")
-    total = LadderElem.zero()
+    words: dict = {}
     for x, y, c in pairs:
         if c != 0 and x.coeffs and y.coeffs:
-            total = total + c * delta_one_form(x, y)
-    return total
+            c = complex(c)
+            for w, v in delta_one_form(x, y).words.items():
+                words[w] = words.get(w, 0.0) + c * v
+    return LadderElem._make(words)
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +580,13 @@ def _coeff(item) -> complex:
 
 
 def _parse_pbw(doc_list) -> PBWElem:
-    out = PBWElem({})
+    table: dict = {}
     for mono in doc_list:
-        coeff = _coeff(mono)
-        out = out + coeff * PBWElem.monomial(
-            json_integer(mono.get("a", 0)), json_integer(mono.get("b", 0)),
-            json_integer(mono.get("bstar", 0)))
-    return out
+        c = _coeff(mono)
+        m = (json_integer(mono.get("a", 0)), json_integer(mono.get("b", 0)),
+             json_integer(mono.get("bstar", 0)))
+        table[m] = table.get(m, 0.0) + c
+    return PBWElem(table)
 
 
 def load_one_form(doc: dict):

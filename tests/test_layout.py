@@ -185,7 +185,8 @@ def test_lattice_zeta_imports_nothing_from_scipy():
     "shell_trace_oracle", "shell_fit_weight3", "NotReducibleError",
     "_lm_mul", "_lm_base", "ideal_r_reduce", "lqmq_integral",
     "table_entry_ladder", "zeta_D_suq2", "_curvature_ff_trace",
-    "moment_quadrature", "tau0_series", "gamma_matrices"])
+    "moment_quadrature", "tau0_series", "gamma_matrices", "gauge_transform",
+    "UNITARY_TOL", "weight3_tau1_integral"])
 def test_oracle_route_lives_in_oracles(name):
     assert hasattr(oracles, name)
     for module in LIBRARY:
@@ -238,7 +239,8 @@ def test_library_integers_follow_the_document_rule(build):
 DELETED = {"_normalize_word", "pbw_normalize", "pbw_adjoint", "zero_degree",
            "TwistedFamily", "twisted_residue", "check_skew", "gamma_trace",
            "_pair_sum", "chirality", "_tabulate", "SKEW_TOL", "degree",
-           "GammaRep", "build_gamma", "Curvature", "commutator", "_pruned"}
+           "GammaRep", "build_gamma", "Curvature", "commutator", "_pruned",
+           "_monomial_word", "_REP_GENERATORS", "UnsupportedError"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -251,7 +253,8 @@ def test_gamma_matrices_live_in_oracles():
 
 
 @pytest.mark.parametrize("cls, methods", [
-    (PBWElem, ("mul", "one", "norm1", "__sub__")), (Theta, ("pairing",)),
+    (PBWElem, ("mul", "one", "norm1", "__sub__", "__add__", "__rmul__")),
+    (Theta, ("pairing",)),
     (OneFormTorus, ("from_entries", "zero"))])
 def test_deleted_methods_stay_deleted(cls, methods):
     assert not [m for m in methods if hasattr(cls, m)]

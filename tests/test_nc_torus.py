@@ -15,7 +15,6 @@ from ncspectral.nc_torus import (
     TorusElement,
     cs_sums,
     curvature,
-    gauge_transform,
     load_potential,
     torus_action,
     weyl_mul,
@@ -25,6 +24,7 @@ from ncspectral.nc_torus import (
 from ncspectral.oracles import (
     curvature_from_coefficients,
     dirac_truncated,
+    gauge_transform,
     pairing,
     zeta0_shift_via_power_sums,
 )

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncspectral.action_assembly import cutoff_moments
@@ -19,6 +19,7 @@ from ncspectral.oracles import (
     shell_trace_oracle,
     table_entry_ladder,
     tau0_series,
+    weight3_tau1_integral,
     zeta_D_suq2,
 )
 from ncspectral.suq2 import (
@@ -540,7 +541,8 @@ class TestSpectralAction:
     @pytest.mark.parametrize("q", [0.4, 0.6])
     def test_power_shortcuts_match_generic_path(self, q):
         # the letter-filtered power integrals must agree with brute-force
-        # expansion through the generic integral
+        # expansion: weight 3 against the tau1 x tau1 sum over the r-image,
+        # weight 2 against the generic integral
         from ncspectral.suq2 import (_integral_weight2_square,
                                      _integral_weight3_powers)
         ctx = QContext(q)
@@ -558,7 +560,8 @@ class TestSpectralAction:
             sq = A @ A
             powers = [out[0] for out in _integral_weight3_powers(A)]
             assert powers == pytest.approx(
-                [nc_integral(P, 3, ctx) for P in (A, sq, sq @ A)], abs=1e-9)
+                [weight3_tau1_integral(P, ctx) for P in (A, sq, sq @ A)],
+                abs=1e-9)
             assert _integral_weight2_square(A, ctx)[0] == pytest.approx(
                 nc_integral(sq, 2, ctx), abs=1e-9)
 
@@ -690,3 +693,130 @@ class TestJsonInterface:
     def test_malformed(self):
         with pytest.raises(ValueError):
             load_one_form({"q": 0.5})
+
+
+# the route that rep_ladder and one_form_from_pairs replace, through the
+# public LadderElem operations: the images of the generators multiplied
+# letter by letter, and the one-form summed pair by pair
+GENERATOR_IMAGES = {
+    "a": LadderElem({(AP,): 1.0, (AM,): 1.0}),
+    "a*": LadderElem({(APS,): 1.0, (AMS,): 1.0}),
+    "b": LadderElem({(BP,): 1.0, (BM,): 1.0}),
+    "b*": LadderElem({(BPS,): 1.0, (BMS,): 1.0}),
+}
+
+
+def rep_by_products(x):
+    total = LadderElem.zero()
+    for (i, j, k), c in x.coeffs.items():
+        names = ["a" if i >= 0 else "a*"] * abs(i) + ["b"] * j + ["b*"] * k
+        acc = LadderElem.one()
+        for name in names:
+            acc = acc @ GENERATOR_IMAGES[name]
+        total = total + c * acc
+    return total
+
+
+def one_form_by_sums(pairs):
+    """The one-form summed pair by pair, and whether some word's running
+    sum or scaled term was exactly 0 on the way, which drops the word."""
+    total, cancelled = LadderElem.zero(), False
+    for x, y, c in pairs:
+        if c != 0 and x.coeffs and y.coeffs:
+            term = rep_by_products(x) @ delta_ladder(rep_by_products(y))
+            scaled = c * term
+            new = total + scaled
+            cancelled |= (len(scaled.words) < len(term.words)
+                          or len(new.words) < len(total.words | scaled.words))
+            total = new
+    return total, cancelled
+
+
+def parse_by_sums(doc):
+    """The monomial table of a polynomial document summed monomial by
+    monomial, and whether some running sum was exactly 0 on the way."""
+    coeffs, cancelled = {}, False
+    for mono in doc:
+        m = (mono.get("a", 0), mono.get("b", 0), mono.get("bstar", 0))
+        part = mono.get("coeff", {"re": 1.0, "im": 0.0})
+        table = dict(coeffs)
+        table[m] = table.get(m, 0.0) + complex(part["re"], part["im"])
+        coeffs = PBWElem(table).coeffs
+        cancelled |= len(coeffs) < len(table)
+    return coeffs, cancelled
+
+
+def exact(table):
+    # repr tells -0.0 from 0.0
+    return [(key, repr(c)) for key, c in table.items()]
+
+
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-200])
+COEFFS = st.fixed_dictionaries({"re": PARTS, "im": PARTS})
+POLYNOMIALS = st.lists(st.fixed_dictionaries(
+    {"a": st.integers(-2, 2), "b": st.integers(0, 1),
+     "bstar": st.integers(0, 1), "coeff": COEFFS}), max_size=3)
+ONE_FORMS = st.lists(st.fixed_dictionaries(
+    {"x": POLYNOMIALS, "y": POLYNOMIALS, "coeff": COEFFS}), max_size=3)
+
+
+def power(i, re=1.0, im=0.0):
+    return {"a": i, "coeff": {"re": re, "im": im}}
+
+
+class TestOnePassExpansion:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ONE_FORMS)
+    @example([{"x": [{}], "y": [power(1)]}])  # the constant monomial
+    @example([{"x": [power(1, -0.0, 1.0), power(-1, 1.0, -0.0)],
+               "y": [power(2, -0.0, -0.0), power(0, 0.0, -1.0)],
+               "coeff": {"re": -0.0, "im": 2.0}}])
+    @example([{"x": [power(1), power(1, -1.0), {"b": 1}, power(1, 2.0)],
+               "y": [{"bstar": 1}, {"bstar": 1}, power(-2)]}])
+    @example([{"x": [power(1)], "y": [power(2)]},
+              {"x": [power(2)], "y": [power(1)],
+               "coeff": {"re": -2.0, "im": 0.0}}])
+    @example([{"x": [power(1)], "y": [power(2)]},
+              {"x": [power(2)], "y": [power(1)],
+               "coeff": {"re": -2.0, "im": 0.0}},
+              {"x": [power(1)], "y": [power(2)]}])
+    @example([{"x": [power(1, 1e-200)], "y": [power(-1)],
+               "coeff": {"re": 1e-200, "im": 0.0}}])
+    def test_matches_generator_products(self, one_form):
+        # equal word -> coefficient maps, bit for bit; the same order too,
+        # except where the summed route dropped a word whose running sum
+        # hit exactly 0 and appended it again later
+        _, pairs = load_one_form({"one_form": one_form})
+        for item, (x, y, _) in zip(one_form, pairs):
+            for doc, poly in ((item["x"], x), (item["y"], y)):
+                ref, cancelled = parse_by_sums(doc)
+                assert sorted(exact(poly.coeffs)) == sorted(exact(ref))
+                if not cancelled:
+                    assert exact(poly.coeffs) == exact(ref)
+                assert (exact(rep_ladder(poly).words)
+                        == exact(rep_by_products(poly).words))
+        got = one_form_from_pairs(pairs)
+        ref, cancelled = one_form_by_sums(pairs)
+        assert sorted(exact(got.words)) == sorted(exact(ref.words))
+        if not cancelled:
+            assert exact(got.words) == exact(ref.words)
+
+    def test_cancelled_word_keeps_its_place(self):
+        # a key whose running sum hits exactly 0 stays where it first
+        # appeared, in a polynomial's table and in a one-form's
+        _, [(x, _, _)] = load_one_form({"one_form": [
+            {"x": [power(1), {"b": 1}, power(1, -1.0), power(1, 3.0)],
+             "y": [power(2)]}]})
+        assert list(x.coeffs.items()) == [((1, 0, 0), 3.0), ((0, 1, 0), 1.0)]
+        _, pairs = load_one_form({"one_form": [
+            {"x": [power(1)], "y": [power(2)]},
+            {"x": [power(2)], "y": [power(1)],
+             "coeff": {"re": -2.0, "im": 0.0}},
+            {"x": [power(1)], "y": [power(2)]}]})
+        # the second pair cancels each word of the first
+        first = delta_one_form(gen("a"), PBWElem.monomial(2, 0, 0))
+        got = one_form_from_pairs(pairs)
+        assert list(got.words)[:len(first.words)] == list(first.words)
+        ref, cancelled = one_form_by_sums(pairs)
+        assert cancelled and list(ref.words) != list(got.words)
+        assert got.words == ref.words
