@@ -11,7 +11,10 @@ that directory.  A `sys.settrace` hook notes each function of
 `src/ncspectral` that is entered.  The script then prints every function,
 method and nested function of `cli`, `lattice_zeta`, `nc_torus`, `suq2` and
 `action_assembly` that no op entered, one `module.qualified_name` a line.
-It writes nothing in the checkout.
+After that list it prints the modules the ops loaded beyond those present
+after `import ncspectral.cli`, one line per top-level package, or that
+there are none, so that an op which starts to import, say, a scipy
+subpackage shows here.  It writes nothing in the checkout.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ sys.dont_write_bytecode = True
 from dump_reports import ROOT, _seeds  # noqa: E402
 from ncspectral.cli import main as cli_main  # noqa: E402
 from perfbench.gen import WORKLOADS, generate  # noqa: E402
+
+# the modules of `import ncspectral.cli` and of this script's own imports
+IMPORTED = frozenset(sys.modules)
 
 PACKAGE = ROOT / "src" / "ncspectral"
 MODULES = ("cli", "lattice_zeta", "nc_torus", "suq2", "action_assembly")
@@ -54,10 +60,10 @@ def defined_functions(path: Path) -> dict:
     return found
 
 
-def entered_functions(seeds) -> set:
+def entered_functions(seeds) -> tuple:
     """(file name, first line, name) of each package function the ops
-    entered."""
-    entered = set()
+    entered, and the names of the modules they loaded."""
+    entered, loaded = set(), set()
     package = str(PACKAGE)
 
     def trace(frame, event, arg):
@@ -80,9 +86,24 @@ def entered_functions(seeds) -> set:
                         failed += cli_main(op["argv"] + ["--out", out]) != 0
                 finally:
                     sys.settrace(None)
+                loaded.update(set(sys.modules) - IMPORTED)
             print(f"{workload} seed {seed}: {len(ops)} ops, "
                   f"{failed} non-zero exits", file=sys.stderr)
-    return entered
+    return entered, loaded
+
+
+def package_summary(modules) -> list:
+    """One line per top-level package of the modules: its name, the number
+    of its modules in parentheses, and the first six of their subpackages."""
+    groups: dict = {}
+    for name in modules:
+        groups.setdefault(name.split(".")[0], set()).add(name)
+    lines = []
+    for top, names in sorted(groups.items()):
+        subs = sorted({".".join(n.split(".")[:2]) for n in names})
+        more = f", and {len(subs) - 6} more" if len(subs) > 6 else ""
+        lines.append(f"{top} ({len(names)}): {', '.join(subs[:6])}{more}")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -90,12 +111,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"),
                         help="a seed or an inclusive range such as 1-5")
     args = parser.parse_args(argv)
-    entered = entered_functions(args.seeds)
+    entered, loaded = entered_functions(args.seeds)
     for module in MODULES:
         path = PACKAGE / f"{module}.py"
         for key, name in sorted(defined_functions(path).items()):
             if (str(path), *key) not in entered:
                 print(f"{module}.{name}")
+    print("modules the ops loaded beyond import ncspectral.cli:"
+          + ("" if loaded else " none"))
+    for line in package_summary(loaded):
+        print(f"  {line}")
     return 0
 
 

@@ -8,10 +8,12 @@ modelled by one not-a-knot cubic spline on [t0, tN], the constant Phi(t0) on
 moments are integrated exactly: Gauss-Legendre in x = sqrt(t) on each knot
 interval, and an incomplete-gamma closed form for the tail, through the
 module's own scaled complementary error function (`_erfcx`).  The spline is
-solved here, as one tridiagonal system (`_not_a_knot`); scipy's CubicSpline,
-which gives the same coefficients, is its test oracle.  The error bound of a
-table is a rounding bound on that model.  Adaptive quadrature of a cutoff
-function (`moment_quadrature`) is an oracle and lives in `oracles`.
+solved here, as one tridiagonal system (`_not_a_knot`) by the module's own
+transcription of LAPACK's gtsv (`_gtsv`); scipy's CubicSpline and LAPACK's
+dgtsv, which give the same numbers bit for bit, are their test oracles, and
+nothing here takes anything from scipy.  The error bound of a table is a
+rounding bound on that model.  Adaptive quadrature of a cutoff function
+(`moment_quadrature`) is an oracle and lives in `oracles`.
 """
 
 from __future__ import annotations
@@ -63,17 +65,63 @@ def _gauss_legendre(n: int) -> tuple:
     return np.polynomial.legendre.leggauss(n)
 
 
+def _gtsv(dl: list, d: list, du: list, b: list) -> list:
+    """The solution x of T x = b, for the n x n tridiagonal T (n >= 2) with
+    sub-, main and super-diagonals dl, d, du (lists of n - 1, n and n - 1
+    floats).
+
+    LAPACK's reference dgtsv for one right-hand side, operation for
+    operation: Gaussian elimination with partial pivoting, which swaps rows
+    i and i + 1 (and their entries of b) when |d_i| < |dl_i| and so fills in
+    a second super-diagonal du2, then back substitution from the last row.
+    Python floats have no fused multiply-add, so x equals dgtsv's bit for
+    bit.  A zero pivot raises LinAlgError, where dgtsv returns info > 0.
+    d, du and b are overwritten, and du gains an entry.
+    """
+    n = len(d)
+    du.append(0.0)  # the swap at the last row fills in nothing
+    du2 = [0.0] * n
+    piv, rhs = d[0], b[0]
+    try:
+        for i in range(n - 1):
+            lo = dl[i]
+            if abs(piv) >= abs(lo):
+                if piv == 0.0:
+                    raise np.linalg.LinAlgError("singular matrix")
+                fact = lo / piv
+                d[i], b[i] = piv, rhs
+                piv = d[i + 1] - fact * du[i]
+                rhs = b[i + 1] - fact * rhs
+            else:
+                fact = piv / lo
+                up = du[i]
+                d[i], du[i], du2[i] = lo, d[i + 1], du[i + 1]
+                piv = up - fact * d[i + 1]
+                du[i + 1] = -fact * du2[i]
+                b[i], rhs = b[i + 1], rhs - fact * b[i + 1]
+        if piv == 0.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        b[-1] = nxt = rhs / piv
+        b[-2] = cur = (b[-2] - du[-2] * nxt) / d[-2]
+        for i in range(n - 3, -1, -1):
+            cur, nxt = (b[i] - du[i] * cur - du2[i] * nxt) / d[i], cur
+            b[i] = cur
+    except ZeroDivisionError:
+        # a NaN pivot over a zero sub-diagonal entry, where dgtsv divides
+        # NaN by 0 and every entry of its x comes out NaN
+        return [math.nan] * n
+    return b
+
+
 def _not_a_knot(ts, vs) -> np.ndarray:
     """The (4, R - 1) coefficients of the not-a-knot cubic spline through
     R >= 4 rows, in the arithmetic of scipy's CubicSpline(ts, vs).c.
 
-    The slopes s at the knots solve a tridiagonal system, solved by
-    LAPACK's gtsv on its three diagonals as scipy's solve_banded does; its
-    first and last rows make the third derivative continuous at t1 and
-    t(N-1).  An overflow anywhere shows in s or c.
+    The slopes s at the knots solve a tridiagonal system, solved by `_gtsv`
+    on its three diagonals as scipy's solve_banded solves it with LAPACK's
+    gtsv; its first and last rows make the third derivative continuous at
+    t1 and t(N-1).  An overflow anywhere shows in s or c.
     """
-    from scipy.linalg.lapack import dgtsv
-
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(ts)
         slope = np.diff(vs) / dx
@@ -90,9 +138,8 @@ def _not_a_knot(ts, vs) -> np.ndarray:
         main[-1], lower[-1] = dx[-2], d
         b[-1] = (dx[-1] ** 2 * slope[-2]
                  + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
-        *_, s, info = dgtsv(lower, main, upper, b, True, True, True, True)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
+        s = np.array(_gtsv(lower.tolist(), main.tolist(), upper.tolist(),
+                           b.tolist()))
         if not np.isfinite(s).all():
             raise ValueError("tabulated cutoff slopes overflow a double")
         t = (s[:-1] + s[1:] - 2 * slope) / dx

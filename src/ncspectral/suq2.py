@@ -586,6 +586,11 @@ def _parse_pbw(doc_list) -> PBWElem:
         m = (json_integer(mono.get("a", 0)), json_integer(mono.get("b", 0)),
              json_integer(mono.get("bstar", 0)))
         table[m] = table.get(m, 0.0) + c
+    for m, c in table.items():
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise ValueError(
+                f"non-finite coefficient {c!r} of a^{m[0]} b^{m[1]} "
+                f"b*^{m[2]}, the sum of its repeated monomials")
     return PBWElem(table)
 
 

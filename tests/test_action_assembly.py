@@ -6,9 +6,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, interpolate
+from scipy.linalg.lapack import dgtsv
 
 from ncspectral import action_assembly
 from ncspectral.action_assembly import (
@@ -17,6 +18,7 @@ from ncspectral.action_assembly import (
     DivergentMomentError,
     ExpansionReport,
     _erfcx,
+    _gtsv,
     _not_a_knot,
     assemble,
     cutoff_moments,
@@ -308,6 +310,52 @@ class TestNotAKnot:
         ts, vs = table
         np.testing.assert_array_equal(_not_a_knot(ts, vs),
                                       interpolate.CubicSpline(ts, vs).c)
+
+
+# entries of every size and sign, exact zeros, and inf and NaN
+_ENTRIES = (st.floats(-1e3, 1e3) | st.floats(allow_subnormal=False)
+            | st.sampled_from([0.0, -0.0, 1.0, -2.0, math.inf, math.nan]))
+
+
+@st.composite
+def tridiagonal_systems(draw):
+    """(dl, d, du, b) of an n x n system, n >= 2: dgtsv takes no n = 1."""
+    n = draw(st.integers(2, 40))
+    return tuple(draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+                 for size in (n - 1, n, n - 1, n))
+
+
+class TestGtsv:
+    """The spline's tridiagonal solve against LAPACK's dgtsv, its oracle,
+    bit for bit.  Both routes overwrite their inputs, so each gets copies."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(tridiagonal_systems())
+    # no swap, then a swap at the last row: |2| < |-3|
+    @example(([1.0, -3.0], [4.0, 3.0, 2.0], [1.0, 1.0], [1.0, 2.0, 3.0]))
+    # a swap at every row: each pivot is below its sub-diagonal entry
+    @example(([5.0, 7.0, 9.0], [1.0, 0.5, 0.25, 2.0], [2.0, -1.0, 3.0],
+              [1.0, -1.0, 2.0, 0.5]))
+    # a zero first pivot (info = 1) and a zero last pivot (info = 2)
+    @example(([0.0], [0.0, 1.0], [1.0], [1.0, 1.0]))
+    @example(([1.0], [1.0, 1.0], [1.0], [1.0, 2.0]))
+    # a NaN pivot over a zero sub-diagonal entry: NaN / 0 in dgtsv
+    @example(([0.0, 1.0], [math.nan, 1.0, 1.0], [1.0, 1.0],
+              [1.0, 1.0, 1.0]))
+    # 0 * inf in the back substitution's zero fill-in term: x = [nan, -inf,
+    # inf], where leaving out that term would give inf first
+    @example(([0.0, 0.0], [1.0, 1.0, 1e-300], [1.0, 1.0], [1.0, 1.0, 1e308]))
+    def test_matches_dgtsv(self, system):
+        *_, x, info = dgtsv(*(np.array(v) for v in system))
+        if info > 0:
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                _gtsv(*(list(v) for v in system))
+            return
+        y = np.array(_gtsv(*(list(v) for v in system)))
+        np.testing.assert_array_equal(y, x)
+        numbers = ~np.isnan(x)
+        np.testing.assert_array_equal(np.signbit(y[numbers]),
+                                      np.signbit(x[numbers]))
 
 
 def _erfcx_reference(x: float):

@@ -505,6 +505,22 @@ class TestSuq2Command:
         assert out == ""
         assert "non-finite" in err
 
+    def test_overflowing_monomial_sum_is_schema_error(self, tmp_path,
+                                                       capsys):
+        # two finite coefficients of a^1 sum to inf, which would give
+        # A|D|^-3 = nan + nan i
+        doc = {"q": 0.5, "one_form": [
+            {"x": [{"a": 1, "coeff": {"re": 1e308}},
+                   {"a": 1, "coeff": {"re": 1e308}}],
+             "y": [{"a": -1}], "coeff": {"re": 1.0}}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--lambda", "1")
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err and "nan" not in err
+
     @pytest.mark.parametrize("where", ["x", "coeff"])
     def test_wrong_type_is_schema_error(self, tmp_path, capsys, where):
         doc = json.loads(json.dumps(ASTAR_DA))

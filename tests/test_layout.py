@@ -111,12 +111,12 @@ def test_scipy_reader_sees_every_import_form(tmp_path):
         ("late", "scipy.linalg.lapack.dgtsv")}
 
 
-def test_action_assembly_takes_no_quadrature_from_scipy():
-    # the spline of a table is solved in the module, with LAPACK's gtsv
-    # imported when a table is read; scipy's CubicSpline is its test
-    # oracle, and erfcx is the module's own
-    assert scipy_imports(PACKAGE / "action_assembly.py") == {
-        ("_not_a_knot", "scipy.linalg.lapack.dgtsv")}
+@pytest.mark.parametrize("name", LIBRARY)
+def test_library_imports_nothing_from_scipy(name):
+    # log Gamma, 1/Gamma, the Laguerre rule, erfcx and the table spline's
+    # tridiagonal solve are the library's own; scipy's CubicSpline and
+    # LAPACK's dgtsv are test oracles
+    assert scipy_imports(PACKAGE / f"{name}.py") == set()
 
 
 def run_probe(code: str):
@@ -135,8 +135,7 @@ def run_probe(code: str):
 def test_cli_import_defers_scipy_integrate():
     # the quadrature oracle's scipy.integrate, with the optimize, sparse and
     # spatial trees it imports, loads on the first quadrature, not with the
-    # CLI; the table spline's scipy.linalg loads when a table is read, and
-    # no CLI path takes anything from scipy.special
+    # CLI
     loaded, value, later = run_probe(
         "import json, math, sys, ncspectral.cli\n"
         "from ncspectral import oracles\n"
@@ -151,30 +150,31 @@ def test_cli_import_defers_scipy_integrate():
 
 
 def test_torus_and_zeta_ops_load_no_scipy_special_or_linalg(tmp_path):
-    # a torus op and a Z_n(0) op, which takes the quadrature route, run on
-    # the library's own 1/Gamma, Laguerre rule and erfcx
+    # a torus op, a Z_n(0) op, which takes the quadrature route, and an
+    # action op on a tabulated cutoff, whose spline is solved in the module,
+    # run on the library's own 1/Gamma, Laguerre rule, erfcx and gtsv
     potential = tmp_path / "potential.json"
     potential.write_text(json.dumps({
         "n": 2, "theta": [[0.0, 1.0], [-1.0, 0.0]],
         "diophantine_asserted": True,
         "A": [{"alpha": 1, "l": [0, 1], "re": 0.0, "im": 0.3}]}))
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({
+        "cutoff": {"table": [[0.0, 1.0], [0.5, 0.7], [1.0, 0.5],
+                             [2.0, 0.25], [3.0, 0.125]]},
+        "lambda": 2.0, "zeta0": 0.5, "coefficients": {"3": 2.0, "1": -0.5}}))
     codes, loaded = run_probe(
         "import io, json, sys, contextlib\n"
         "from ncspectral.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(['torus', '--input', {str(potential)!r},\n"
         "                   '--lambda', '10']),\n"
-        "             main(['zeta', '--n', '3', '--s=0'])]\n"
+        "             main(['zeta', '--n', '3', '--s=0']),\n"
+        f"             main(['action', '--input', {str(action)!r}])]\n"
         "print(json.dumps([codes, [m for m in ('scipy.special',\n"
         "    'scipy.linalg') if m in sys.modules]]))\n")
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == []
-
-
-def test_lattice_zeta_imports_nothing_from_scipy():
-    # log Gamma, 1/Gamma and the Laguerre rule of the quadrature are the
-    # module's own
-    assert scipy_imports(PACKAGE / "lattice_zeta.py") == set()
 
 
 @pytest.mark.parametrize("name", [
