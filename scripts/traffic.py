@@ -15,6 +15,12 @@ After that list it prints the modules the ops loaded beyond those present
 after `import ncspectral.cli`, one line per top-level package, or that
 there are none, so that an op which starts to import, say, a scipy
 subpackage shows here.  It writes nothing in the checkout.
+
+The names are checked against the committed list `traffic_list.txt` next
+to this script, which gives each its reason.  The script exits 1, naming
+each fault on stderr, when a function that no op entered is not on the
+list, or when a listed name is entered by an op or no longer defined;
+else it exits 0.  The list holds for `--seeds 1` and for seeds 1-5.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ IMPORTED = frozenset(sys.modules)
 
 PACKAGE = ROOT / "src" / "ncspectral"
 MODULES = ("cli", "lattice_zeta", "nc_torus", "suq2", "action_assembly")
+LIST = Path(__file__).with_name("traffic_list.txt")
 
 
 def defined_functions(path: Path) -> dict:
@@ -92,6 +99,19 @@ def entered_functions(seeds) -> tuple:
     return entered, loaded
 
 
+def read_list(path: Path) -> dict:
+    """{name: reason} of the list: one `name: reason` a line; blank lines
+    and lines that start with # are skipped."""
+    listed = {}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip() and not line.startswith("#"):
+            name, _, reason = line.partition(":")
+            if not reason.strip():
+                raise SystemExit(f"{path.name}:{number}: {name} has no reason")
+            listed[name.strip()] = reason.strip()
+    return listed
+
+
 def package_summary(modules) -> list:
     """One line per top-level package of the modules: its name, the number
     of its modules in parentheses, and the first six of their subpackages."""
@@ -111,17 +131,29 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"),
                         help="a seed or an inclusive range such as 1-5")
     args = parser.parse_args(argv)
+    listed = read_list(LIST)
     entered, loaded = entered_functions(args.seeds)
+    defined, unentered = set(), {}  # a dict keeps the order of the files
     for module in MODULES:
         path = PACKAGE / f"{module}.py"
         for key, name in sorted(defined_functions(path).items()):
+            defined.add(f"{module}.{name}")
             if (str(path), *key) not in entered:
-                print(f"{module}.{name}")
+                unentered[f"{module}.{name}"] = None
+    for name in unentered:
+        print(name)
     print("modules the ops loaded beyond import ncspectral.cli:"
           + ("" if loaded else " none"))
     for line in package_summary(loaded):
         print(f"  {line}")
-    return 0
+    faults = [f"{name}: no op enters it, and {LIST.name} does not list it"
+              for name in unentered if name not in listed]
+    faults += [f"{name}: listed in {LIST.name}, but "
+               + ("an op enters it" if name in defined else "not defined")
+               for name in listed if name not in unentered]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -175,7 +175,7 @@ def crit_suq2_integrals():
             suq2.delta_one_form(g("b"), g("b*")), 1, ctx).real
             - 2.0 / (1 - q * q)))
         for n in (1, 2, 3):
-            weight = suq2.rep_ladder(suq2.PBWElem.monomial(0, n, n))
+            weight = suq2.rep_ladder(suq2.PBWElem({(0, n, n): 1.0}))
             q2n, q2n2 = q ** (2 * n), q ** (2 * n + 2)
             fam = {
                 None: -2 * (1 + q2n) / (1 - q2n) ** 2,
@@ -213,6 +213,16 @@ def _table_rows(q):
     }
 
 
+def plus_adjoint(B: suq2.LadderElem) -> suq2.LadderElem:
+    """B + B*: B's words, and each word reversed with its letters starred
+    added in at the conjugate coefficient."""
+    words = dict(B.words)
+    for w, c in B.words.items():
+        star = tuple(suq2.STAR[letter] for letter in reversed(w))
+        words[star] = words.get(star, 0.0) + c.conjugate()
+    return suq2.LadderElem(words)
+
+
 def crit_suq2_table():
     errs = []
     g = suq2.PBWElem.generator
@@ -230,10 +240,9 @@ def crit_suq2_table():
         # assembled action of A_n vs its closed form
         lam = 2.0
         for n in (0, 1, 2):
-            Bn = suq2.rep_ladder(suq2.PBWElem.monomial(0, n, n)) \
+            Bn = suq2.rep_ladder(suq2.PBWElem({(0, n, n): 1.0})) \
                 @ suq2.delta_one_form(g("b"), g("b*"))
-            An = Bn + Bn.adjoint()
-            out = suq2.suq2_action(An, ctx, moments, lam)
+            out = suq2.suq2_action(plus_adjoint(Bn), ctx, moments, lam)
             expected_total = (2 * moments.phi(3) * lam ** 3
                               - 0.5 * moments.phi(1) * lam
                               + 8.0 / (1 + q ** (2 * n + 2)))
@@ -263,7 +272,7 @@ def crit_dual_path_weight2():
 def crit_shell_asymptotics():
     errs = []
     ctx = suq2.QContext(0.5)
-    cases = [(suq2.LadderElem.one(), 2.0),
+    cases = [(suq2.LadderElem({(): 1.0}), 2.0),
              (suq2.LadderElem({(suq2.BP, suq2.BPS): 1.0}), 0.0),
              (suq2.LadderElem({(suq2.AP, suq2.APS): 1.0}), 2.0)]
     for elem, expected in cases:

@@ -393,12 +393,6 @@ class ExpansionReport:
         except OverflowError:
             raise OverflowError(f"Lambda^{p} overflows a double") from None
 
-    def coefficient(self, power):
-        for p, c, _ in self.entries:
-            if p == power:
-                return c
-        return 0.0
-
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,

@@ -182,7 +182,10 @@ def _run_suq2(args) -> dict:
     if q is None:
         raise SchemaError("q missing: pass --q or put it in the input file")
     ctx = suq2.QContext(q, tol=args.tol)
-    A = suq2.one_form_from_pairs(pairs)
+    try:
+        A = suq2.one_form_from_pairs(pairs)
+    except ValueError as exc:  # a word that overflows
+        raise SchemaError(str(exc)) from exc
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3])
     out = suq2.suq2_action(A, ctx, moments, args.lam,
                            with_reality=not args.no_reality)

@@ -39,10 +39,6 @@ class Theta:
         self.entries = arr
         self.n = arr.shape[0]
 
-    @classmethod
-    def zero(cls, n: int) -> "Theta":
-        return cls(np.zeros((n, n)))
-
 
 class TorusElement:
     """Finitely supported map Z^n -> C; immutable once built."""

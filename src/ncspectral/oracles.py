@@ -478,7 +478,7 @@ def table_entry_ladder(n: int, tag: str, ctx: QContext) -> LadderElem:
     the independent route against lqmq_integral."""
     q = ctx.q
     gen = PBWElem.generator
-    weight = rep_ladder(PBWElem.monomial(0, n, n))
+    weight = rep_ladder(PBWElem({(0, n, n): 1.0}))
 
     def d(g):
         return delta_ladder(rep_ladder(gen(g)))
@@ -487,7 +487,7 @@ def table_entry_ladder(n: int, tag: str, ctx: QContext) -> LadderElem:
         return rep_ladder(gen(g))
 
     pieces = {
-        "one": LadderElem.one(),
+        "one": LadderElem({(): 1.0}),
         "bdb*": r("b") @ d("b*"),
         "b*db": r("b*") @ d("b"),
         "ada*": r("a") @ d("a*"),

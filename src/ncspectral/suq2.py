@@ -22,6 +22,7 @@ representation.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -89,15 +90,18 @@ class PBWElem:
 
     def __post_init__(self):
         clean = {}
-        for key, c in self.coeffs.items():
-            i, j, k = (json_integer(key[0]), json_integer(key[1]),
-                       json_integer(key[2]))
+        for (i, j, k), c in self.coeffs.items():
+            i, j, k = json_integer(i), json_integer(j), json_integer(k)
             if j < 0 or k < 0:
                 raise ValueError("b exponents must be nonnegative")
             c = complex(c)
+            if not cmath.isfinite(c):
+                raise ValueError(
+                    f"non-finite coefficient {c!r} of a^{i} b^{j} b*^{k}, "
+                    f"the sum of its repeated monomials")
             if c != 0:
-                clean[(i, j, k)] = clean.get((i, j, k), 0.0) + c
-        self.coeffs = {m: c for m, c in clean.items() if c != 0}
+                clean[i, j, k] = c
+        self.coeffs = clean
 
     @classmethod
     def generator(cls, name: str) -> "PBWElem":
@@ -105,17 +109,14 @@ class PBWElem:
                  "b": (0, 1, 0), "b*": (0, 0, 1)}
         return cls({table[name]: 1.0})
 
-    @classmethod
-    def monomial(cls, i: int, j: int, k: int, coeff=1.0) -> "PBWElem":
-        return cls({(i, j, k): coeff})
-
 
 # ---------------------------------------------------------------------------
 # ladder algebra
 
 
 class LadderElem:
-    """Complex span of ladder words.
+    """Complex span of ladder words: the table {word: coefficient}, with
+    `@` and no other arithmetic.
 
     Words multiply freely; all relations are used only downstream, through
     the representation.
@@ -139,35 +140,10 @@ class LadderElem:
     @classmethod
     def _make(cls, words: dict) -> "LadderElem":
         """Build from complex values at words already checked as tuples of
-        letters; the arithmetic below skips the checks of __init__."""
+        letters; `@` and the functions below skip the checks of __init__."""
         out = cls.__new__(cls)
         out.words = {w: c for w, c in words.items() if c != 0}
         return out
-
-    @classmethod
-    def zero(cls) -> "LadderElem":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LadderElem":
-        return cls({(): 1.0})
-
-    @classmethod
-    def letter(cls, name: str, coeff=1.0) -> "LadderElem":
-        return cls({(name,): coeff})
-
-    def __add__(self, other):
-        out = dict(self.words)
-        for w, c in other.words.items():
-            out[w] = out.get(w, 0.0) + c
-        return LadderElem._make(out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar):
-        scalar = complex(scalar)
-        return LadderElem._make({w: scalar * c for w, c in self.words.items()})
 
     def __matmul__(self, other):
         out: dict = {}
@@ -177,25 +153,9 @@ class LadderElem:
                 out[w] = out.get(w, 0.0) + c1 * c2
         return LadderElem._make(out)
 
-    def adjoint(self) -> "LadderElem":
-        out = {tuple(STAR[l] for l in reversed(w)): c.conjugate()
-               for w, c in self.words.items()}
-        return LadderElem._make(out)
-
     def filter_letters(self, allowed: frozenset) -> "LadderElem":
         return LadderElem._make({w: c for w, c in self.words.items()
                                  if allowed.issuperset(w)})
-
-    def norm1(self) -> float:
-        return sum(abs(c) for c in self.words.values())
-
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).norm1() <= tol
-
-    def __repr__(self):
-        terms = ", ".join(f"{'.'.join(w) or '1'}: {c:.3g}"
-                          for w, c in sorted(self.words.items()))
-        return f"LadderElem({{{terms}}})"
 
 
 # words repeat across the products of one run; the degree of each is
@@ -553,7 +513,9 @@ def one_form_from_pairs(pairs) -> LadderElem:
     the order of the pairs.  A pair whose x, y or c is zero is skipped
     unexpanded, so the expansion work stays within a multiple of
     `ladder_word_bound(pairs)`, which over MAX_LADDER_WORDS raises
-    MemoryError before any monomial is expanded.
+    MemoryError before any monomial is expanded.  A word whose coefficient
+    is not finite, which finite coefficients reach by overflowing, raises
+    ValueError.
     """
     bound = ladder_word_bound(pairs)
     if bound > MAX_LADDER_WORDS:
@@ -566,6 +528,12 @@ def one_form_from_pairs(pairs) -> LadderElem:
             c = complex(c)
             for w, v in delta_one_form(x, y).words.items():
                 words[w] = words.get(w, 0.0) + c * v
+    # one sum in C; finite words can overflow it too, so the scan decides
+    if not cmath.isfinite(sum(words.values())):
+        for w, v in words.items():
+            if not cmath.isfinite(v):
+                raise ValueError(f"the coefficient of the ladder word "
+                                 f"{'.'.join(w)} overflows a double")
     return LadderElem._make(words)
 
 
@@ -583,14 +551,10 @@ def _parse_pbw(doc_list) -> PBWElem:
     table: dict = {}
     for mono in doc_list:
         c = _coeff(mono)
+        # integers before the sum: a JSON true would merge into a key 1
         m = (json_integer(mono.get("a", 0)), json_integer(mono.get("b", 0)),
              json_integer(mono.get("bstar", 0)))
         table[m] = table.get(m, 0.0) + c
-    for m, c in table.items():
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError(
-                f"non-finite coefficient {c!r} of a^{m[0]} b^{m[1]} "
-                f"b*^{m[2]}, the sum of its repeated monomials")
     return PBWElem(table)
 
 

@@ -521,6 +521,32 @@ class TestSuq2Command:
         assert out == ""
         assert "non-finite" in err and "nan" not in err
 
+    def test_overflowing_word_is_schema_error(self, tmp_path, capsys):
+        # finite numbers whose product, 10 x 1e308, is an infinite word,
+        # which would give A|D|^-3 = nan + nan i
+        doc = {"q": 0.5, "one_form": [
+            {"x": [{"a": 1, "coeff": {"re": 1e308, "im": 0}}],
+             "y": [{"a": -1}], "coeff": {"re": 10, "im": 0}}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--lambda", "1")
+        assert code == 2
+        assert out == ""
+        assert "ladder word a+.a+*" in err and "nan" not in err
+
+    def test_boolean_exponent_after_its_integer_is_schema_error(
+            self, tmp_path, capsys):
+        # true == 1 as a key: the exponents are read before they are summed
+        doc = json.loads(json.dumps(ASTAR_DA))
+        doc["one_form"][0]["x"] = [{"a": 1}, {"a": True}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path))
+        assert code == 2
+        assert out == ""
+        assert "True is not an integer" in err
+
     @pytest.mark.parametrize("where", ["x", "coeff"])
     def test_wrong_type_is_schema_error(self, tmp_path, capsys, where):
         doc = json.loads(json.dumps(ASTAR_DA))

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncspectral.acceptance import plus_adjoint
 from ncspectral.action_assembly import cutoff_moments
 from ncspectral.lattice_zeta import CONTOUR_NODES, PoleError, ToleranceError
 from ncspectral.oracles import (
@@ -77,23 +79,19 @@ class TestQContext:
 
 class TestLadder:
     def test_rep_of_generators(self):
-        assert rep_ladder(gen("a")).allclose(
-            LadderElem({(AP,): 1.0, (AM,): 1.0}))
-        assert rep_ladder(gen("b*")).allclose(
-            LadderElem({(BPS,): 1.0, (BMS,): 1.0}))
+        assert rep_ladder(gen("a")).words == {(AP,): 1.0, (AM,): 1.0}
+        assert rep_ladder(gen("b*")).words == {(BPS,): 1.0, (BMS,): 1.0}
 
     def test_rep_of_square_and_grading(self):
-        aa = rep_ladder(PBWElem.monomial(2, 0, 0))
+        aa = rep_ladder(PBWElem({(2, 0, 0): 1.0}))
         degrees = {w: word_degree(w) for w in aa.words}
         assert sorted(degrees.values()) == [-2, 0, 0, 2]
 
     def test_delta_ladder(self):
-        assert delta_ladder(LadderElem.letter(AP)).allclose(
-            LadderElem.letter(AP))
-        assert delta_ladder(LadderElem({(AM, BP): 1.0})).allclose(
-            LadderElem.zero())
+        assert delta_ladder(LadderElem({(AP,): 1.0})).words == {(AP,): 1.0}
+        assert delta_ladder(LadderElem({(AM, BP): 1.0})).words == {}
         twice = delta_ladder(delta_ladder(rep_ladder(gen("a"))))
-        assert twice.allclose(rep_ladder(gen("a")))
+        assert twice.words == rep_ladder(gen("a")).words
 
     def test_degree_additivity(self):
         w1, w2 = (AP, BM), (AMS, BPS, BP)
@@ -101,16 +99,16 @@ class TestLadder:
 
     def test_delta_one_form_examples(self):
         got = delta_one_form(gen("b"), gen("b*"))
-        expected = LadderElem({(BP, BMS): 1.0, (BP, BPS): -1.0,
-                               (BM, BMS): 1.0, (BM, BPS): -1.0})
-        assert got.allclose(expected)
-        one = PBWElem.monomial(0, 0, 0)
-        assert delta_one_form(one, one).allclose(
-            LadderElem.zero())
+        assert got.words == {(BP, BMS): 1.0, (BP, BPS): -1.0,
+                             (BM, BMS): 1.0, (BM, BPS): -1.0}
+        one = PBWElem({(0, 0, 0): 1.0})
+        assert delta_one_form(one, one).words == {}
 
     def test_adjoint_reverses_and_stars(self):
-        T = LadderElem({(AP, BM): 2.0j})
-        assert T.adjoint().allclose(LadderElem({(BMS, APS): -2.0j}))
+        # acceptance's T + T*; a+ a+* is its own adjoint word
+        T = LadderElem({(AP, BM): 2.0j, (AP, APS): 1.0 + 1.0j})
+        assert plus_adjoint(T).words == {(AP, BM): 2.0j, (AP, APS): 2.0,
+                                         (BMS, APS): -2.0j}
 
     def test_unknown_letter_rejected(self):
         with pytest.raises(ValueError, match="unknown ladder letter"):
@@ -121,15 +119,15 @@ class TestHopfR:
     def test_generator_images(self):
         rt = hopf_r(LadderElem({(BP, BPS): 1.0}))
         assert rt == {(("a", "a*"), ("b", "b*"), 0): pytest.approx(1.0)}
-        rt1 = hopf_r(LadderElem.one())
+        rt1 = hopf_r(LadderElem({(): 1.0}))
         assert rt1 == {((), (), 0): pytest.approx(1.0)}
         rt2 = hopf_r(LadderElem({(AM, AMS): 1.0}))
         assert rt2 == {(("b", "b*"), ("b*", "b"), 2): pytest.approx(1.0)}
 
     def test_skips_nonzero_degree(self):
-        assert hopf_r(LadderElem.letter(AP)) == {}
+        assert hopf_r(LadderElem({(AP,): 1.0})) == {}
         T = rep_ladder(gen("a")) @ delta_ladder(rep_ladder(gen("a*")))
-        T = T + LadderElem({(BP, AP): 2.0, (AM, BMS, BPS): 1.0j})
+        T = LadderElem({**T.words, (BP, AP): 2.0, (AM, BMS, BPS): 1.0j})
         assert {word_degree(w) for w in T.words} == {-2, -1, 0, 2}
         degree_zero = LadderElem({w: c for w, c in T.words.items()
                                   if word_degree(w) == 0})
@@ -299,8 +297,8 @@ class TestTauFunctionals:
         # a^k d a^-k walks its legs below their start, where a power q^d
         # with d < 0 would overflow at these q and turn inf * 0 into nan
         ctx = QContext(q)
-        A = delta_one_form(PBWElem.monomial(k, 0, 0),
-                           PBWElem.monomial(-k, 0, 0))
+        A = delta_one_form(PBWElem({(k, 0, 0): 1.0}),
+                           PBWElem({(-k, 0, 0): 1.0}))
         for (plus, minus, _), _ in hopf_r(A @ A).items():
             for leg, side in ((plus, "+"), (minus, "-")):
                 value, bound, size = tau0(leg, side, ctx)
@@ -327,7 +325,7 @@ class TestNcIntegral:
     @pytest.mark.parametrize("q", Q_SAMPLES)
     def test_unit_weight3(self, q):
         ctx = QContext(q)
-        assert nc_integral(LadderElem.one(), 3, ctx) == pytest.approx(2.0)
+        assert nc_integral(LadderElem({(): 1.0}), 3, ctx) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("q", Q_SAMPLES)
     def test_tadpole_value(self, q):
@@ -366,7 +364,7 @@ class TestNcIntegral:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            nc_integral(LadderElem.one(), 4, QContext(0.5))
+            nc_integral(LadderElem({(): 1.0}), 4, QContext(0.5))
 
     @pytest.mark.parametrize("q", Q_SAMPLES)
     def test_cocycle_antisymmetrization(self, q):
@@ -379,7 +377,7 @@ class TestNcIntegral:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weighted_families(self, q, n):
         ctx = QContext(q)
-        weight = rep_ladder(PBWElem.monomial(0, n, n))
+        weight = rep_ladder(PBWElem({(0, n, n): 1.0}))
         q2n, q2n2 = q ** (2 * n), q ** (2 * n + 2)
         got = nc_integral(weight, 1, ctx).real
         assert got == pytest.approx(-2 * (1 + q2n) / (1 - q2n) ** 2, abs=1e-8)
@@ -401,7 +399,7 @@ class TestZetaD:
         assert DIRAC_RESIDUES == {3: 2.0, 1: -0.5}
         moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
         for with_reality in (True, False):
-            coeffs = suq2_action(LadderElem.zero(), QContext(0.5), moments,
+            coeffs = suq2_action(LadderElem(), QContext(0.5), moments,
                                  1.0, with_reality)["coefficients"]
             assert (coeffs[3], coeffs[1]) == (DIRAC_RESIDUES[3],
                                               DIRAC_RESIDUES[1])
@@ -513,10 +511,9 @@ class TestSpectralAction:
         # S = 2 Phi3 L^3 - (1/2) Phi1 L + 8/(1+q^(2n+2)) Phi(0)
         ctx = QContext(q)
         moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
-        Bn = rep_ladder(PBWElem.monomial(0, n, n)) @ delta_one_form(
+        Bn = rep_ladder(PBWElem({(0, n, n): 1.0})) @ delta_one_form(
             gen("b"), gen("b*"))
-        An = Bn + Bn.adjoint()
-        out = suq2_action(An, ctx, moments, 2.0)
+        out = suq2_action(plus_adjoint(Bn), ctx, moments, 2.0)
         coeffs = out["coefficients"]
         assert complex(coeffs[3]).real == pytest.approx(2.0)
         assert complex(coeffs[2]).real == pytest.approx(0.0, abs=1e-10)
@@ -532,7 +529,7 @@ class TestSpectralAction:
     def test_zero_fluctuation(self):
         ctx = QContext(0.5)
         moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
-        out = suq2_action(LadderElem.zero(), ctx, moments, 3.0)
+        out = suq2_action(LadderElem(), ctx, moments, 3.0)
         assert out["coefficients"][3] == 2.0
         assert out["coefficients"][2] == 0.0
         assert complex(out["coefficients"][1]).real == pytest.approx(-0.5)
@@ -593,8 +590,8 @@ class TestSpectralAction:
         forms = [delta_one_form(gen("a*"), gen("a")),
                  one_form_from_pairs(
                      [(gen("a"), gen("a*"), 1.0),
-                      (gen("b*"), PBWElem.monomial(1, 1, 0), 0.5j),
-                      (PBWElem.monomial(-1, 0, 1), gen("b"), -0.3)])]
+                      (gen("b*"), PBWElem({(1, 1, 0): 1.0}), 0.5j),
+                      (PBWElem({(-1, 0, 1): 1.0}), gen("b"), -0.3)])]
         for A in forms:
             rt = hopf_r(A)
             for T, k, (got, bound, size) in (
@@ -631,11 +628,11 @@ class TestShellOracle:
     def test_multiplicities(self):
         for u in (0, 1, 5, 8):
             j = u / 2.0
-            got = shell_trace_oracle(LadderElem.one(), j, self.ctx)
+            got = shell_trace_oracle(LadderElem({(): 1.0}), j, self.ctx)
             assert got == pytest.approx((u + 1) * (u + 2) + u * (u + 1))
 
     def test_shifting_word_has_zero_diagonal(self):
-        assert shell_trace_oracle(LadderElem.letter(AM), 3, self.ctx) == 0.0
+        assert shell_trace_oracle(LadderElem({(AM,): 1.0}), 3, self.ctx) == 0.0
 
     def test_bplus_bplus_star_closed_form(self):
         q = self.ctx.q
@@ -656,13 +653,13 @@ class TestShellOracle:
 
     def test_cap(self):
         with pytest.raises(ValueError):
-            shell_trace_oracle(LadderElem.one(), 150, self.ctx, cap=100)
+            shell_trace_oracle(LadderElem({(): 1.0}), 150, self.ctx, cap=100)
 
     @pytest.mark.parametrize("q", Q_SAMPLES)
     def test_fit_recovers_weight3(self, q):
         ctx = QContext(q)
         cases = [
-            (LadderElem.one(), 2.0),
+            (LadderElem({(): 1.0}), 2.0),
             (LadderElem({(BP, BPS): 1.0}), 0.0),
             (LadderElem({(AP, APS): 1.0}), 2.0),
         ]
@@ -670,6 +667,27 @@ class TestShellOracle:
             fit = shell_fit_weight3(elem, ctx)
             assert fit == pytest.approx(expected,
                                         abs=1e-4 * max(1.0, abs(expected)))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan,
+                                   complex(0.0, math.inf)])
+    def test_polynomial_refuses_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            PBWElem({(1, 0, 0): c})
+
+    def test_overflowing_word_is_refused_by_name(self):
+        pairs = [(PBWElem({(1, 0, 0): 1e308}), gen("a*"), 10.0)]
+        with pytest.raises(ValueError, match=r"ladder word a\+\.a\+\* "):
+            one_form_from_pairs(pairs)
+
+    def test_finite_words_whose_sum_overflows_pass(self):
+        # a+ times the words of a^3 at degrees 3, 1, 1, ...: 1.5e308 +
+        # 5e307 already overflows the running sum
+        A = one_form_from_pairs([(gen("a"), PBWElem({(3, 0, 0): 5e307}),
+                                  1.0)])
+        assert all(map(cmath.isfinite, A.words.values()))
+        assert not cmath.isfinite(sum(A.words.values()))
 
 
 class TestJsonInterface:
@@ -688,16 +706,17 @@ class TestJsonInterface:
         assert q == 0.5
         ctx = QContext(q)
         A = one_form_from_pairs(pairs)
-        assert A.allclose(delta_one_form(gen("a*"), gen("a")))
+        assert A.words == delta_one_form(gen("a*"), gen("a")).words
 
     def test_malformed(self):
         with pytest.raises(ValueError):
             load_one_form({"q": 0.5})
 
 
-# the route that rep_ladder and one_form_from_pairs replace, through the
-# public LadderElem operations: the images of the generators multiplied
-# letter by letter, and the one-form summed pair by pair
+# the route that rep_ladder and one_form_from_pairs replace: the images of
+# the generators multiplied letter by letter with `@`, and the one-form
+# summed pair by pair; every scaled term and every sum drops an exact 0, as
+# LadderElem._make does
 GENERATOR_IMAGES = {
     "a": LadderElem({(AP,): 1.0, (AM,): 1.0}),
     "a*": LadderElem({(APS,): 1.0, (AMS,): 1.0}),
@@ -706,28 +725,41 @@ GENERATOR_IMAGES = {
 }
 
 
+def scaled(c, words: dict) -> dict:
+    c = complex(c)
+    return {w: c * v for w, v in words.items() if c * v != 0}
+
+
+def summed(total: dict, term: dict) -> dict:
+    out = dict(total)
+    for w, c in term.items():
+        out[w] = out.get(w, 0.0) + c
+    return {w: c for w, c in out.items() if c != 0}
+
+
 def rep_by_products(x):
-    total = LadderElem.zero()
+    total = {}
     for (i, j, k), c in x.coeffs.items():
         names = ["a" if i >= 0 else "a*"] * abs(i) + ["b"] * j + ["b*"] * k
-        acc = LadderElem.one()
+        acc = LadderElem({(): 1.0})
         for name in names:
             acc = acc @ GENERATOR_IMAGES[name]
-        total = total + c * acc
-    return total
+        total = summed(total, scaled(c, acc.words))
+    return LadderElem._make(total)
 
 
 def one_form_by_sums(pairs):
-    """The one-form summed pair by pair, and whether some word's running
-    sum or scaled term was exactly 0 on the way, which drops the word."""
-    total, cancelled = LadderElem.zero(), False
+    """The one-form's word table summed pair by pair, and whether some
+    word's running sum or scaled term was exactly 0 on the way, which drops
+    the word."""
+    total, cancelled = {}, False
     for x, y, c in pairs:
         if c != 0 and x.coeffs and y.coeffs:
-            term = rep_by_products(x) @ delta_ladder(rep_by_products(y))
-            scaled = c * term
-            new = total + scaled
-            cancelled |= (len(scaled.words) < len(term.words)
-                          or len(new.words) < len(total.words | scaled.words))
+            term = (rep_by_products(x) @ delta_ladder(rep_by_products(y))).words
+            part = scaled(c, term)
+            new = summed(total, part)
+            cancelled |= (len(part) < len(term)
+                          or len(new) < len(total | part))
             total = new
     return total, cancelled
 
@@ -797,9 +829,9 @@ class TestOnePassExpansion:
                         == exact(rep_by_products(poly).words))
         got = one_form_from_pairs(pairs)
         ref, cancelled = one_form_by_sums(pairs)
-        assert sorted(exact(got.words)) == sorted(exact(ref.words))
+        assert sorted(exact(got.words)) == sorted(exact(ref))
         if not cancelled:
-            assert exact(got.words) == exact(ref.words)
+            assert exact(got.words) == exact(ref)
 
     def test_cancelled_word_keeps_its_place(self):
         # a key whose running sum hits exactly 0 stays where it first
@@ -814,9 +846,9 @@ class TestOnePassExpansion:
              "coeff": {"re": -2.0, "im": 0.0}},
             {"x": [power(1)], "y": [power(2)]}]})
         # the second pair cancels each word of the first
-        first = delta_one_form(gen("a"), PBWElem.monomial(2, 0, 0))
+        first = delta_one_form(gen("a"), PBWElem({(2, 0, 0): 1.0}))
         got = one_form_from_pairs(pairs)
         assert list(got.words)[:len(first.words)] == list(first.words)
         ref, cancelled = one_form_by_sums(pairs)
-        assert cancelled and list(ref.words) != list(got.words)
-        assert got.words == ref.words
+        assert cancelled and list(ref) != list(got.words)
+        assert got.words == ref
