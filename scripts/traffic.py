@@ -19,8 +19,10 @@ subpackage shows here.  It writes nothing in the checkout.
 The names are checked against the committed list `traffic_list.txt` next
 to this script, which gives each its reason.  The script exits 1, naming
 each fault on stderr, when a function that no op entered is not on the
-list, or when a listed name is entered by an op or no longer defined;
-else it exits 0.  The list holds for `--seeds 1` and for seeds 1-5.
+list, when a listed name is entered by an op or no longer defined, or
+when a name listed as `tracer-pinned` is not a function that
+`perfbench/tracing.py` wraps; else it exits 0.  The list holds for
+`--seeds 1` and for seeds 1-5.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ sys.dont_write_bytecode = True
 # dump_reports puts the checkout's src and root first on sys.path
 from dump_reports import ROOT, _seeds  # noqa: E402
 from ncspectral.cli import main as cli_main  # noqa: E402
+from perfbench import tracing  # noqa: E402
 from perfbench.gen import WORKLOADS, generate  # noqa: E402
 
 # the modules of `import ncspectral.cli` and of this script's own imports
@@ -112,6 +115,17 @@ def read_list(path: Path) -> dict:
     return listed
 
 
+def traced_names() -> set:
+    """`module.path` of each function that perfbench's tracer wraps: the
+    entries of SPANS and COUNTS, and the tau0 that `Recorder.__enter__`
+    patches by name.  Package modules are named as in the list, without
+    `ncspectral.`."""
+    pairs = [(module, path) for module, path, *_ in
+             tracing.SPANS + tracing.COUNTS] + [("ncspectral.suq2", "tau0")]
+    return {f"{module.removeprefix('ncspectral.')}.{path}"
+            for module, path in pairs}
+
+
 def package_summary(modules) -> list:
     """One line per top-level package of the modules: its name, the number
     of its modules in parentheses, and the first six of their subpackages."""
@@ -151,6 +165,11 @@ def main(argv=None) -> int:
     faults += [f"{name}: listed in {LIST.name}, but "
                + ("an op enters it" if name in defined else "not defined")
                for name in listed if name not in unentered]
+    traced = traced_names()
+    faults += [f"{name}: listed as tracer-pinned, but perfbench.tracing "
+               f"wraps no such function"
+               for name, reason in listed.items()
+               if reason.startswith("tracer-pinned") and name not in traced]
     for fault in faults:
         print(fault, file=sys.stderr)
     return 1 if faults else 0

@@ -132,7 +132,7 @@ def crit_torus_gauge_invariance():
     for _ in range(20):
         A = _random_one_form(rng)
         k = tuple(int(x) for x in rng.integers(-2, 3, size=4))
-        u = nt.TorusElement.weyl(4, k)
+        u = nt.TorusElement(4, {k: 1.0})
         moved = oracles.gauge_transform(A, u, theta)
         errs.append(abs(nt.yang_mills(A, theta) - nt.yang_mills(moved, theta)))
     return _check(errs, 1e-10, "Yang-Mills under 20 Weyl gauge moves")

@@ -58,10 +58,6 @@ _GAMMAINC_MAX_DPS = 150
 class PoleError(ArithmeticError):
     """Raised when a zeta function is evaluated at its pole."""
 
-    def __init__(self, message, residue=None):
-        super().__init__(message)
-        self.residue = residue
-
 
 class ToleranceError(RuntimeError):
     """A series or quadrature failed to reach the requested tolerance."""
@@ -536,8 +532,7 @@ class EpsteinEvaluator:
         """
         s, n = complex(s), self.n
         if abs(s - n) < 1e-12:
-            raise PoleError(f"Z_{n} has its unique pole at s = {n}",
-                            residue=self.residue())
+            raise PoleError(f"Z_{n} has its unique pole at s = {n}")
         if n not in _L_SERIES_DIMS or abs(s) < _DISC or (
                 n == 4 and abs(s - 2) < _DISC):
             return self._first_kept(s, ((ROUTE_QUADRATURE, self._quadrature),
@@ -653,16 +648,6 @@ class EpsteinEvaluator:
             return self._converge(
                 approximations(),
                 f"Epstein evaluation did not converge for s = {s}")
-
-    def value_incomplete_gamma(self, s: complex) -> tuple:
-        """(Z_n(s), tail_bound) from the mpmath incomplete-gamma shells
-        alone, under the rule of `value`.
-
-        Independent of the other routes; the fallback of the quadrature,
-        and the oracle the tests compare every route with.
-        """
-        return self._first_kept(complex(s),
-                                ((ROUTE_CONTINUATION, self._shells),))[:2]
 
     def residue(self) -> float:
         """Residue of Z_n at its pole s = n: 2 pi^(n/2) / Gamma(n/2)."""

@@ -41,7 +41,8 @@ class Theta:
 
 
 class TorusElement:
-    """Finitely supported map Z^n -> C; immutable once built."""
+    """Finitely supported map Z^n -> C, the table `coeffs` {mode: c};
+    immutable once built.  It keeps only what weyl_mul and curvature use."""
 
     __slots__ = ("n", "coeffs")
 
@@ -61,14 +62,6 @@ class TorusElement:
         self.coeffs = {k: c for k, c in data.items()
                        if not abs(c) <= PRUNE_EPS}
 
-    @classmethod
-    def unit(cls, n: int) -> "TorusElement":
-        return cls(n, {(0,) * n: 1.0})
-
-    @classmethod
-    def weyl(cls, n: int, k, coeff=1.0) -> "TorusElement":
-        return cls(n, {tuple(k): coeff})
-
     def __add__(self, other):
         self._check(other)
         out = dict(self.coeffs)
@@ -83,13 +76,6 @@ class TorusElement:
             out[k] = out.get(k, 0.0) - c
         return TorusElement(self.n, out)
 
-    def __rmul__(self, scalar):
-        return TorusElement(
-            self.n, {k: complex(scalar * c) for k, c in self.coeffs.items()})
-
-    def __neg__(self):
-        return (-1.0) * self
-
     def _check(self, other):
         if not isinstance(other, TorusElement) or other.n != self.n:
             raise ValueError("dimension mismatch between torus elements")
@@ -99,26 +85,12 @@ class TorusElement:
             self.n, {tuple(-x for x in k): c.conjugate()
                      for k, c in self.coeffs.items()})
 
-    def tau(self) -> complex:
-        """The canonical trace: the coefficient at k = 0."""
-        return self.coeffs.get((0,) * self.n, 0.0 + 0.0j)
-
     def delta(self, mu: int) -> "TorusElement":
         """Canonical derivation number mu (1-based): U_k -> i k_mu U_k."""
         if not 1 <= mu <= self.n:
             raise IndexError(f"derivation index {mu} out of range 1..{self.n}")
         return TorusElement(
             self.n, {k: 1.0j * k[mu - 1] * c for k, c in self.coeffs.items()})
-
-    def norm1(self) -> float:
-        return sum(abs(c) for c in self.coeffs.values())
-
-    def allclose(self, other, tol: float = 1e-12) -> bool:
-        return (self - other).norm1() <= tol
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {c:.3g}" for k, c in sorted(self.coeffs.items()))
-        return f"TorusElement(n={self.n}, {{{items}}})"
 
 
 def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:

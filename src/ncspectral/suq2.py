@@ -419,15 +419,15 @@ def _integral_weight2_square(A: LadderElem, ctx: QContext) -> tuple:
     """Integral of A^2 against |D|^-2 through per-factor letter filters, as
     (value, rounding bound, size)."""
     value, bound, size = 0.0 + 0.0j, 0.0, 0.0
-    for clean, side_clean, side_tau0 in (
-            (PLUS_LEG_CLEAN, 0, "-"), (MINUS_LEG_CLEAN, 1, "+")):
+    # leg `other` on side `side` meets tau0 and the clean leg meets tau1,
+    # which is always 1: the clean leg has no b, and its shift is the
+    # word's degree, which hopf_r keeps at 0 only
+    for clean, other, side in (
+            (PLUS_LEG_CLEAN, 1, "-"), (MINUS_LEG_CLEAN, 0, "+")):
         part = A.filter_letters(clean)
 
         def combo(p, m):
-            legs = (p, m)
-            if not tau1(legs[side_clean]):
-                return 0.0, 0.0, 0.0
-            v, e, s = tau0(legs[1 - side_clean], side_tau0, ctx)
+            v, e, s = tau0((p, m)[other], side, ctx)
             return 2.0 * v, 2.0 * e, 2.0 * s
         v, e, s = _tau_sum(hopf_r(part @ part), ctx, combo)
         value += v
@@ -465,6 +465,8 @@ def suq2_action(A: LadderElem, ctx: QContext, moments: CutoffMoments,
     }
     for name, (value, bound, size) in found.items():
         if not bound < ctx.tol * (1.0 + size):
+            if not cmath.isfinite(value):
+                raise ToleranceError(f"{name} overflows a double")
             raise ToleranceError(
                 f"{name} = {value} has a rounding bound of {bound:.3g}, not "
                 f"below tol {ctx.tol:g} times 1 + the size {size:.3g} of "

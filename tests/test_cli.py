@@ -535,6 +535,20 @@ class TestSuq2Command:
         assert out == ""
         assert "ladder word a+.a+*" in err and "nan" not in err
 
+    def test_overflowing_integral_is_named(self, tmp_path, capsys):
+        # finite words of size 1e300 whose squares, in A^2|D|^-3, overflow
+        # to inf + nan i
+        doc = {"q": 0.5, "one_form": [
+            {"x": [{"a": 1, "coeff": {"re": 1e300, "im": 0}}],
+             "y": [{"a": -1}]}]}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),
+                                 "--lambda", "1")
+        assert code == 3
+        assert out == ""
+        assert "A^2|D|^-3 overflows" in err and "nan" not in err
+
     def test_boolean_exponent_after_its_integer_is_schema_error(
             self, tmp_path, capsys):
         # true == 1 as a key: the exponents are read before they are summed

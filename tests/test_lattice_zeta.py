@@ -23,6 +23,7 @@ from ncspectral.lattice_zeta import (
     sphere_moment,
 )
 from ncspectral.oracles import (
+    epstein_continuation,
     residue_direct_oracle,
     riemann_zeta,
     sphere_moment_quadrature,
@@ -65,10 +66,9 @@ class TestEpsteinValue:
         assert EpsteinEvaluator(n).value(s).value.real == pytest.approx(
             value_direct(n, s, 150).real, abs=1e-6)
 
-    def test_pole_raises_with_residue(self):
-        with pytest.raises(PoleError) as err:
+    def test_pole_raises(self):
+        with pytest.raises(PoleError, match="pole at s = 2"):
             EpsteinEvaluator(2).value(2)
-        assert err.value.residue == pytest.approx(2 * math.pi)
 
     def test_one_dimensional_case_is_twice_riemann(self):
         # Z_1(s) = 2 zeta(s): two independent continuations must agree
@@ -117,7 +117,7 @@ def _oracle_tol(size):
 
 def _oracle(n, s):
     """The mpmath incomplete-gamma route, tolerance floored at 1e-14."""
-    return EpsteinEvaluator(n, tol=1e-14).value_incomplete_gamma(s)[0]
+    return epstein_continuation(n, s, 1e-14)[0]
 
 
 # the zeta-grid benchmark ops (seed 4242) that took the incomplete-gamma
@@ -169,11 +169,11 @@ class TestEpsteinQuadrature:
             # right only where no double is near enough: every route keeps
             # its error below 0.1 tol before the rounding to a double, and
             # the domain holds values that large (|Z_6(-6 + 25i)| is 3.5e6)
-            value = EpsteinEvaluator(n, tol=1e-3).value_incomplete_gamma(s)[0]
+            value = epstein_continuation(n, s, 1e-3)[0]
             assert _rounding(value) >= 0.9 * tol
             return
-        value, oracle_bound = EpsteinEvaluator(
-            n, tol=_oracle_tol(out.value)).value_incomplete_gamma(s)
+        value, oracle_bound = epstein_continuation(
+            n, s, _oracle_tol(out.value))
         err = abs(out.value - value)
         assert err <= tol
         # the float64 routes are kept below 0.1 tol; the extended and the
@@ -264,9 +264,8 @@ class TestEpsteinQuadrature:
                             *lattice_zeta._l_series(
                                 n, s, lattice_zeta._arith(real)))
                         if ref is None:
-                            ref, ref_bound = EpsteinEvaluator(
-                                n, tol=_oracle_tol(value)
-                            ).value_incomplete_gamma(s)
+                            ref, ref_bound = epstein_continuation(
+                                n, s, _oracle_tol(value))
                         worst = max(worst,
                                     abs(value - ref) / (bound + ref_bound))
         assert worst <= 1.0
@@ -398,9 +397,9 @@ class TestEpsteinQuadrature:
         # the shells cancel by ~pi |Im s| / (4 ln 10) digits; at 30 fixed
         # digits this value came out as 5.2e68 + 1.9e69i
         s = 300j
-        value, bound = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)
+        value, bound = epstein_continuation(2, s, 1e-10)
         monkeypatch.setattr(lattice_zeta, "_MP_DPS", 150)
-        reference = EpsteinEvaluator(2, tol=1e-10).value_incomplete_gamma(s)[0]
+        reference = epstein_continuation(2, s, 1e-10)[0]
         assert abs(value - reference) <= 1e-10
         assert bound < 1e-11
 
@@ -424,14 +423,12 @@ class TestEpsteinQuadrature:
         from ncspectral.lattice_zeta import ToleranceError
 
         # both mpmath routes: |Z| is about 1e26 at s = -50 + i
-        ev = EpsteinEvaluator(3, tol=1e-10)
         with pytest.raises(ToleranceError, match="no double holds"):
-            ev.value_incomplete_gamma(-50 + 1j)
+            epstein_continuation(3, -50 + 1j, 1e-10)
         with pytest.raises(ToleranceError, match="no double holds"):
             EpsteinEvaluator(2, tol=1e-10).value(-50 + 1j)
         # at a loose enough tolerance the bound is at least the rounding
-        value, bound = EpsteinEvaluator(
-            3, tol=1e15).value_incomplete_gamma(-50 + 1j)
+        value, bound = epstein_continuation(3, -50 + 1j, 1e15)
         assert bound >= _rounding(value)
         assert 1e25 < abs(value) < 1e27
 
@@ -445,8 +442,7 @@ class TestEpsteinQuadrature:
         assert lattice_zeta._GAMMAINC_MAX_DPS >= 150
         monkeypatch.setattr(EpsteinEvaluator, "_theta_shells", no_shells)
         with pytest.raises(ToleranceError, match="699 working digits"):
-            EpsteinEvaluator(3, tol=1e-10).value_incomplete_gamma(
-                0.5 + 2000j)
+            epstein_continuation(3, 0.5 + 2000j, 1e-10)
 
     def test_l_series_needs_no_laguerre_tables(self, monkeypatch):
         def no_tables(*args):

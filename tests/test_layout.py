@@ -15,7 +15,8 @@ import pytest
 import ncspectral
 from ncspectral import oracles
 from ncspectral.action_assembly import ExpansionReport
-from ncspectral.lattice_zeta import LatticePoly, sphere_moment
+from ncspectral.lattice_zeta import (EpsteinEvaluator, LatticePoly, PoleError,
+                                     sphere_moment)
 from ncspectral.nc_torus import OneFormTorus, Theta, TorusElement
 from ncspectral.suq2 import LadderElem, PBWElem, delta_one_form
 
@@ -187,12 +188,14 @@ def test_torus_and_zeta_ops_load_no_scipy_special_or_linalg(tmp_path):
     "_lm_mul", "_lm_base", "ideal_r_reduce", "lqmq_integral",
     "table_entry_ladder", "zeta_D_suq2", "_curvature_ff_trace",
     "moment_quadrature", "tau0_series", "gamma_matrices", "gauge_transform",
-    "UNITARY_TOL", "weight3_tau1_integral"])
+    "UNITARY_TOL", "weight3_tau1_integral", "epstein_continuation"])
 def test_oracle_route_lives_in_oracles(name):
     assert hasattr(oracles, name)
     for module in LIBRARY:
         library = importlib.import_module(f"ncspectral.{module}")
         assert not hasattr(library, name), f"{module}.{name}"
+    if name == "epstein_continuation":  # it was a method of the evaluator
+        assert not hasattr(EpsteinEvaluator, "value_incomplete_gamma")
 
 
 def defined_names(name: str) -> set:
@@ -260,11 +263,16 @@ def test_gamma_matrices_live_in_oracles():
     (OneFormTorus, ("from_entries", "zero")),
     (LadderElem, ("zero", "one", "letter", "__add__", "__sub__", "__rmul__",
                   "adjoint", "norm1", "allclose", "__repr__")),
-    (ExpansionReport, ("coefficient",))])
+    (ExpansionReport, ("coefficient",)),
+    (TorusElement, ("unit", "weyl", "__rmul__", "__neg__", "tau", "norm1",
+                    "allclose", "__repr__")),
+    (PoleError, ("__init__",))])
 def test_deleted_methods_stay_deleted(cls, methods):
-    # every class has a __repr__: that one counts where cls defines it
+    # every class has a __repr__ and an __init__: those count where cls
+    # defines them
     assert not [m for m in methods
-                if (m in vars(cls) if m == "__repr__" else hasattr(cls, m))]
+                if (m in vars(cls) if m in ("__repr__", "__init__")
+                    else hasattr(cls, m))]
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -52,6 +52,29 @@ def random_element(rng, n, support=3, scale=0.5):
     return TorusElement(n, coeffs)
 
 
+def unit(n):
+    return TorusElement(n, {(0,) * n: 1.0})
+
+
+def weyl(n, k, c=1.0):
+    """c U_k"""
+    return TorusElement(n, {tuple(k): c})
+
+
+def tau(x):
+    """The canonical trace: the coefficient at k = 0."""
+    return x.coeffs.get((0,) * x.n, 0.0)
+
+
+def norm1(x):
+    return sum(abs(c) for c in x.coeffs.values())
+
+
+def close(x, y, tol=1e-12):
+    """|x - y|_1 <= tol"""
+    return norm1(x - y) <= tol
+
+
 def random_entries(rng, n=4, nmodes=3):
     entries = []
     for _ in range(nmodes):
@@ -75,7 +98,7 @@ def random_one_form(rng, n=4, nmodes=3):
 def ff_trace_oracle(A, theta):
     """tau(F_ab F^ab) by multiplying each F_ab F_ab out with weyl_mul; F_ba
     = -F_ab gives each a < b twice."""
-    total = sum(weyl_mul(f, f, theta).tau()
+    total = sum(tau(weyl_mul(f, f, theta))
                 for f in curvature(A, theta).values())
     return 2.0 * complex(total).real
 
@@ -197,25 +220,25 @@ class TestWeylAlgebra:
         theta = irrational_theta(2)
         rng = np.random.default_rng(0)
         a = random_element(rng, 2)
-        one = TorusElement.unit(2)
-        assert weyl_mul(a, one, theta).allclose(a)
-        assert weyl_mul(one, a, theta).allclose(a)
+        one = unit(2)
+        assert close(weyl_mul(a, one, theta), a)
+        assert close(weyl_mul(one, a, theta), a)
 
     def test_commutator_closed_form(self):
         theta = irrational_theta(2)
         k, l = (1, 0), (0, 1)
-        uk = TorusElement.weyl(2, k)
-        ul = TorusElement.weyl(2, l)
+        uk = weyl(2, k)
+        ul = weyl(2, l)
         comm = weyl_mul(uk, ul, theta) - weyl_mul(ul, uk, theta)
         expected = TorusElement(
             2, {(1, 1): -2j * math.sin(0.5 * pairing(theta, k, l))})
-        assert comm.allclose(expected)
+        assert close(comm, expected)
 
     def test_zero_theta_is_commutative(self):
         theta = Theta(np.zeros((2, 2)))
         rng = np.random.default_rng(1)
         a, b = random_element(rng, 2), random_element(rng, 2)
-        assert (weyl_mul(a, b, theta) - weyl_mul(b, a, theta)).norm1() < 1e-12
+        assert norm1(weyl_mul(a, b, theta) - weyl_mul(b, a, theta)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(elements2, elements2, elements2)
@@ -223,16 +246,16 @@ class TestWeylAlgebra:
         theta = irrational_theta(2)
         left = weyl_mul(weyl_mul(a, b, theta), c, theta)
         right = weyl_mul(a, weyl_mul(b, c, theta), theta)
-        assert (left - right).norm1() <= 1e-12 * max(
-            1.0, a.norm1() * b.norm1() * c.norm1())
+        assert norm1(left - right) <= 1e-12 * max(
+            1.0, norm1(a) * norm1(b) * norm1(c))
 
     @settings(max_examples=40, deadline=None)
     @given(elements2, elements2)
     def test_trace_property(self, a, b):
         theta = irrational_theta(2)
-        lhs = weyl_mul(a, b, theta).tau()
-        rhs = weyl_mul(b, a, theta).tau()
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, a.norm1() * b.norm1()))
+        lhs = tau(weyl_mul(a, b, theta))
+        rhs = tau(weyl_mul(b, a, theta))
+        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, norm1(a) * norm1(b)))
 
     @settings(max_examples=40, deadline=None)
     @given(elements2, elements2)
@@ -240,31 +263,35 @@ class TestWeylAlgebra:
         theta = irrational_theta(2)
         lhs = weyl_mul(a, b, theta).adjoint()
         rhs = weyl_mul(b.adjoint(), a.adjoint(), theta)
-        assert (lhs - rhs).norm1() <= 1e-12 * max(1.0, a.norm1() * b.norm1())
+        assert norm1(lhs - rhs) <= 1e-12 * max(1.0, norm1(a) * norm1(b))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            weyl_mul(TorusElement.unit(2), TorusElement.unit(3), Theta(np.zeros((2, 2))))
+            weyl_mul(unit(2), unit(3), Theta(np.zeros((2, 2))))
 
 
 class TestAdjointTauDelta:
     def test_adjoint_of_scaled_weyl(self):
-        a = TorusElement.weyl(2, (1, 0), 1j)
-        assert a.adjoint().allclose(TorusElement.weyl(2, (-1, 0), -1j))
+        a = weyl(2, (1, 0), 1j)
+        assert close(a.adjoint(), weyl(2, (-1, 0), -1j))
 
     def test_selfadjoint_fixed_point(self):
         a = TorusElement(2, {(1, 0): 1 + 2j, (-1, 0): 1 - 2j})
-        assert a.adjoint().allclose(a)
+        assert close(a.adjoint(), a)
 
     def test_tau_values(self):
-        assert TorusElement.unit(2).tau() == 1.0
-        assert TorusElement.weyl(2, (1, 0)).tau() == 0.0
+        # U_k U_-k = 1 under any theta, the phase of k.Theta(-k) being 1,
+        # and U_k alone has no coefficient at 0
+        theta = irrational_theta(2)
+        assert tau(unit(2)) == 1.0
+        assert tau(weyl_mul(weyl(2, (1, 2)), weyl(2, (-1, -2)), theta)) == 1.0
+        assert tau(weyl(2, (1, 0))) == 0.0
 
     def test_delta_on_weyl(self):
-        a = TorusElement.weyl(2, (2, 0))
-        assert a.delta(1).allclose(TorusElement.weyl(2, (2, 0), 2j))
-        assert a.delta(2).allclose(TorusElement.weyl(2, (2, 0), 0.0))
-        assert TorusElement.unit(2).delta(1).norm1() == 0.0
+        a = weyl(2, (2, 0))
+        assert close(a.delta(1), weyl(2, (2, 0), 2j))
+        assert close(a.delta(2), weyl(2, (2, 0), 0.0))
+        assert norm1(unit(2).delta(1)) == 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(elements2, elements2)
@@ -274,11 +301,11 @@ class TestAdjointTauDelta:
             lhs = weyl_mul(a, b, theta).delta(mu)
             rhs = (weyl_mul(a.delta(mu), b, theta)
                    + weyl_mul(a, b.delta(mu), theta))
-            assert (lhs - rhs).norm1() <= 1e-11 * max(1.0, a.norm1() * b.norm1())
+            assert norm1(lhs - rhs) <= 1e-11 * max(1.0, norm1(a) * norm1(b))
 
     def test_delta_index_range(self):
         with pytest.raises(IndexError):
-            TorusElement.unit(2).delta(3)
+            unit(2).delta(3)
 
 
 class TestOneFormAndCurvature:
@@ -287,8 +314,8 @@ class TestOneFormAndCurvature:
         comp = A.component(1)
         assert comp.coeffs[(1, 0)] == pytest.approx(0.5 + 0.5j)
         assert comp.coeffs[(-1, 0)] == pytest.approx(-0.5 + 0.5j)
-        assert not comp.adjoint().allclose(comp)
-        assert (comp + comp.adjoint()).norm1() < 1e-14
+        assert not close(comp.adjoint(), comp)
+        assert norm1(comp + comp.adjoint()) < 1e-14
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(ValueError):
@@ -339,7 +366,7 @@ class TestOneFormAndCurvature:
     def test_constant_potential_is_flat(self):
         A = OneFormTorus(2, [(1, (0, 0), 1j), (2, (0, 0), 2j)])
         F = curvature(A, irrational_theta(2))
-        assert F[(1, 2)].norm1() < 1e-14
+        assert norm1(F[(1, 2)]) < 1e-14
 
     def test_curvature_antisymmetry_and_abelian_limit(self):
         rng = np.random.default_rng(5)
@@ -353,7 +380,7 @@ class TestOneFormAndCurvature:
         for a in range(1, 5):
             for b in range(a + 1, 5):
                 expected = A.component(b).delta(a) - A.component(a).delta(b)
-                assert F0[(a, b)].allclose(expected)
+                assert close(F0[(a, b)], expected)
 
     def test_two_curvature_paths_agree(self):
         rng = np.random.default_rng(6)
@@ -364,7 +391,7 @@ class TestOneFormAndCurvature:
             F2 = curvature_from_coefficients(A, theta)
             assert F1.keys() == F2.keys()
             for ab, f in F1.items():
-                assert (f - F2[ab]).norm1() < 1e-11
+                assert norm1(f - F2[ab]) < 1e-11
 
 
 class TestYangMillsAndGauge:
@@ -387,41 +414,41 @@ class TestYangMillsAndGauge:
         for _ in range(20):
             A = random_one_form(rng)
             k = tuple(int(x) for x in rng.integers(-2, 3, size=4))
-            u = TorusElement.weyl(4, k)
+            u = weyl(4, k)
             assert yang_mills(A, theta) == pytest.approx(
                 yang_mills(gauge_transform(A, u, theta), theta), abs=1e-10)
 
     def test_pure_gauge_of_unit_mode(self):
         theta = irrational_theta(4)
         k = (1, 0, -1, 2)
-        u = TorusElement.weyl(4, k)
+        u = weyl(4, k)
         A = gauge_transform(OneFormTorus(4), u, theta)
         for a in range(1, 5):
             expected = TorusElement(4, {(0, 0, 0, 0): -1j * k[a - 1]})
-            assert A.component(a).allclose(expected)
+            assert close(A.component(a), expected)
 
     def test_identity_gauge(self):
         theta = irrational_theta(4)
         rng = np.random.default_rng(8)
         A = random_one_form(rng)
-        A2 = gauge_transform(A, TorusElement.unit(4), theta)
+        A2 = gauge_transform(A, unit(4), theta)
         for a in range(1, 5):
-            assert A.component(a).allclose(A2.component(a))
+            assert close(A.component(a), A2.component(a))
 
     def test_double_transform_composes(self):
         theta = irrational_theta(4)
         rng = np.random.default_rng(9)
         A = random_one_form(rng)
-        u = TorusElement.weyl(4, (1, 0, 0, 0))
-        v = TorusElement.weyl(4, (0, -1, 1, 0))
+        u = weyl(4, (1, 0, 0, 0))
+        v = weyl(4, (0, -1, 1, 0))
         lhs = gauge_transform(gauge_transform(A, v, theta), u, theta)
         rhs = gauge_transform(A, weyl_mul(u, v, theta), theta)
         for a in range(1, 5):
-            assert (lhs.component(a) - rhs.component(a)).norm1() < 1e-10
+            assert norm1(lhs.component(a) - rhs.component(a)) < 1e-10
 
     def test_non_unitary_rejected(self):
         theta = irrational_theta(4)
-        u = TorusElement.weyl(4, (1, 0, 0, 0), 2.0)
+        u = weyl(4, (1, 0, 0, 0), 2.0)
         with pytest.raises(ValueError):
             gauge_transform(OneFormTorus(4), u, theta)
 
