@@ -54,9 +54,9 @@ _R_TABLE = {
     BMS: (-1.0, 0, "b*", "a"),
 }
 
-# letters whose r-image keeps the respective leg free of b's
-PLUS_LEG_CLEAN = frozenset({AP, BP, APS, BPS})
-MINUS_LEG_CLEAN = frozenset({AP, APS, BM, BMS})
+# letters whose r-image keeps the plus or the minus leg free of b's
+PLUS_LEG_CLEAN = frozenset(l for l, r in _R_TABLE.items() if "b" not in r[2])
+MINUS_LEG_CLEAN = frozenset(l for l, r in _R_TABLE.items() if "b" not in r[3])
 
 
 # machine epsilon, the unit of the rounding bounds below
@@ -392,14 +392,14 @@ def _integral_weight3_powers(A: LadderElem) -> tuple:
     """Integrals of A, A^2 and A^3 against |D|^-3 from the degree grading,
     each as (value, rounding bound, size).
 
-    Only words built purely from a+ and a+* survive tau1 x tau1 after r, each
-    with weight 1 exactly when its degree is zero.  As w -> z^deg(w) is
-    multiplicative, the integral of A^p is 2 [z^0] P(z)^p for the Laurent
-    polynomial P(z) = sum_w c_w z^deg(w) of the filtered words.  The size
-    is 2 [z^0] |P|^p, and the bound p (N + D + 1) ulps of it, for N words
-    summed into D degrees.
+    Only words over both clean alphabets (a+ and a+*) survive tau1 x tau1
+    after r, each with weight 1 exactly when its degree is zero.  As
+    w -> z^deg(w) is multiplicative, the integral of A^p is 2 [z^0] P(z)^p
+    for the Laurent polynomial P(z) = sum_w c_w z^deg(w) of the filtered
+    words.  The size is 2 [z^0] |P|^p, and the bound p (N + D + 1) ulps of
+    it, for N words summed into D degrees.
     """
-    words = A.filter_letters(frozenset({AP, APS})).words
+    words = A.filter_letters(PLUS_LEG_CLEAN & MINUS_LEG_CLEAN).words
     poly, abs_poly = {}, {}
     for w, c in words.items():
         d = word_degree(w)
@@ -416,24 +416,16 @@ def _integral_weight3_powers(A: LadderElem) -> tuple:
 
 
 def _integral_weight2_square(A: LadderElem, ctx: QContext) -> tuple:
-    """Integral of A^2 against |D|^-2 through per-factor letter filters, as
-    (value, rounding bound, size)."""
-    value, bound, size = 0.0 + 0.0j, 0.0, 0.0
-    # leg `other` on side `side` meets tau0 and the clean leg meets tau1,
-    # which is always 1: the clean leg has no b, and its shift is the
-    # word's degree, which hopf_r keeps at 0 only
-    for clean, other, side in (
-            (PLUS_LEG_CLEAN, 1, "-"), (MINUS_LEG_CLEAN, 0, "+")):
-        part = A.filter_letters(clean)
+    """Integral of A^2 against |D|^-2, as (value, rounding bound, size).
 
-        def combo(p, m):
-            v, e, s = tau0((p, m)[other], side, ctx)
-            return 2.0 * v, 2.0 * e, 2.0 * s
-        v, e, s = _tau_sum(hopf_r(part @ part), ctx, combo)
-        value += v
-        bound += e
-        size += s
-    return value, bound + EPS * abs(value), size
+    Weight 2 sees a word of A^2 only through a b-free leg, which it has
+    exactly when both its factors lie over that leg's clean alphabet; a
+    word over both gets the same bits from either filtered square."""
+    words: dict = {}
+    for clean in (PLUS_LEG_CLEAN, MINUS_LEG_CLEAN):
+        part = A.filter_letters(clean)
+        words.update((part @ part).words)
+    return _image_integral(hopf_r(LadderElem._make(words)), 2, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -1017,7 +1017,12 @@ def _document(fields):
         lambda i: JSON if i == 0 else some if i == 1 else full)
 
 
-NUMBER = st.floats(-2.0, 2.0) | st.integers(-2, 2)
+# small numbers, and magnitudes at the edges of the double range: 1e154,
+# whose square nears the top, 1e300, whose square is past it, the largest
+# double, the smallest subnormal and the smallest normal
+EDGE = st.sampled_from([1e154, 1e300, 1.7e308, 5e-324, 2.2e-308])
+NUMBER = (st.floats(-2.0, 2.0) | st.integers(-2, 2) | EDGE
+          | EDGE.map(lambda x: -x))
 COMPLEX = st.fixed_dictionaries({"re": _field(NUMBER)},
                                 optional={"im": _field(NUMBER)})
 
@@ -1075,16 +1080,23 @@ def test_generated_documents_keep_exit_contract(tmp_path, command, flag,
     path = tmp_path / "input.json"
     out_path = tmp_path / "report.json"
 
+    def refuse(name):
+        raise AssertionError(f"{name} in the report")
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(documents)
     def run(doc):
         path.write_text(json.dumps(doc))
+        out_path.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, flag, str(path), *extra,
                          "--out", str(out_path)])
         assert code in (0, 2, 3, 4)
+        assert len(err.getvalue().splitlines()) <= 1
         assert "Traceback" not in err.getvalue()
+        if code == 0:
+            json.loads(out_path.read_text(), parse_constant=refuse)
 
     run()
 

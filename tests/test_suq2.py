@@ -133,6 +133,13 @@ class TestHopfR:
                                   if word_degree(w) == 0})
         assert hopf_r(T) == hopf_r(degree_zero)
 
+    def test_clean_alphabets(self):
+        # the letters whose plus or minus leg image has no b, read off r
+        from ncspectral.suq2 import MINUS_LEG_CLEAN, PLUS_LEG_CLEAN
+        assert PLUS_LEG_CLEAN == {AP, BP, APS, BPS}
+        assert MINUS_LEG_CLEAN == {AP, APS, BM, BMS}
+        assert PLUS_LEG_CLEAN & MINUS_LEG_CLEAN == {AP, APS}
+
     @pytest.mark.parametrize("q", [0.4, 0.7])
     def test_multiplicativity_on_truncations(self, q):
         # the per-word (sign, q-power, legs) encoding must match the
@@ -539,13 +546,16 @@ class TestSpectralAction:
     def test_power_shortcuts_match_generic_path(self, q):
         # the letter-filtered power integrals must agree with brute-force
         # expansion: weight 3 against the tau1 x tau1 sum over the r-image,
-        # weight 2 against the generic integral
-        from ncspectral.suq2 import (_integral_weight2_square,
+        # weight 2 against the generic integral within the filtered
+        # route's own rounding bound
+        from ncspectral.suq2 import (MINUS_LEG_CLEAN, PLUS_LEG_CLEAN,
+                                     _integral_weight2_square,
                                      _integral_weight3_powers)
         ctx = QContext(q)
         rng = np.random.default_rng(23)
         gens = ["a", "a*", "b", "b*"]
-        forms = []
+        forms = [one_form_from_pairs([(gen("a"), gen("a*"), 1.0),
+                                      (gen("b"), gen("b*"), 0.5j)])]
         for _ in range(4):
             pairs = []
             for _ in range(2):
@@ -559,26 +569,35 @@ class TestSpectralAction:
             assert powers == pytest.approx(
                 [weight3_tau1_integral(P, ctx) for P in (A, sq, sq @ A)],
                 abs=1e-9)
-            assert _integral_weight2_square(A, ctx)[0] == pytest.approx(
-                nc_integral(sq, 2, ctx), abs=1e-9)
+            got, bound, _ = _integral_weight2_square(A, ctx)
+            assert abs(got - nc_integral(sq, 2, ctx)) <= bound
+        # the first square has degree-zero words over each clean alphabet
+        # alone and over both
+        seen = {(PLUS_LEG_CLEAN.issuperset(w), MINUS_LEG_CLEAN.issuperset(w))
+                for w in (forms[0] @ forms[0]).words if word_degree(w) == 0}
+        assert {(True, False), (False, True), (True, True)} <= seen
 
     def test_one_run_builds_each_image_once(self, monkeypatch):
-        # r(A) for weights 2 and 1 and r of the two filtered squares; the
-        # weight-3 integrals come from the Laurent polynomial
+        # r(A) for weights 2 and 1 and r of the words of A^2 that weight 2
+        # sees, each summed once; the weight-3 integrals come from the
+        # Laurent polynomial
         from ncspectral import suq2
-        calls = 0
-        hopf_r = suq2.hopf_r
+        calls = {"hopf_r": 0, "_tau_sum": 0}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return hopf_r(*args)
-        monkeypatch.setattr(suq2, "hopf_r", counted)
+        def counted(name):
+            inner = getattr(suq2, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(suq2, name, counted(name))
         moments = cutoff_moments({"family": "exponential"}, [1, 2, 3])
         A = one_form_from_pairs([(gen("a"), gen("a*"), 1.0),
                                  (gen("b*"), gen("b"), 0.5j)])
         suq2_action(A, QContext(0.5), moments, 1.0)
-        assert calls == 3
+        assert calls == {"hopf_r": 2, "_tau_sum": 3}
 
     @pytest.mark.parametrize("q", [0.3, 0.9, 0.999])
     def test_bounds_cover_rounding(self, q):
