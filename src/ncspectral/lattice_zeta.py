@@ -542,11 +542,14 @@ class EpsteinEvaluator:
     def _first_kept(self, s: complex, chain) -> EpsteinValue:
         """The value of the first (route, evaluate) of chain whose error is
         below 0.1 tol and whose tail_bound, with the rounding to a double,
-        is below tol; the last route's ToleranceError where none is."""
+        is below tol.  Where none is, a ToleranceError with the last finite
+        value and bound, or one that names the overflow where no route
+        gave a finite pair."""
         if 0.1 * self.tol <= self._BOUND_FLOOR:
             raise ToleranceError(
                 f"tolerance {self.tol:g} is below the evaluator's "
                 f"certifiable floor")
+        finite = None
         with np.errstate(all="ignore"):
             for route, evaluate in chain:
                 try:
@@ -560,6 +563,12 @@ class EpsteinEvaluator:
                         # is rounding, and + 0.0 makes a trivial zero 0.0
                         value = complex(value.real + 0.0)
                     return EpsteinValue(value, bound, route)
+                if cmath.isfinite(value) and math.isfinite(bound):
+                    finite = value, bound
+        if finite is None:
+            raise ToleranceError(
+                f"Z_{self.n}({s}) overflows a double on every route")
+        value, bound = finite
         raise ToleranceError(f"Z_{self.n}({s}) = {value}: no double holds"
                              f" it within {self.tol:g} (bound {bound:.3g})")
 

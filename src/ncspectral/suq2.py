@@ -57,6 +57,7 @@ _R_TABLE = {
 # letters whose r-image keeps the plus or the minus leg free of b's
 PLUS_LEG_CLEAN = frozenset(l for l, r in _R_TABLE.items() if "b" not in r[2])
 MINUS_LEG_CLEAN = frozenset(l for l, r in _R_TABLE.items() if "b" not in r[3])
+BOTH_LEGS_CLEAN = PLUS_LEG_CLEAN & MINUS_LEG_CLEAN
 
 
 # machine epsilon, the unit of the rounding bounds below
@@ -65,8 +66,16 @@ MAX_LADDER_WORDS = 200_000  # cap on ladder_word_bound of a one-form
 
 
 class QContext:
-    """Deformation parameter and the accuracy the integrals must meet (in
-    units of 1 + the size of the terms each sums)."""
+    """Deformation parameter, the accuracy the integrals must meet (in
+    units of 1 + the size of the terms each sums), and the q-dependent
+    factors that `tau0` reads, in three tables computed from q alone:
+
+        roots[k] = sqrt(1 - q^(2k)),  powers[k] = q^k,  gaps[j] = 1 - q^j,
+
+    the last through expm1, so that it keeps its relative accuracy as
+    q -> 1.  Each table grows on demand (`fill`) as far as the legs met so
+    far need.  A context serves one run, so no table outlives it.
+    """
 
     def __init__(self, q: float, tol: float = 1e-12):
         if not 0.0 < q < 1.0:
@@ -75,6 +84,20 @@ class QContext:
             raise ValueError(f"tolerance must be positive, got {tol}")
         self.q = float(q)
         self.tol = tol
+        self.roots, self.powers, self.gaps = [], [], []
+
+    def fill(self, length: int) -> None:
+        """Extend the tables in place to what `tau0` reads on a zero-shift
+        leg of the given length L: at most L/2 a steps lift its walk, so
+        roots up to 3L/2, powers up to 3L and gaps up to L."""
+        q, top, powers = self.q, length // 2 + length, self.powers
+        powers += [q ** k for k in range(len(powers), 2 * top + 1)]
+        # powers[2k] is q ** (2 * k), bit for bit
+        self.roots += [math.sqrt(1.0 - p)
+                       for p in powers[2 * len(self.roots):2 * top:2]]
+        log_q = math.log(q)
+        self.gaps += [-math.expm1(j * log_q)
+                      for j in range(len(self.gaps), length + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +176,6 @@ class LadderElem:
                 out[w] = out.get(w, 0.0) + c1 * c2
         return LadderElem._make(out)
 
-    def filter_letters(self, allowed: frozenset) -> "LadderElem":
-        return LadderElem._make({w: c for w, c in self.words.items()
-                                 if allowed.issuperset(w)})
-
 
 # words repeat across the products of one run; the degree of each is
 # summed once
@@ -171,14 +190,16 @@ def rep_ladder(x: PBWElem) -> LadderElem:
 
     a^i b^j b*^k at c gives its 2^(|i| + j + k) words at c, one of its
     generator's two letters at each position.  No two generators share a
-    letter, so no two monomials share a word.
+    letter, so no two monomials share a word, and as a PBWElem holds no
+    zero coefficient, neither does the image.
     """
-    words = {}
+    out = LadderElem.__new__(LadderElem)
+    out.words = words = {}
     for (i, j, k), c in x.coeffs.items():
         a = (AP, AM) if i >= 0 else (APS, AMS)
         for w in product(*[a] * abs(i), *[(BP, BM)] * j, *[(BPS, BMS)] * k):
             words[w] = c
-    return LadderElem._make(words)
+    return out
 
 
 def delta_ladder(T: LadderElem) -> LadderElem:
@@ -187,9 +208,23 @@ def delta_ladder(T: LadderElem) -> LadderElem:
                              for w, c in T.words.items()})
 
 
+def _one_form_sums(x: PBWElem, y: PBWElem) -> dict:
+    """The table of rep_ladder(x) @ delta_ladder(rep_ladder(y)) before `@`
+    drops its zero sums: the same sums in the same order, and no element
+    in between."""
+    dy = [(w, dv) for w, v in rep_ladder(y).words.items()
+          if (dv := word_degree(w) * v) != 0]
+    out: dict = {}
+    for w1, c1 in rep_ladder(x).words.items():
+        for w2, c2 in dy:
+            w = w1 + w2
+            out[w] = out.get(w, 0.0) + c1 * c2
+    return out
+
+
 def delta_one_form(x: PBWElem, y: PBWElem) -> LadderElem:
     """pi(x) delta(pi(y))."""
-    return rep_ladder(x) @ delta_ladder(rep_ladder(y))
+    return LadderElem._make(_one_form_sums(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +304,15 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
     the half-line (Toeplitz) picture of A. Connes, J. Inst. Math. Jussieu 3
     (2004).
 
+    The factors come from the tables of ctx (QContext.fill).  One pass over
+    the letters, in the order they act, tracks the level offset d of the
+    walk: it notes the entry each letter reads at level n (roots[n + d] for
+    a or a*, powers[n + d] for b or b*) and the first n whose walk stays off
+    the boundary, and it expands P.  Each head term multiplies its entries
+    in that order, as `leg_diag_coeff` does, and the sign of side "-"
+    commutes with rounding, so the values are those of the walk bit for
+    bit.
+
     The bound counts one machine epsilon (two units of rounding) for each
     rounding, with pow, log and expm1 within one ulp: at most 2L + 1 on a
     head term, a product of factors of size at most 1 (the two square
@@ -281,35 +325,50 @@ def tau0(leg, side: str, ctx: QContext) -> tuple:
     """
     if leg_shift(leg) != 0:
         return (0.0, 0.0, 0.0)
-    q = ctx.q
     length = len(leg)
-    t1 = tau1(leg)
-    head = [leg_diag_coeff(leg, side, n, q) - t1 for n in range(length)]
-    # P(x) = scale x^nb Q(x^2), Q(y) = prod (1 - q^(2(d+L+1)) y) over a steps
-    scale, nb, d, ys = 1.0, 0, 0, [1.0]
+    if len(ctx.gaps) <= length:
+        ctx.fill(length)
+    roots, powers, gaps = ctx.roots, ctx.powers, ctx.gaps
+    # per letter the table it reads at level n and its offset; the first n
+    # whose walk meets no a* at level 0; P(x) = scale x^nb Q(x^2),
+    # Q(y) = prod (1 - q^(2(d+L+1)) y) over the a steps
+    plan = []
+    scale, nb, d, start, ys = 1.0, 0, 0, 0, [1.0]
     for letter in reversed(leg):
         if letter == "a":
             d += 1
-            r = q ** (2 * (d + length))
+            plan.append((roots, d))
+            r = powers[2 * (d + length)]
             ys.append(0.0)
             for k in range(len(ys) - 1, 0, -1):
                 ys[k] -= r * ys[k - 1]
         elif letter == "a*":
+            plan.append((roots, d))
+            if d + start <= 0:
+                start = 1 - d
             d -= 1
         else:
-            scale *= q ** (d + length) if side == "+" else -q ** (d + length)
+            plan.append((powers, d))
+            scale *= powers[d + length] if side == "+" else -powers[d + length]
             nb += 1
-    # sum_{n>=L} x^j = 1 / (1 - q^j), through expm1 so that 1 - q^j keeps
-    # its relative accuracy as q -> 1
-    log_q = math.log(q)
-    tail = []
-    for k, c in enumerate(ys):
-        j = nb + 2 * k
-        if j:
-            tail.append(scale * c / -math.expm1(j * log_q))
-    value = math.fsum(head + tail)
+    t1 = 0.0 if nb else 1.0
+    # head: f(n) - tau1 for n < L, 0 - tau1 where the walk meets the
+    # boundary; the sign of side "-" goes first, which rounding commutes with
+    sign = -1.0 if side != "+" and nb % 2 else 1.0
+    terms = [0.0 - t1] * start  # start <= the number of a* <= L
+    for n in range(start, length):
+        f = sign
+        for table, o in plan:
+            f *= table[n + o]
+        terms.append(f - t1)
+    # the tail: sum_{n>=L} x^j = 1 / (1 - q^j) for j = nb + 2k > 0
+    tail_size = 0.0
+    for k in range(0 if nb else 1, len(ys)):
+        t = scale * ys[k] / gaps[nb + 2 * k]
+        terms.append(t)
+        tail_size += abs(t)
+    value = math.fsum(terms)
     m = len(ys) - 1
-    tail_size = sum(map(abs, tail))
     bound = EPS * ((2 * length + 1) * length
                    + (2 * m + 2 * nb + 5) * tail_size + abs(value))
     size = (1.0 + t1) * length + tail_size
@@ -359,10 +418,14 @@ def _image_integral(rt: dict, k: int, ctx: QContext) -> tuple:
         return _tau_sum(rt, ctx, combo)
 
     def combo(p, m):
+        # tau0 and tau1 vanish off zero shift, and with them the term and
+        # its size, which _tau_sum then skips
+        if leg_shift(p) or leg_shift(m):
+            return 0.0, 0.0, 0.0
         a, ea, sa = tau0(p, "+", ctx)
         b, eb, sb = tau0(m, "-", ctx)
         ab = 2.0 * a * b
-        t11 = 0.5 * tau1(p) * tau1(m)
+        t11 = 0.5 if tau1(p) and tau1(m) else 0.0
         # the tau0 errors through the product, and the product's rounding
         e = 2.0 * (abs(a) * eb + ea * abs(b) + ea * eb) + EPS * abs(ab)
         return ab - t11, e, 2.0 * sa * sb + t11
@@ -399,18 +462,19 @@ def _integral_weight3_powers(A: LadderElem) -> tuple:
     words.  The size is 2 [z^0] |P|^p, and the bound p (N + D + 1) ulps of
     it, for N words summed into D degrees.
     """
-    words = A.filter_letters(PLUS_LEG_CLEAN & MINUS_LEG_CLEAN).words
-    poly, abs_poly = {}, {}
-    for w, c in words.items():
-        d = word_degree(w)
-        poly[d] = poly.get(d, 0.0) + c
-        abs_poly[d] = abs_poly.get(d, 0.0) + abs(c)
+    poly, abs_poly, count = {}, {}, 0
+    for w, c in A.words.items():
+        if BOTH_LEGS_CLEAN.issuperset(w):
+            d = word_degree(w)
+            poly[d] = poly.get(d, 0.0) + c
+            abs_poly[d] = abs_poly.get(d, 0.0) + abs(c)
+            count += 1
     out, acc, acc_abs = [], {0: 1.0}, {0: 1.0}
     for power in (1, 2, 3):
         acc = _convolve(acc, poly)
         acc_abs = _convolve(acc_abs, abs_poly)
         size = 2.0 * acc_abs.get(0, 0.0)
-        ulps = power * (len(words) + len(poly) + 1)
+        ulps = power * (count + len(poly) + 1)
         out.append((2.0 * acc.get(0, 0.0), ulps * EPS * size, size))
     return tuple(out)
 
@@ -420,11 +484,22 @@ def _integral_weight2_square(A: LadderElem, ctx: QContext) -> tuple:
 
     Weight 2 sees a word of A^2 only through a b-free leg, which it has
     exactly when both its factors lie over that leg's clean alphabet; a
-    word over both gets the same bits from either filtered square."""
+    word over both gets the same bits from either filtered square.  r sees
+    only words of degree zero, so each square sums only the products of a
+    factor of degree d by one of degree -d, in the order of `@`."""
     words: dict = {}
     for clean in (PLUS_LEG_CLEAN, MINUS_LEG_CLEAN):
-        part = A.filter_letters(clean)
-        words.update((part @ part).words)
+        part = [(w, c, word_degree(w)) for w, c in A.words.items()
+                if clean.issuperset(w)]
+        by_degree: dict = {}
+        for w, c, d in part:
+            by_degree.setdefault(d, []).append((w, c))
+        square: dict = {}
+        for w1, c1, d in part:
+            for w2, c2 in by_degree.get(-d, ()):
+                w = w1 + w2
+                square[w] = square.get(w, 0.0) + c1 * c2
+        words.update((w, v) for w, v in square.items() if v != 0)
     return _image_integral(hopf_r(LadderElem._make(words)), 2, ctx)
 
 
@@ -520,8 +595,9 @@ def one_form_from_pairs(pairs) -> LadderElem:
     for x, y, c in pairs:
         if c != 0 and x.coeffs and y.coeffs:
             c = complex(c)
-            for w, v in delta_one_form(x, y).words.items():
-                words[w] = words.get(w, 0.0) + c * v
+            for w, v in _one_form_sums(x, y).items():
+                if v != 0:
+                    words[w] = words.get(w, 0.0) + c * v
     # one sum in C; finite words can overflow it too, so the scan decides
     if not cmath.isfinite(sum(words.values())):
         for w, v in words.items():

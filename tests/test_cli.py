@@ -164,6 +164,21 @@ class TestZetaCommand:
         # and its log Gamma overflows at -3000.5 + 0.01i
         assert run_cli(capsys, "zeta", *argv)[0] == code
 
+    @pytest.mark.parametrize("n, s", [
+        ("3", "-1e308j"), ("3", "1e308+1e308j"), ("3", "1.7e308j"),
+        ("5", "-1e308j"), ("5", "1e308+1e308j"), ("5", "1e308-1e308j"),
+        ("1", "1e300j"), ("2", "1e300j"), ("4", "1e300j"), ("6", "1e300j"),
+        ("3", "-345.5")])
+    def test_overflow_on_every_route_is_named(self, capsys, n, s):
+        # pi |Im s| overflows the continuation's digit count, the
+        # quadrature and the L-series give nan or overflow, and at -345.5
+        # 1/Gamma(s/2 + 1) overflows; none may print the nan or inf it met
+        code, out, err = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
+        assert code == 3
+        assert out == ""
+        assert "overflows a double on every route" in err
+        assert "nan" not in err and "inf" not in err
+
     def test_value_beyond_double_precision_is_tolerance_failure(self,
                                                                 capsys):
         # about -2.7e25 + 1.5e25i: rounding to a double alone moves it by
@@ -628,10 +643,11 @@ class TestSuq2Command:
                                         ["--tol", "1e-400"]])
     def test_series_settings_must_be_positive(self, tmp_path, capsys,
                                               monkeypatch, option):
-        def no_series(*args):
-            raise AssertionError("series run")
+        def no_integral(*args):
+            raise AssertionError("integral run")
 
-        monkeypatch.setattr(suq2, "leg_diag_coeff", no_series)
+        # every integral of a leg goes through tau0
+        monkeypatch.setattr(suq2, "tau0", no_integral)
         path = tmp_path / "astar_da.json"
         path.write_text(json.dumps(ASTAR_DA))
         code, out, err = run_cli(capsys, "suq2", "--one-form", str(path),

@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,12 +28,19 @@ from ncspectral.oracles import (
 from ncspectral.suq2 import (
     AM, AMS, AP, APS, BM, BMS, BP, BPS,
     DIRAC_RESIDUES,
+    EPS,
+    MINUS_LEG_CLEAN,
+    PLUS_LEG_CLEAN,
     LadderElem,
     PBWElem,
     QContext,
     delta_ladder,
     delta_one_form,
+    _image_integral,
+    _integral_weight2_square,
+    _tau_sum,
     hopf_r,
+    leg_diag_coeff,
     leg_shift,
     load_one_form,
     nc_integral,
@@ -62,9 +70,17 @@ class TestQContext:
         with pytest.raises(ValueError):
             QContext(0.5, tol=tol)
 
-    def test_holds_q_and_tol_only(self):
-        # tau0 keeps no cache: it is a function of (leg, side, q)
-        assert vars(QContext(0.5)) == {"q": 0.5, "tol": 1e-12}
+    def test_holds_q_tol_and_tables_of_q_only(self):
+        # tau0 keeps no cache keyed by a leg or a side: besides q and tol, a
+        # context holds the tables of q, whichever legs filled them
+        ctx = QContext(0.5)
+        assert vars(ctx) == {"q": 0.5, "tol": 1e-12,
+                             "roots": [], "powers": [], "gaps": []}
+        for leg in (("a", "b", "a*", "b*"), ("b*", "a*", "a", "b")):
+            tau0(leg, "-", ctx)
+        fresh = QContext(0.5)
+        fresh.fill(4)
+        assert vars(ctx) == vars(fresh)
 
     def test_near_one_is_quiet(self):
         # the closed form of tau0 has no series to condition near q = 1
@@ -871,3 +887,120 @@ class TestOnePassExpansion:
         ref, cancelled = one_form_by_sums(pairs)
         assert cancelled and list(ref) != list(got.words)
         assert got.words == ref
+
+
+def tau0_in_place(leg, side, q) -> tuple:
+    """tau0 with each root, power and 1 - q^j evaluated where it is used,
+    the head through leg_diag_coeff's walk: the route that the tables of a
+    QContext replace.  Returns (value, bound, size) and the head terms."""
+    if leg_shift(leg) != 0:
+        return (0.0, 0.0, 0.0), []
+    length = len(leg)
+    t1 = tau1(leg)
+    head = [leg_diag_coeff(leg, side, n, q) - t1 for n in range(length)]
+    scale, nb, d, ys = 1.0, 0, 0, [1.0]
+    for letter in reversed(leg):
+        if letter == "a":
+            d += 1
+            r = q ** (2 * (d + length))
+            ys.append(0.0)
+            for k in range(len(ys) - 1, 0, -1):
+                ys[k] -= r * ys[k - 1]
+        elif letter == "a*":
+            d -= 1
+        else:
+            scale *= q ** (d + length) if side == "+" else -q ** (d + length)
+            nb += 1
+    log_q = math.log(q)
+    tail = [scale * c / -math.expm1((nb + 2 * k) * log_q)
+            for k, c in enumerate(ys) if nb + 2 * k]
+    value = math.fsum(head + tail)
+    tail_size = sum(map(abs, tail))
+    bound = EPS * ((2 * length + 1) * length
+                   + (2 * (len(ys) - 1) + 2 * nb + 5) * tail_size
+                   + abs(value))
+    return (value, bound, (1.0 + t1) * length + tail_size), head
+
+
+def bits(values) -> list:
+    # float.hex tells -0.0 from 0.0
+    return [float(x).hex() for x in values]
+
+
+class TestPerOpTables:
+    @pytest.mark.parametrize("q", [1e-300, 0.05, 0.5, 0.9995])
+    def test_tau0_is_the_in_place_walk_bit_for_bit(self, q, monkeypatch):
+        # every zero-shift word up to length 8, on both sides, through one
+        # context whose tables grow with the words; tau0 hands fsum its
+        # head terms f(n) - tau1 first, and each must be the walk's,
+        # signed zeros included
+        sums = []
+        fsum = math.fsum
+
+        def recorded(terms):
+            sums.append(list(terms))
+            return fsum(terms)
+
+        monkeypatch.setattr(math, "fsum", recorded)
+        ctx = QContext(q)
+        for length in range(9):
+            for leg in product(("a", "a*", "b", "b*"), repeat=length):
+                if leg_shift(leg):
+                    continue
+                for side in "+-":
+                    sums.clear()
+                    got = tau0(leg, side, ctx)
+                    expected, head = tau0_in_place(leg, side, q)
+                    assert bits(sums[0][:length]) == bits(head), (leg, side)
+                    assert bits(got) == bits(expected), (leg, side)
+
+    def test_tables_are_fresh_evaluations(self):
+        q = 0.7
+        log_q = math.log(q)
+        grown, whole = QContext(q), QContext(q)
+        for length in (2, 1, 5, 3, 8):
+            grown.fill(length)
+        whole.fill(8)
+        # what tau0 reads on a leg of length 8: at most 4 a steps lift it
+        assert [len(whole.roots), len(whole.powers), len(whole.gaps)] == [
+            12, 25, 9]
+        for ctx in (grown, whole):
+            assert bits(ctx.roots) == bits(
+                math.sqrt(1.0 - q ** (2 * k)) for k in range(12))
+            assert bits(ctx.powers) == bits(q ** k for k in range(25))
+            assert bits(ctx.gaps) == bits(
+                -math.expm1(j * log_q) for j in range(9))
+        for name in ("roots", "powers", "gaps"):
+            assert getattr(grown, name) is not getattr(whole, name)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ONE_FORMS, st.sampled_from([0.05, 0.5, 0.9995]))
+    @example([{"x": [power(-1)], "y": [power(1)]}], 0.5)  # a* da
+    @example([{"x": [{"bstar": 1}], "y": [{"b": 1}]}], 0.5)  # b* db
+    def test_integrals_match_the_unpruned_sums(self, one_form, q):
+        # weight 1 skips the terms whose legs do not both have zero shift,
+        # and the squares of A keep only their products of degree zero;
+        # both give the bits of the full sums
+        _, pairs = load_one_form({"one_form": one_form})
+        A = one_form_from_pairs(pairs)
+        ctx = QContext(q)
+
+        def every_term(p, m):
+            a, ea, sa = tau0(p, "+", ctx)
+            b, eb, sb = tau0(m, "-", ctx)
+            ab = 2.0 * a * b
+            t11 = 0.5 * tau1(p) * tau1(m)
+            e = 2.0 * (abs(a) * eb + ea * abs(b) + ea * eb) + EPS * abs(ab)
+            return ab - t11, e, 2.0 * sa * sb + t11
+
+        rt = hopf_r(A)
+        assert repr(_image_integral(rt, 1, ctx)) == repr(
+            _tau_sum(rt, ctx, every_term))
+        words = {}
+        for clean in (PLUS_LEG_CLEAN, MINUS_LEG_CLEAN):
+            part = LadderElem._make({w: c for w, c in A.words.items()
+                                     if clean.issuperset(w)})
+            words.update((part @ part).words)
+        square = hopf_r(LadderElem._make(words))
+        assert repr(_integral_weight2_square(A, ctx)) == repr(
+            _image_integral(square, 2, ctx))
