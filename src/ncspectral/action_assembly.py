@@ -13,22 +13,56 @@ transcription of LAPACK's gtsv (`_gtsv`); scipy's CubicSpline and LAPACK's
 dgtsv, which give the same numbers bit for bit, are their test oracles, and
 nothing here takes anything from scipy.  The error bound of a table is a
 rounding bound on that model.  Adaptive quadrature of a cutoff function
-(`moment_quadrature`) is an oracle and lives in `oracles`.
+(`moment_quadrature`) is an oracle and lives in `oracles`.  numpy is
+imported by the table route's functions alone, so a process that reads no
+table never loads it.
+
+Every module of the package imports this one, so the package's exceptions
+live here, and so does `lazy_module`, which defers a module's run to its
+first use.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
-
-import numpy as np
 
 
 class DivergentMomentError(ValueError):
     pass
+
+
+class PoleError(ArithmeticError):
+    """Raised when a zeta function is evaluated at its pole."""
+
+
+class ToleranceError(RuntimeError):
+    """A series or quadrature failed to reach the requested tolerance."""
+
+
+class AssumptionError(RuntimeError):
+    """An operation needs a hypothesis the caller has not asserted."""
+
+
+def lazy_module(name: str):
+    """The module `name`, run on its first attribute access.
+
+    It is registered in sys.modules, so a lookup there finds it and every
+    later import returns it; a module already imported is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @dataclass
@@ -54,7 +88,7 @@ class CutoffMoments:
 
 # rounding bound of the table route, in units of the sum of |terms|: a few
 # roundings per term, and x^2 - t_i is exact to a few ulps
-_ROUNDING = 16 * np.finfo(float).eps
+_ROUNDING = 16 * sys.float_info.epsilon
 # the table route works on arrays of (k + 7) // 2 nodes per interval and
 # recurs k / 2 times in the tail; the expansions use k <= 4
 MAX_TABLE_K = 64
@@ -62,6 +96,7 @@ MAX_TABLE_K = 64
 
 @functools.cache
 def _gauss_legendre(n: int) -> tuple:
+    import numpy as np
     return np.polynomial.legendre.leggauss(n)
 
 
@@ -78,6 +113,7 @@ def _gtsv(dl: list, d: list, du: list, b: list) -> list:
     bit.  A zero pivot raises LinAlgError, where dgtsv returns info > 0.
     d, du and b are overwritten, and du gains an entry.
     """
+    import numpy as np
     n = len(d)
     du.append(0.0)  # the swap at the last row fills in nothing
     du2 = [0.0] * n
@@ -122,6 +158,7 @@ def _not_a_knot(ts, vs) -> np.ndarray:
     gtsv; its first and last rows make the third derivative continuous at
     t1 and t(N-1).  An overflow anywhere shows in s or c.
     """
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):
         dx = np.diff(ts)
         slope = np.diff(vs) / dx
@@ -209,6 +246,7 @@ def _tabulated_moments(ts, vs, ks) -> tuple:
     (1/2) vN lam^(-k/2) e^X Gamma(k/2, X) with X = lam tN.  Returns the
     moments by k and a rounding bound on them.
     """
+    import numpy as np
     # the spline of a table is checked even when no moment is asked for;
     # the tail is fitted only when one is
     c = _not_a_knot(ts, vs)[:, :, None]
@@ -283,6 +321,7 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
                 raise OverflowError(f"Phi_{k} overflows a double") from None
             prov[k] = "analytic"
     elif isinstance(cutoff, dict) and "table" in cutoff:
+        import numpy as np
         table = np.asarray(cutoff["table"], dtype=float)
         if table.ndim != 2 or table.shape[1] != 2 or table.shape[0] < 4:
             raise ValueError("table must be [[t, phi(t)], ...] with >= 4 rows")
@@ -311,7 +350,7 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
     else:
         raise ValueError("cutoff must be a family dict or a table dict")
     for k, v in values.items():
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DivergentMomentError(f"moment Phi_{k} is not finite")
     return CutoffMoments(phi0=phi0, values=values, provenance=prov,
                          error_bound=bound)
@@ -321,6 +360,7 @@ def _table_rows(rows) -> np.ndarray:
     """The [t, phi] rows of a table as one (R, 2) float array, each entry
     under `json_number`'s rule: checked in bulk, and entry by entry (for the
     message) only when the bulk check fails."""
+    import numpy as np
     if (type(rows) is list and set(map(type, rows)) <= {list}
             and set(map(len, rows)) <= {2}
             and set(map(type, chain.from_iterable(rows))) <= {int, float}):

@@ -14,11 +14,18 @@ import json
 import math
 import sys
 
-from . import acceptance
-from . import lattice_zeta as lz
-from . import nc_torus as nt
-from . import suq2
-from .action_assembly import assemble, cutoff_moments, jsonable, load_action
+from .action_assembly import (AssumptionError, PoleError, ToleranceError,
+                              assemble, cutoff_moments, jsonable, lazy_module,
+                              load_action)
+
+# each subcommand's module runs on the subcommand's first use, so a call
+# loads only what it runs (numpy for torus and table cutoffs, mpmath for
+# zeta); they are registered in sys.modules, where the traced benchmark run
+# looks up the functions it wraps
+acceptance = lazy_module("ncspectral.acceptance")
+lz = lazy_module("ncspectral.lattice_zeta")
+nt = lazy_module("ncspectral.nc_torus")
+suq2 = lazy_module("ncspectral.suq2")
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -293,13 +300,13 @@ def main(argv=None) -> int:
         runner = {"zeta": _run_zeta, "torus": _run_torus,
                   "suq2": _run_suq2, "action": _run_action}[args.command]
         _emit(runner(args), args.out)
-    except (SchemaError, lz.AssumptionError) as exc:
+    except (SchemaError, AssumptionError) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except lz.ToleranceError as exc:
+    except ToleranceError as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (lz.PoleError, MemoryError, ValueError) as exc:
+    except (PoleError, MemoryError, ValueError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ArithmeticError as exc:

@@ -46,25 +46,16 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .action_assembly import json_integer
+# the exceptions live in action_assembly, which every module imports; they
+# are names of this module too
+from .action_assembly import (AssumptionError, PoleError,  # noqa: F401
+                              ToleranceError, json_integer)
 
 _MP_DPS = 30
 # the mpmath L-series gives up beyond this working precision
 _MP_MAX_DPS = 100
 # digits the incomplete-gamma route may use: |Im s| to ~390 at tol 1e-10
 _GAMMAINC_MAX_DPS = 150
-
-
-class PoleError(ArithmeticError):
-    """Raised when a zeta function is evaluated at its pole."""
-
-
-class ToleranceError(RuntimeError):
-    """A series or quadrature failed to reach the requested tolerance."""
-
-
-class AssumptionError(RuntimeError):
-    """An operation needs a hypothesis the caller has not asserted."""
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +545,9 @@ class EpsteinEvaluator:
             for route, evaluate in chain:
                 try:
                     value, error = evaluate(s)
-                except OverflowError:  # float64 cannot hold a term
+                # float64 cannot hold a term; a complex power whose phase
+                # overflows raises ZeroDivisionError (libm's EDOM)
+                except (OverflowError, ZeroDivisionError):
                     continue
                 value, bound = _to_double(value, error)
                 if error < 0.1 * self.tol and bound < self.tol:

@@ -15,9 +15,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .action_assembly import (CutoffMoments, ExpansionReport, assemble,
-                              json_integer, json_number)
-from .lattice_zeta import AssumptionError
+from .action_assembly import (AssumptionError, CutoffMoments,
+                              ExpansionReport, assemble, json_integer,
+                              json_number)
 
 PRUNE_EPS = 1e-15
 MAX_MODES = 2048  # of a potential, 0 included, in a pair table: 2048^2 pairs

@@ -10,18 +10,16 @@ acceptance suite and the tests import them; no library module does.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
 
 from . import lattice_zeta as lz
-from .action_assembly import DivergentMomentError
-from .lattice_zeta import (AssumptionError, LatticePoly, PoleError,
-                           ToleranceError, radial_counts, sphere_moment)
+from .action_assembly import (AssumptionError, DivergentMomentError,
+                              PoleError, ToleranceError, lazy_module)
+from .lattice_zeta import LatticePoly, radial_counts, sphere_moment
 from .nc_torus import (OneFormTorus, Theta, TorusElement, cs_sums, curvature,
                        weyl_mul)
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
@@ -29,27 +27,11 @@ from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
                    rep_ladder, tau1)
 
 
-def _lazy_module(name: str):
-    """The module `name`, run on its first attribute access.
-
-    It is registered in sys.modules, so a lookup there finds it and every
-    later import returns it; a module already imported is returned as it is.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 # scipy.integrate loads some 290 modules (optimize, sparse, spatial) that
 # the CLI's ops never use; only the quadrature oracle below needs it.  An
 # import inside that function would leave it out of sys.modules, where the
 # traced benchmark run looks up the `quad` it counts.
-integrate = _lazy_module("scipy.integrate")
+integrate = lazy_module("scipy.integrate")
 
 # ---------------------------------------------------------------------------
 # cutoff moments

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .action_assembly import CutoffMoments, assemble, json_integer, json_number
-from .lattice_zeta import ToleranceError
+from .action_assembly import (CutoffMoments, ToleranceError, assemble,
+                              json_integer, json_number)
 
 # ---------------------------------------------------------------------------
 # ladder alphabet

@@ -3,6 +3,8 @@ repository is a whole record written by scripts/record_bench.py."""
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ RECORD_KEYS = {"git_sha", "src_tree", "seed", "seconds", "src_lines",
 WORKLOADS = {"torus-potentials", "zeta-grid", "suq2-action"}
 END_TO_END = {"ops_per_s", "op_p50_ms", "op_tail_ms", "setup_s",
               "peak_rss_mb", "ok_frac"}
+SHELL_COMMANDS = {"suq2", "torus", "action", "zeta"}
 
 
 def test_trajectory_has_its_first_records():
@@ -24,7 +27,12 @@ def test_trajectory_has_its_first_records():
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
 def test_record_is_whole(path):
     record = json.loads(path.read_text())
-    assert set(record) == RECORD_KEYS
+    # records from BENCH_15 on also hold the shell wall times
+    assert set(record) - {"shell_s"} == RECORD_KEYS
+    if "shell_s" in record:
+        assert set(record["shell_s"]) == SHELL_COMMANDS
+        for command, times in record["shell_s"].items():
+            check_shell_times(times, command)
     assert record["src_lines"] > 0
     assert set(record["perfbench"]) == WORKLOADS
     for workload, runs in record["perfbench"].items():
@@ -42,3 +50,24 @@ def test_record_is_whole(path):
             value = metrics[name]["value"]
             assert math.isfinite(value) and value > 0, (workload, name)
         assert metrics["ok_frac"]["value"] == 1.0
+
+
+def check_shell_times(times: dict, command: str) -> None:
+    assert set(times) == {"best_s", "median_s", "k", "argv"}
+    assert times["argv"][0] == command
+    assert times["k"] >= 1
+    assert 0 < times["best_s"] <= times["median_s"] < 60
+
+
+def test_record_bench_times_a_shell_call():
+    proc = subprocess.run(
+        [sys.executable, "scripts/record_bench.py", "--shell-only", "suq2",
+         "--shell-k", "1", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    shell = json.loads(proc.stdout)
+    assert set(shell) == {"suq2"}
+    check_shell_times(shell["suq2"], "suq2")
+    assert shell["suq2"]["k"] == 1
+    assert shell["suq2"]["best_s"] == shell["suq2"]["median_s"]
+    assert all("INPUTS" in a for a in shell["suq2"]["argv"] if "json" in a)

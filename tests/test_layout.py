@@ -309,6 +309,83 @@ def test_package_import_leaves_oracles_out():
     assert not set(exported) & (oracle_names | {"oracles"})
 
 
+def test_package_import_loads_no_submodule():
+    # the exported names load their modules on first access (PEP 562)
+    before, resolved, after = run_probe(
+        "import json, sys, ncspectral\n"
+        "before = sorted(m for m in sys.modules if m.startswith('ncspectral.'))\n"
+        "resolved = [n for n in ncspectral.__all__\n"
+        "            if getattr(ncspectral, n) is not None]\n"
+        "print(json.dumps([before, resolved, sorted(\n"
+        "    m for m in sys.modules if m.startswith('ncspectral.'))]))\n")
+    assert before == []
+    assert resolved == ncspectral.__all__ == sorted(ncspectral.__all__)
+    assert after == [f"ncspectral.{m}" for m in sorted(LIBRARY)]
+    with pytest.raises(AttributeError):
+        ncspectral.no_such_name
+
+
+@pytest.mark.parametrize("name", ["PoleError", "ToleranceError",
+                                  "AssumptionError"])
+def test_exceptions_live_in_action_assembly(name):
+    from ncspectral import action_assembly, lattice_zeta
+    assert getattr(lattice_zeta, name) is getattr(action_assembly, name)
+    assert getattr(action_assembly, name).__module__ == \
+        "ncspectral.action_assembly"
+
+
+@pytest.mark.parametrize("name", ["nc_torus", "suq2"])
+def test_torus_and_suq2_import_no_zeta(name):
+    assert "lattice_zeta" not in imports(name)
+
+
+def subcommand_inputs(tmp_path) -> dict:
+    """argv of one small run of each subcommand, its inputs under tmp_path."""
+    docs = {
+        "potential": {"n": 2, "theta": [[0.0, 1.0], [-1.0, 0.0]],
+                      "diophantine_asserted": True,
+                      "A": [{"alpha": 1, "l": [0, 1], "re": 0.0,
+                             "im": 0.3}]},
+        "action": {"cutoff": {"table": [[0.0, 1.0], [0.5, 0.7], [1.0, 0.5],
+                                        [2.0, 0.25], [3.0, 0.125]]},
+                   "lambda": 2.0, "zeta0": 0.5,
+                   "coefficients": {"3": 2.0, "1": -0.5}},
+        "one_form": {"q": 0.5, "one_form": [{
+            "x": [{"a": -1, "b": 0, "bstar": 0, "coeff": {"re": 1.0}}],
+            "y": [{"a": 1, "b": 0, "bstar": 0, "coeff": {"re": 1.0}}],
+            "coeff": {"re": 1.0}}]}}
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    return {"suq2": ["suq2", "--one-form", paths["one_form"]],
+            "torus": ["torus", "--input", paths["potential"],
+                      "--lambda", "10"],
+            "action": ["action", "--input", paths["action"]],
+            "zeta": ["zeta", "--n", "2", "--s=0.5+1j"],
+            "selftest": ["selftest"]}
+
+
+@pytest.mark.parametrize("command, heavy", [
+    ("suq2", []), ("torus", ["numpy"]), ("action", ["numpy"]),
+    ("zeta", ["numpy", "mpmath"]),
+    ("selftest", ["numpy", "mpmath", "scipy.integrate"])])
+def test_subcommand_loads_only_what_it_runs(tmp_path, command, heavy):
+    # a module that LazyLoader registered but nothing has used yet is of a
+    # subclass of ModuleType; only a plain module has run
+    argv = subcommand_inputs(tmp_path)[command]
+    code, loaded = run_probe(
+        "import io, json, sys, types, contextlib\n"
+        "from ncspectral.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in ('numpy', 'mpmath',\n"
+        "    'scipy.integrate') if type(sys.modules.get(m)) is\n"
+        "    types.ModuleType]]))\n")
+    assert code == 0
+    assert loaded == heavy
+
+
 def test_traced_names_resolve():
     # the traced benchmark run imports the CLI alone and then wraps these by
     # module and attribute path; a rename, or a module that the CLI import
