@@ -280,15 +280,10 @@ def _tabulated_moments(ts, vs, ks) -> tuple:
     return values, bound
 
 
+# family -> Phi_k of Phi(t) = exp(-t) or exp(-t^2)
 _FAMILIES = {
-    "exponential": {
-        "moment": lambda k: 0.5 * math.gamma(k / 2.0),
-        "phi0": 1.0,
-    },
-    "gaussian": {
-        "moment": lambda k: 0.25 * math.gamma(k / 4.0),
-        "phi0": 1.0,
-    },
+    "exponential": lambda k: 0.5 * math.gamma(k / 2.0),
+    "gaussian": lambda k: 0.25 * math.gamma(k / 4.0),
 }
 
 
@@ -305,18 +300,18 @@ def cutoff_moments(cutoff, ks) -> CutoffMoments:
         name = cutoff["family"]
         if name not in _FAMILIES:
             raise ValueError(f"unknown cutoff family {name!r}")
-        fam = _FAMILIES[name]
+        moment = _FAMILIES[name]
         scale = float(cutoff.get("params", {}).get("scale", 1.0))
         if scale < 0:
             raise ValueError("cutoff must be nonnegative")
-        phi0 = scale * fam["phi0"]
+        phi0 = scale  # every family has Phi(0) = 1
         for k in ks:
             # the integrand behaves like t^(k/2 - 1) at t = 0
             if not k > 0:
                 raise DivergentMomentError(
                     f"family moments need k > 0, not {k}")
             try:
-                values[k] = scale * fam["moment"](k)
+                values[k] = scale * moment(k)
             except OverflowError:
                 raise OverflowError(f"Phi_{k} overflows a double") from None
             prov[k] = "analytic"

@@ -21,7 +21,8 @@ from .action_assembly import (AssumptionError, PoleError, ToleranceError,
 # each subcommand's module runs on the subcommand's first use, so a call
 # loads only what it runs (numpy for torus and table cutoffs, mpmath for
 # zeta); they are registered in sys.modules, where the traced benchmark run
-# looks up the functions it wraps
+# looks up the functions it wraps (its scan of them runs acceptance, whose
+# oracles register the scipy.integrate it counts, so acceptance must stay)
 acceptance = lazy_module("ncspectral.acceptance")
 lz = lazy_module("ncspectral.lattice_zeta")
 nt = lazy_module("ncspectral.nc_torus")

@@ -46,10 +46,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-# the exceptions live in action_assembly, which every module imports; they
-# are names of this module too
-from .action_assembly import (AssumptionError, PoleError,  # noqa: F401
-                              ToleranceError, json_integer)
+from .action_assembly import PoleError, ToleranceError, json_integer
 
 _MP_DPS = 30
 # the mpmath L-series gives up beyond this working precision
@@ -618,7 +615,8 @@ class EpsteinEvaluator:
 
     def _shells(self, s: complex) -> tuple:
         """(Z_n(s), change) from the mpmath incomplete-gamma shells, in
-        blocks of 8 past the first 16, up to shell 408 (_converge).
+        blocks of 8 past the first 16, up to shell 408 (_converge); a block
+        that holds no lattice point joins the next one.
 
         The shells cancel down to the value by about pi |Im s| / (4 ln 10)
         digits, so the working precision grows with |Im s| on top of the
@@ -639,6 +637,8 @@ class EpsteinEvaluator:
             def approximations():
                 block, lo = 0, 1
                 for hi in ends:
+                    if not counts[lo:hi + 1].any():
+                        continue  # no lattice point: no new evidence
                     block += self._theta_shells(s, lo, hi, counts)
                     lo = hi + 1
                     # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ]
@@ -652,8 +652,9 @@ class EpsteinEvaluator:
                 f"Epstein evaluation did not converge for s = {s}")
 
     def residue(self) -> float:
-        """Residue of Z_n at its pole s = n: 2 pi^(n/2) / Gamma(n/2)."""
-        return 2.0 * math.pi ** (self.n / 2.0) / math.gamma(self.n / 2.0)
+        """Residue at s = n: the residue calculus at P = 1 (area of S^{n-1})."""
+        n = self.n
+        return residue_lattice_sum(n, LatticePoly.monomial(n, [0] * n), n).real
 
 
 # (s - n) Z_n(s) is entire, so the trapezoid rule on a circle around n
@@ -702,7 +703,9 @@ class LatticePoly:
 
 
 def sphere_moment(n: int, p) -> float:
-    """Integral of u^p over the unit sphere S^{n-1}; zero for odd exponents."""
+    """Integral of u^p over the unit sphere S^{n-1}, zero for odd exponents;
+    each Gamma((p_i + 1)/2) / sqrt(pi) is a product of half-integers, so at
+    p = 0 this is the closed form 2 pi^(n/2) / Gamma(n/2) bit for bit."""
     p = tuple(json_integer(e) for e in p)
     if len(p) != n:
         raise ValueError("exponent vector length must equal n")
@@ -710,10 +713,10 @@ def sphere_moment(n: int, p) -> float:
         raise ValueError("exponents must be nonnegative")
     if any(e % 2 == 1 for e in p):
         return 0.0
-    num = 2.0
-    for e in p:
-        num *= math.gamma((e + 1) / 2.0)
-    return num / math.gamma((n + sum(p)) / 2.0)
+    # first: it overflows past n + |p| = 343, which bounds the product
+    denominator = math.gamma((n + sum(p)) / 2)
+    halves = math.prod(j + 0.5 for e in p for j in range(e // 2))
+    return 2 * math.pi ** (n / 2) * halves / denominator
 
 
 def residue_lattice_sum(n: int, poly: LatticePoly, r: float) -> complex:

@@ -185,6 +185,28 @@ class TestZetaCommand:
         assert "overflows a double on every route" in err
         assert "nan" not in err and "inf" not in err
 
+    def test_mpmath_l_series_serves_past_the_continuation_ceiling(self,
+                                                                  capsys):
+        # the shells would need 170 digits at |Im s| = 450, over their
+        # ceiling of 150, so only the mpmath L-series serves this point
+        import mpmath
+
+        from ncspectral.action_assembly import ToleranceError
+        from ncspectral.oracles import epstein_continuation
+
+        code, out, _ = run_cli(capsys, "zeta", "--n", "4", "--s=0.5+450j")
+        assert code == 0
+        doc = json.loads(out)["value"]
+        assert doc["provenance"] == lattice_zeta.ROUTE_L_SERIES_MPMATH
+        value = complex(doc["value"]["re"], doc["value"]["im"])
+        with mpmath.workdps(40):
+            w = mpmath.mpc(0.5, 450) / 2
+            reference = (8 * (1 - mpmath.power(4, 1 - w)) * mpmath.zeta(w)
+                         * mpmath.zeta(w - 1))
+            assert abs(mpmath.mpc(value) - reference) <= doc["tail_bound"]
+        with pytest.raises(ToleranceError, match="170 working digits"):
+            epstein_continuation(4, 0.5 + 450j, 1e-10)
+
     def test_value_beyond_double_precision_is_tolerance_failure(self,
                                                                 capsys):
         # about -2.7e25 + 1.5e25i: rounding to a double alone moves it by

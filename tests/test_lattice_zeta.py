@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -36,7 +37,9 @@ Z2_AT_4 = 6.026812039691940
 
 
 def _residue(n):
-    return EpsteinEvaluator(n).residue()
+    # the area of S^{n-1} written out, independent of the residue calculus
+    # that EpsteinEvaluator.residue goes through
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def test_radial_counts_small():
@@ -432,6 +435,17 @@ class TestEpsteinQuadrature:
         assert bound >= _rounding(value)
         assert 1e25 < abs(value) < 1e27
 
+    @pytest.mark.parametrize("s", [-2.5 + 90j, 0.3 + 90j])
+    def test_continuation_skips_empty_blocks(self, s):
+        # for n = 1 most blocks of 8 shells past 16 hold no square, and the
+        # equal approximations around such a block are no convergence (they
+        # were 1.1e-3 and 2.7e-5 off here)
+        value, bound = epstein_continuation(1, s, 1e-10)
+        assert bound < 1e-11
+        with mpmath.workdps(50):
+            reference = 2 * mpmath.zeta(mpmath.mpc(s))
+            assert abs(mpmath.mpc(value) - reference) <= bound
+
     def test_continuation_digit_ceiling(self, monkeypatch):
         from ncspectral.lattice_zeta import ToleranceError
 
@@ -593,6 +607,21 @@ class TestSphereMoment:
                     continue
                 assert sphere_moment(n, p) == pytest.approx(
                     sphere_moment_quadrature(n, p), abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_constant_is_the_sphere_area_bit_for_bit(self, n):
+        # so the --residue reports keep the closed form's bits
+        area = 2 * math.pi ** (n / 2) / math.gamma(n / 2)
+        assert sphere_moment(n, (0,) * n) == area
+        assert EpsteinEvaluator(n).residue() == area
+
+    def test_huge_exponent_overflows_at_once(self):
+        # Gamma((n + |p|)/2) overflows before a half-integer product of
+        # length |p|/2 could run
+        start = time.perf_counter()
+        with pytest.raises(OverflowError):
+            sphere_moment(1, (10 ** 12,))
+        assert time.perf_counter() - start < 1.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

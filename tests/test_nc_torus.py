@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncspectral.lattice_zeta import AssumptionError
-from ncspectral.action_assembly import cutoff_moments
+from ncspectral.action_assembly import AssumptionError, cutoff_moments
 from ncspectral.nc_torus import (
     PRUNE_EPS,
     YM_CONSTANT,
