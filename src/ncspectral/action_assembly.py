@@ -261,22 +261,24 @@ def _tabulated_moments(ts, vs, ks) -> tuple:
     # in Python floats, whose quotient overflows to inf without a warning
     lam = math.log(float(vs[-2]) / float(vs[-1])) / (tN - float(ts[-2]))
     rules = {}  # nodes per interval -> (half * weight * S(x^2), x)
-    for k in ks:
-        n = (k + 7) // 2
-        if n not in rules:
-            nodes, weights = _gauss_legendre(n)
-            s = half * (1.0 + nodes)        # offset from sqrt(t_i)
-            x = r[:-1, None] + s
-            d = s * (r[:-1, None] + x)      # x^2 - t_i without cancellation
-            rules[n] = (half * weights
-                        * (((c[0] * d + c[1]) * d + c[2]) * d + c[3]), x)
-        weighted, x = rules[n]
-        terms = weighted * x ** (k - 1)
-        head = vs[0] * ts[0] ** (k / 2.0) / k
-        tail = 0.5 * vs[-1] * _tail_integral(k, lam, tN)
-        values[k] = float(terms.sum() + head + tail)
-        bound = max(bound, float(
-            _ROUNDING * (np.abs(terms).sum() + head + tail)))
+    # an overflow gives a non-finite moment, which cutoff_moments reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in ks:
+            n = (k + 7) // 2
+            if n not in rules:
+                nodes, weights = _gauss_legendre(n)
+                s = half * (1.0 + nodes)        # offset from sqrt(t_i)
+                x = r[:-1, None] + s
+                d = s * (r[:-1, None] + x)  # x^2 - t_i without cancellation
+                rules[n] = (half * weights
+                            * (((c[0] * d + c[1]) * d + c[2]) * d + c[3]), x)
+            weighted, x = rules[n]
+            terms = weighted * x ** (k - 1)
+            head = vs[0] * ts[0] ** (k / 2.0) / k
+            tail = 0.5 * vs[-1] * _tail_integral(k, lam, tN)
+            values[k] = float(terms.sum() + head + tail)
+            bound = max(bound, float(
+                _ROUNDING * (np.abs(terms).sum() + head + tail)))
     return values, bound
 
 

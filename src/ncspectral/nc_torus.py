@@ -1,17 +1,19 @@
-"""Weyl algebra of the noncommutative n-torus and its spectral action.
+"""Gauge potentials on the noncommutative n-torus and their spectral action.
 
 Elements are finitely supported Fourier series sum_k a_k U_k with the
-twisted product U_k U_q = exp(-i/2 k.Theta q) U_{k+q}.  On top of the
-algebra sit one-forms, curvature, the Yang-Mills density and the closed
-heat-expansion coefficients for n = 2 and n = 4.  Their brute-force
-checks, among them the truncated Dirac spectrum, are in `oracles`.
+twisted product U_k U_q = exp(-i/2 k.Theta q) U_{k+q}, which `weyl_mul`
+forms.  A potential is held as a mode table; its pair table, every pair
+sum of its modes, gives the curvature, the Yang-Mills density and the
+n = 4 power sums, and from them the closed heat-expansion coefficients
+for n = 2 and n = 4.  The brute-force checks, among them the gauge move
+and the truncated Dirac spectrum, are in `oracles`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +44,8 @@ class Theta:
 
 class TorusElement:
     """Finitely supported map Z^n -> C, the table `coeffs` {mode: c};
-    immutable once built.  It keeps only what weyl_mul and curvature use."""
+    immutable once built.  `weyl_mul` multiplies two and `curvature`
+    returns them; the element has no arithmetic of its own."""
 
     __slots__ = ("n", "coeffs")
 
@@ -62,36 +65,6 @@ class TorusElement:
         self.coeffs = {k: c for k, c in data.items()
                        if not abs(c) <= PRUNE_EPS}
 
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + c
-        return TorusElement(self.n, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0.0) - c
-        return TorusElement(self.n, out)
-
-    def _check(self, other):
-        if not isinstance(other, TorusElement) or other.n != self.n:
-            raise ValueError("dimension mismatch between torus elements")
-
-    def adjoint(self) -> "TorusElement":
-        return TorusElement(
-            self.n, {tuple(-x for x in k): c.conjugate()
-                     for k, c in self.coeffs.items()})
-
-    def delta(self, mu: int) -> "TorusElement":
-        """Canonical derivation number mu (1-based): U_k -> i k_mu U_k."""
-        if not 1 <= mu <= self.n:
-            raise IndexError(f"derivation index {mu} out of range 1..{self.n}")
-        return TorusElement(
-            self.n, {k: 1.0j * k[mu - 1] * c for k, c in self.coeffs.items()})
-
 
 def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:
     """Bilinear extension of U_k U_q = exp(-i/2 k.Theta q) U_{k+q}.
@@ -99,7 +72,8 @@ def weyl_mul(a: TorusElement, b: TorusElement, theta: Theta) -> TorusElement:
     All phases come from one product of the mode arrays; terms landing on
     one mode are summed in (k, q) order.
     """
-    a._check(b)
+    if not isinstance(b, TorusElement) or b.n != a.n:
+        raise ValueError("dimension mismatch between torus elements")
     if theta.n != a.n:
         raise ValueError("theta dimension mismatch")
     if not (a.coeffs and b.coeffs):
@@ -124,8 +98,7 @@ class OneFormTorus:
     by more than 1e-12 are rejected.  Held as a mode table: `modes`, the
     (U, n) union of the completed supports and 0 in lexicographic order,
     and `coeffs`, whose row i holds the n component coefficients at
-    modes[i] (0 where a component lacks it).  The TorusElement components
-    are a view built on first use.
+    modes[i] (0 where a component lacks it).
     """
 
     def __init__(self, n: int, entries=()):
@@ -167,21 +140,12 @@ class OneFormTorus:
         self.n = n
         self._pairs = (None, None)
 
-    @cached_property
-    def components(self) -> tuple:
-        keys = [tuple(k) for k in self.modes.tolist()]
-        return tuple(TorusElement(self.n, dict(zip(keys, col)))
-                     for col in self.coeffs.T.tolist())
-
     def pair_table(self, theta: Theta) -> "PairTable":
         """The pair table under theta, built once per theta."""
         key = theta.entries.tobytes()
         if self._pairs[0] != key:
             self._pairs = (key, PairTable(self, theta))
         return self._pairs[1]
-
-    def component(self, alpha: int) -> TorusElement:
-        return self.components[alpha - 1]
 
 
 def _dot(x, y):
@@ -202,9 +166,10 @@ class PairTable:
     (k, 0), where `coeffs` holds its coefficients (0 in other groups).
     Column c of `X` holds X_ab(m) = sum_{k+l=m} a_{a,k} a_{b,l}
     sin(k.Theta l / 2) for the c-th pair a < b: [A_a, A_b] = -2i X_ab.
-    `ff` is tau(F_{mn} F^{mn}) (see yang_mills); callers build the table
-    under np.errstate and report an overflow.  A potential of more than
-    MAX_MODES modes raises MemoryError before any of it is built.
+    `ff` is tau(F_{mn} F^{mn}) (see yang_mills), summed over the columns
+    of `field_strength`; callers build the table under np.errstate and
+    report an overflow.  A potential of more than MAX_MODES modes raises
+    MemoryError before any of it is built.
     """
 
     def __init__(self, A: OneFormTorus, theta: Theta):
@@ -231,10 +196,14 @@ class PairTable:
         self.a, self.b = _upper(A.n, 1)
         self.X = self.sum(coeffs[self.i][:, self.a] * self.sin[:, None]
                           * coeffs[self.j][:, self.b])
-        m, c = self.modes, self.coeffs
-        F = (1j * (m[:, self.a] * c[:, self.b] - m[:, self.b] * c[:, self.a])
-             - 2j * self.X)
+        F = self.field_strength()
         self.ff = 2.0 * complex(np.sum(F * F[::-1]))
+
+    def field_strength(self) -> np.ndarray:
+        """Column c holds F_ab(m) = i(m_a a_{b,m} - m_b a_{a,m}) - 2i X_ab(m)
+        for the c-th pair a < b, row g the group m = m_g."""
+        m, c, a, b = self.modes, self.coeffs, self.a, self.b
+        return 1j * (m[:, a] * c[:, b] - m[:, b] * c[:, a]) - 2j * self.X
 
     def sum(self, terms: np.ndarray) -> np.ndarray:
         """Sums of per-pair terms (rows in table order) over each group."""
@@ -242,17 +211,18 @@ class PairTable:
 
 
 def curvature(A: OneFormTorus, theta: Theta) -> dict:
-    """{(a, b): F_ab} for a < b, F_ab = d_a A_b - d_b A_a + [A_a, A_b]; the
-    components are skew-adjoint, so the product A_b A_a in the commutator
-    is (A_a A_b)* and is not multiplied out."""
-    n = A.n
-    table = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            prod = weyl_mul(A.component(a), A.component(b), theta)
-            table[(a, b)] = (A.component(b).delta(a) - A.component(a).delta(b)
-                             + (prod - prod.adjoint()))
-    return table
+    """{(a, b): F_ab} for a < b, F_ab = d_a A_b - d_b A_a + [A_a, A_b]: the
+    columns of the pair table's field strength, keyed by the integer mode
+    of each group.  An overflow gives non-finite coefficients."""
+    with np.errstate(all="ignore"):
+        t = A.pair_table(theta)
+        F = t.field_strength()
+    first = t.starts
+    keys = [tuple(m) for m in
+            (A.modes[t.i[first]] + A.modes[t.j[first]]).tolist()]
+    return {(a + 1, b + 1): TorusElement(A.n, dict(zip(keys, column)))
+            for a, b, column in zip(t.a.tolist(), t.b.tolist(),
+                                    F.T.tolist())}
 
 
 def yang_mills(A: OneFormTorus, theta: Theta) -> float:
@@ -260,8 +230,8 @@ def yang_mills(A: OneFormTorus, theta: Theta) -> float:
 
     tau(f f) = sum_m f_m f_{-m}, because U_m U_{-m} carries the phase
     exp(-i/2 m.Theta(-m)) = 1; F_{ba} = -F_{ab}, so each a < b counts
-    twice.  F_ab(m) = i(m_a a_{b,m} - m_b a_{a,m}) - 2i X_ab(m) on every
-    group m of the pair table, which sums it once, when it is built.
+    twice.  The pair table sums it once, when it is built, over its
+    `field_strength` columns F_ab(m).
     """
     # an overflow gives a non-finite value, which the caller reports
     with np.errstate(all="ignore"):

@@ -20,8 +20,7 @@ from . import lattice_zeta as lz
 from .action_assembly import (AssumptionError, DivergentMomentError,
                               PoleError, ToleranceError, lazy_module)
 from .lattice_zeta import LatticePoly, radial_counts, sphere_moment
-from .nc_torus import (OneFormTorus, Theta, TorusElement, cs_sums, curvature,
-                       weyl_mul)
+from .nc_torus import OneFormTorus, Theta, TorusElement, cs_sums, weyl_mul
 from .suq2 import (AM, AMS, AP, APS, BM, BMS, BP, BPS, LadderElem, PBWElem,
                    QContext, delta_ladder, hopf_r, leg_diag_coeff, leg_shift,
                    rep_ladder, tau1)
@@ -177,14 +176,18 @@ def curvature_from_coefficients(A: OneFormTorus, theta: Theta) -> dict:
 
     F_{ab} = i sum_k [ (a_{b,k} k_a - a_{a,k} k_b)
                        - 2 sum_l a_{a,k-l} a_{b,l} sin(k.Theta l / 2) ] U_k,
-    as {(a, b): F_ab} for a < b.
+    as {(a, b): F_ab} for a < b, over the nonzero coefficients of each
+    column of A's mode table.
     """
     n = A.n
+    keys = [tuple(k) for k in A.modes.tolist()]
+    comps = [{k: c for k, c in zip(keys, column) if c}
+             for column in A.coeffs.T.tolist()]
     table = {}
     for a in range(1, n + 1):
-        ca = A.component(a).coeffs
+        ca = comps[a - 1]
         for b in range(a + 1, n + 1):
-            cb = A.component(b).coeffs
+            cb = comps[b - 1]
             out: dict = {}
             for k, c in cb.items():
                 out[k] = out.get(k, 0.0) + 1.0j * c * k[a - 1]
@@ -212,23 +215,36 @@ def _distance_to_unit(x: TorusElement) -> float:
 
 def gauge_transform(A: OneFormTorus, u: TorusElement,
                     theta: Theta) -> OneFormTorus:
-    """A_a -> u A_a u* + u d_a(u*), for unitary u, in the Weyl algebra."""
-    ustar = u.adjoint()
+    """A_a -> u A_a u* + u d_a(u*), for unitary u, in the Weyl algebra.
+
+    u* has the coefficient conj(u_{-k}) at k, and d_a multiplies the
+    coefficient at k by i k_a; A_a is column a of A's mode table.
+    """
+    ustar = TorusElement(u.n, {tuple(-x for x in k): c.conjugate()
+                               for k, c in u.coeffs.items()})
     if not (_distance_to_unit(weyl_mul(u, ustar, theta)) <= UNITARY_TOL
             and _distance_to_unit(weyl_mul(ustar, u, theta)) <= UNITARY_TOL):
         raise ValueError("gauge element is not unitary within tolerance")
+    keys = [tuple(k) for k in A.modes.tolist()]
     entries = []
-    for a in range(1, A.n + 1):
-        transported = weyl_mul(weyl_mul(u, A.component(a), theta), ustar, theta)
-        inhom = weyl_mul(u, ustar.delta(a), theta)
-        entries += [(a, k, c) for k, c in (transported + inhom).coeffs.items()]
+    for a, column in enumerate(A.coeffs.T.tolist(), 1):
+        component = TorusElement(A.n, dict(zip(keys, column)))
+        transported = weyl_mul(weyl_mul(u, component, theta), ustar, theta)
+        d_ustar = TorusElement(A.n, {k: 1.0j * k[a - 1] * c
+                                     for k, c in ustar.coeffs.items()})
+        moved = dict(transported.coeffs)
+        for k, c in weyl_mul(u, d_ustar, theta).coeffs.items():
+            moved[k] = moved.get(k, 0.0) + c
+        entries += [(a, k, c)
+                    for k, c in TorusElement(A.n, moved).coeffs.items()]
     return OneFormTorus(A.n, entries)
 
 
 def _curvature_ff_trace(A, theta):
-    """tau(F F) = 2 sum_{a<b} sum_k f_k f_{-k} from the dict curvature, a
-    route apart from the pair table behind yang_mills and cs_sums."""
-    fs = [f.coeffs for f in curvature(A, theta).values()]
+    """tau(F F) = 2 sum_{a<b} sum_k f_k f_{-k} from the mode-space
+    curvature, a route apart from the pair table behind yang_mills and
+    cs_sums."""
+    fs = [f.coeffs for f in curvature_from_coefficients(A, theta).values()]
     return 2.0 * complex(sum(c * f.get(tuple(-x for x in k), 0.0)
                              for f in fs for k, c in f.items())).real
 

@@ -26,7 +26,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 
 from .action_assembly import (CutoffMoments, ToleranceError, assemble,
@@ -177,9 +176,6 @@ class LadderElem:
         return LadderElem._make(out)
 
 
-# words repeat across the products of one run; the degree of each is
-# summed once
-@lru_cache(maxsize=1 << 16)
 def word_degree(word: tuple) -> int:
     return sum(DEGREE[l] for l in word)
 

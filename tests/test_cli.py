@@ -1101,7 +1101,29 @@ CUTOFF = st.one_of(
             {"scale": _field(NUMBER)}))}),
     st.fixed_dictionaries({"table": _field(st.lists(
         st.lists(NUMBER, min_size=2, max_size=2), max_size=6))}))
-ACTION_DOC = _document({
+# a well-formed action document: a known family, or a table of 4 to 6 rows
+# whose abscissae increase and whose values decay, positive powers spelled
+# as integers, and the edge magnitudes among its numbers
+POSITIVE = st.floats(0.1, 2.0) | EDGE
+TABLE = st.integers(4, 6).flatmap(lambda rows: st.tuples(
+    st.lists(st.floats(0.0, 8.0), min_size=rows, max_size=rows,
+             unique=True).map(sorted),
+    st.lists(POSITIVE, min_size=rows, max_size=rows,
+             unique=True).map(lambda vs: sorted(vs, reverse=True))))
+WELL_FORMED_ACTION = st.fixed_dictionaries({
+    "cutoff": st.fixed_dictionaries(
+        {"family": st.sampled_from(["exponential", "gaussian"])},
+        optional={"params": st.fixed_dictionaries({"scale": POSITIVE})})
+    | TABLE.map(lambda tv: {"table": [list(row) for row in zip(*tv)]}),
+    "lambda": POSITIVE,
+    "coefficients": st.dictionaries(
+        st.integers(1, 6).map(str),
+        NUMBER | st.fixed_dictionaries({"re": NUMBER},
+                                       optional={"im": NUMBER}),
+        min_size=1, max_size=3),
+    "zeta0": NUMBER,
+})
+ACTION_DOC = WELL_FORMED_ACTION | _document({
     "cutoff": CUTOFF,
     "lambda": NUMBER,
     "coefficients": st.dictionaries(
@@ -1110,6 +1132,20 @@ ACTION_DOC = _document({
         _field(NUMBER | COMPLEX), max_size=3),
     "zeta0": NUMBER,
 })
+
+
+# a table whose spline moments overflow: the refusal must be the only
+# stderr line, with no numpy warning before it; as a torus or suq2
+# document it is a schema error
+OVERFLOWING_TABLE = {
+    "cutoff": {"table": [[0.37826965843840477, 1e154],
+                         [0.5, 1.1236409660810662],
+                         [0.5120378896911615, 0.5836653819080252],
+                         [0.5836653819080252, 0.5120378896911615],
+                         [1.1236409660810662, 0.5], [1e154, 5e-324]]},
+    "lambda": 5e-324, "coefficients": {"1": 0.0}, "zeta0": 0.0}
+# of the 150 draws, at least this many exit 0
+WELL_FORMED_EXITS = {"suq2": 20, "action": 20}
 
 
 @pytest.mark.parametrize("command,flag,documents,extra", [
@@ -1125,22 +1161,32 @@ def test_generated_documents_keep_exit_contract(tmp_path, command, flag,
     def refuse(name):
         raise AssertionError(f"{name} in the report")
 
+    codes = []
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(documents)
+    @example(OVERFLOWING_TABLE)
     def run(doc):
         path.write_text(json.dumps(doc))
         out_path.unlink(missing_ok=True)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # a warning is one more stderr line of a shell call
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("always")
             code = main([command, flag, str(path), *extra,
                          "--out", str(out_path)])
+        codes.append(code)
         assert code in (0, 2, 3, 4)
+        assert not [str(w.message) for w in caught]
         assert len(err.getvalue().splitlines()) <= 1
         assert "Traceback" not in err.getvalue()
         if code == 0:
             json.loads(out_path.read_text(), parse_constant=refuse)
 
     run()
+    # the draws reach the computation, not only the schema checks
+    assert codes.count(0) >= WELL_FORMED_EXITS.get(command, 0)
 
 
 @pytest.mark.parametrize("command,flag,extra", [

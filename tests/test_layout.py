@@ -260,12 +260,13 @@ def test_gamma_matrices_live_in_oracles():
     (PBWElem, ("mul", "one", "norm1", "__sub__", "__add__", "__rmul__",
                "monomial")),
     (Theta, ("pairing", "zero")),
-    (OneFormTorus, ("from_entries", "zero")),
+    (OneFormTorus, ("from_entries", "zero", "components", "component")),
     (LadderElem, ("zero", "one", "letter", "__add__", "__sub__", "__rmul__",
                   "adjoint", "norm1", "allclose", "__repr__")),
     (ExpansionReport, ("coefficient",)),
     (TorusElement, ("unit", "weyl", "__rmul__", "__neg__", "tau", "norm1",
-                    "allclose", "__repr__")),
+                    "allclose", "__repr__", "__add__", "__sub__", "adjoint",
+                    "delta", "_check")),
     (PoleError, ("__init__",))])
 def test_deleted_methods_stay_deleted(cls, methods):
     # every class has a __repr__ and an __init__: those count where cls
