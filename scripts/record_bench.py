@@ -37,9 +37,12 @@ import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("torus-potentials", "zeta-grid", "suq2-action")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench.gen import WORKLOADS, generate  # noqa: E402
+
 SHELL_COMMANDS = ("suq2", "torus", "action", "zeta")
-ROOT = Path.cwd()
 
 
 def _env() -> dict:
@@ -72,9 +75,6 @@ def shell_seconds(seed: int, k: int, commands=SHELL_COMMANDS) -> dict:
     """{subcommand: {best_s, median_s, k, argv}} of k fresh CLI processes
     per subcommand, on the first op of its kind that perfbench.gen writes
     at the seed."""
-    sys.path.insert(0, str(ROOT))
-    from perfbench.gen import generate
-
     with tempfile.TemporaryDirectory() as inputs:
         first = {}
         for workload in WORKLOADS:

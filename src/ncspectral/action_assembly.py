@@ -24,6 +24,7 @@ first use.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import importlib.util
 import math
@@ -422,13 +423,17 @@ class ExpansionReport:
 
     @property
     def total(self) -> complex:
-        return sum(c * self._lam_power(p) for p, c, _ in self.entries)
-
-    def _lam_power(self, p) -> float:
-        try:
-            return self.lam ** p
-        except OverflowError:
-            raise OverflowError(f"Lambda^{p} overflows a double") from None
+        terms = []
+        for p, c, _ in self.entries:
+            try:
+                power = self.lam ** p
+            except OverflowError:
+                raise OverflowError(f"Lambda^{p} overflows a double") from None
+            terms.append(_product(c, power, f"the Lambda^{p} term"))
+        total = sum(terms)
+        if all(map(cmath.isfinite, terms)) and not cmath.isfinite(total):
+            raise OverflowError("the expansion total overflows a double")
+        return total
 
     def to_dict(self) -> dict:
         return {
@@ -446,6 +451,14 @@ def jsonable(x):
     if x.imag == 0:
         return x.real
     return {"re": x.real, "im": x.imag}
+
+
+def _product(a, b, name: str):
+    """a b, or OverflowError naming it where finite a and b overflow."""
+    value = a * b
+    if cmath.isfinite(a) and cmath.isfinite(b) and not cmath.isfinite(value):
+        raise OverflowError(f"{name} overflows a double")
+    return value
 
 
 def json_number(x) -> float:
@@ -472,6 +485,8 @@ def assemble(coeffs, zeta0, moments: CutoffMoments, lam: float) -> ExpansionRepo
     for k in sorted(coeffs, reverse=True):
         if k <= 0:
             raise ValueError("positive powers only; the constant goes in zeta0")
-        entries.append((k, moments.phi(k) * coeffs[k], f"Phi_{k} * integral"))
-    entries.append((0, moments.phi0 * zeta0, "Phi(0) * zeta(0)"))
+        c = _product(moments.phi(k), coeffs[k], f"Phi_{k} c_{k}")
+        entries.append((k, c, f"Phi_{k} * integral"))
+    entries.append((0, _product(moments.phi0, zeta0, "Phi(0) zeta0"),
+                    "Phi(0) * zeta(0)"))
     return ExpansionReport(entries=entries, lam=lam)

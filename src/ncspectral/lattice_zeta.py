@@ -65,11 +65,7 @@ def radial_counts(n: int, mmax: int) -> np.ndarray:
     Built coordinate by coordinate with the sparse square kernel, so large
     cutoffs stay cheap.
     """
-    squares = [(0, 1)]
-    j = 1
-    while j * j <= mmax:
-        squares.append((j * j, 2))
-        j += 1
+    squares = [(0, 1)] + [(j * j, 2) for j in range(1, math.isqrt(mmax) + 1)]
     counts = np.zeros(mmax + 1, dtype=np.int64)
     counts[0] = 1
     for _ in range(n):
@@ -266,6 +262,8 @@ def _log_gamma(z, arith: _Arith) -> tuple:
     counts a unit of w (through digamma), w - 1/2, log w, log w - 1 and
     their product, two of the value, of the log of the product and of each
     factor, and one for the series (below 1/(12 Re w) <= 1/70)."""
+    if z.real < -2000:  # exp(-log Gamma) overflows there, off the poles
+        raise OverflowError(f"1/Gamma({z}) overflows a double")
     shifts = max(0, math.ceil(arith.stirling_from - z.real))
     log_prod = arith.log(math.prod(z + k for k in range(shifts)))
     w = z + shifts
@@ -342,8 +340,6 @@ def _reflection(n: int, s: complex, arith: _Arith) -> _Bounded:
     a = (n - s)/2 through digamma (|psi(a)| <= |log a| + 1/|a| at
     Re a > 1/4), a unit of each operation and two of exp.
     """
-    if s.real < -4000:  # the factor is about (|s| / 2 pi e)^-Re s
-        raise OverflowError(f"no real type holds the factor at s = {s}")
     sx, size_a = arith.complex(s), abs(n - s) / 2
     big, big_error = _log_gamma((n - sx) / 2, arith)
     small, small_error = _log_gamma(sx / 2, arith)
@@ -497,17 +493,15 @@ class EpsteinEvaluator:
         """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)],
         r(m) = counts[m] (radial_counts)."""
         n = self.n
-        a1 = mp.mpc(s) / 2
-        a2 = (n - mp.mpc(s)) / 2
+        a1, a2 = mp.mpc(s) / 2, (n - mp.mpc(s)) / 2
         acc = mp.mpc(0)
         for m in range(lo, hi + 1):
             cnt = int(counts[m])
             if cnt == 0:
                 continue
             x = mp.pi * m
-            g1 = mp.gammainc(a1, x) * mp.power(x, -a1)
-            g2 = mp.gammainc(a2, x) * mp.power(x, -a2)
-            acc += cnt * (g1 + g2)
+            acc += cnt * sum(mp.gammainc(a, x) * mp.power(x, -a)
+                             for a in (a1, a2))
         return acc
 
     # increments below this are working-precision noise, not evidence
@@ -599,11 +593,16 @@ class EpsteinEvaluator:
 
     def _value_l_series_mpmath(self, s: complex) -> tuple:
         """(Z_n(s), change) from the L-series in mpmath, n in {1, 2, 4, 6},
-        at the digits 0.1 tol needs plus five, then ten more at a time up
-        to _MP_MAX_DPS (_converge)."""
+        at the digits 0.1 tol needs plus five and at least a double's 16,
+        then ten more at a time up to _MP_MAX_DPS (_converge).  Where the
+        terms past the first, about 10^-tail, pass 10^(5 - first), their
+        phases need log10 |Im s| more digits; past _MP_MAX_DPS, overflow."""
+        first = max(16, math.ceil(-math.log10(0.1 * self.tol)) + 5)
+        tail = ((s.real if self.n == 1 else s.real / 2) - 1) * math.log10(2)
+        if abs(s.imag) >= 10.0 ** (_MP_MAX_DPS - first) and tail <= first - 5:
+            raise OverflowError(f"the phases of Z_{self.n}({s}) overflow")
         def approximations():
-            for dps in range(math.ceil(-math.log10(0.1 * self.tol)) + 5,
-                             _MP_MAX_DPS + 1, 10):
+            for dps in range(first, _MP_MAX_DPS + 1, 10):
                 with mp.workdps(dps):
                     val = _l_series_mpmath(self.n, mp.mpc(s))
                 # outside workdps: _converge differences at the caller's
@@ -623,6 +622,10 @@ class EpsteinEvaluator:
         digits the tolerance needs, up to _GAMMAINC_MAX_DPS.
         """
         n = self.n
+        if s.imag == 0 and s.real < 0 and s.real % 2 == 0:
+            return 0j, self._BOUND_FLOOR  # a trivial zero: 1/Gamma is 0
+        if s.real < -4000:  # off the trivial zeros |Z_n| > 1e308 there
+            raise OverflowError(f"Z_{n}({s}) overflows a double")
         dps = max(_MP_DPS,
                   math.ceil(math.pi * abs(s.imag) / (4 * math.log(10)))
                   + math.ceil(-math.log10(0.1 * self.tol)) + 5)
@@ -632,6 +635,8 @@ class EpsteinEvaluator:
         ends = range(16, 409, 8)
         counts = radial_counts(n, ends[-1])
         with mp.workdps(dps):
+            if abs(s.real) >= 2 ** (mp.mp.prec + 1):  # s/2 + 1 is inexact
+                raise ToleranceError(f"Z_{n}({s}) is past the shells' range")
             ms = mp.mpc(s)
 
             def approximations():

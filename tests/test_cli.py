@@ -4,6 +4,8 @@ import importlib
 import io
 import json
 import math
+import re
+import signal
 import time
 import warnings
 from pathlib import Path
@@ -184,6 +186,65 @@ class TestZetaCommand:
         assert out == ""
         assert "overflows a double on every route" in err
         assert "nan" not in err and "inf" not in err
+
+    @pytest.mark.parametrize("n, s, message", [
+        ("3", "-1e154+0.5j", "overflows a double on every route"),
+        ("3", "-1e9+0.5j", "overflows a double on every route"),
+        ("5", "-1e9+1j", "overflows a double on every route"),
+        ("3", "1e154+2.2e-308j", "past the shells' range"),
+        ("3", "1e154", "past the shells' range"),
+        ("3", "1e300", "past the shells' range"),
+        ("5", "1e154", "past the shells' range"),
+        ("5", "1e154+1j", "past the shells' range"),
+        ("3", "2.028240960365167e+31", "past the shells' range")])
+    def test_far_real_parts_are_refused_at_once(self, capsys, n, s, message):
+        # the log Gamma shifts and the mpmath shells are bounded where
+        # their sizing stops: no hang, no false pole and no value of the
+        # wrong size
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert message in err and "pole" not in err
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("s", [
+        # the shells' last point on the positive real axis, where Z_n is
+        # its 2n nearest lattice points, and trivial zeros, near and far
+        "2.0282409603651666e+31", "-4002", "-1e40", "-1e154", "-1e308"])
+    def test_shells_serve_up_to_their_range(self, capsys, n, s):
+        code, out, _ = run_cli(capsys, "zeta", "--n", str(n), f"--s={s}")
+        assert code == 0
+        doc = json.loads(out)["value"]
+        assert doc["provenance"] == lattice_zeta.ROUTE_CONTINUATION
+        value = 2 * n if float(s) > 0 else 0.0
+        assert doc["value"] == value
+        # the shells' floor, plus the rounding of the value to a double
+        assert doc["tail_bound"] == 1e-25 + math.ulp(value) / 2
+
+    @pytest.mark.parametrize("n, s, value", [
+        ("6", "1e300", 12.0), ("1", "1e300", 2.0)])
+    def test_loose_tolerance_keeps_a_doubles_digits(self, capsys, n, s,
+                                                    value):
+        # --tol 1e154 asked the mpmath L-series for -148 digits: it ran at
+        # one bit, where two evaluations agree by construction, and
+        # Z_6(1e300) read 16 with a bound of 1.8e-15
+        code, out, _ = run_cli(capsys, "zeta", "--n", n, f"--s={s}",
+                               "--tol", "1e154")
+        assert code == 0
+        doc = json.loads(out)["value"]
+        assert doc["provenance"] == lattice_zeta.ROUTE_L_SERIES_MPMATH
+        assert doc["value"] == value
+
+    def test_loose_tolerance_does_not_hide_an_overflow(self, capsys):
+        # Z_1(-5001) overflows a double; at one bit it read 0.0
+        code, out, err = run_cli(capsys, "zeta", "--n", "1", "--s=-5001",
+                                 "--tol", "1e154")
+        assert code == 3
+        assert out == ""
+        assert "did not converge" in err
 
     def test_mpmath_l_series_serves_past_the_continuation_ceiling(self,
                                                                   capsys):
@@ -834,6 +895,29 @@ class TestActionCommand:
         assert len(err.strip().splitlines()) == 1
         assert f"{power} overflows" in err
 
+    @pytest.mark.parametrize("doc, name", [
+        ({"cutoff": {"family": "gaussian"}, "lambda": 1e154,
+          "coefficients": {"1": 1e300}, "zeta0": 0.0}, "the Lambda^1 term"),
+        ({"cutoff": {"family": "gaussian", "params": {"scale": 1e300}},
+          "lambda": 1.0, "coefficients": {"1": 1e300}, "zeta0": 0.0},
+         "Phi_1 c_1"),
+        ({"cutoff": {"family": "exponential", "params": {"scale": 1e300}},
+          "lambda": 1.0, "coefficients": {"1": 1.0}, "zeta0": 1e300},
+         "Phi(0) zeta0"),
+        ({"cutoff": {"family": "gaussian"}, "lambda": 1.0,
+          "coefficients": {"1": 1.7e308, "2": 1.7e308}, "zeta0": 0.0},
+         "the expansion total")])
+    def test_overflowing_expansion_is_named(self, tmp_path, capsys, doc,
+                                            name):
+        # each product or sum of finite numbers that overflows is named
+        # where it is made, not by the report's non-finite guard
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "action", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"numerical failure: {name} overflows a double\n"
+
     # a cutoff is an object with exactly one of family and table, and a
     # table row is a [t, phi] pair
     @pytest.mark.parametrize("cutoff", [
@@ -1079,7 +1163,20 @@ def _torus_fields(n):
         "A": st.lists(_field(entry), max_size=3)})
 
 
-TORUS_DOC = st.sampled_from([2, 3, 4]).flatmap(_torus_fields)
+# a well-formed torus document: n in {2, 4}, the fixed skew theta, the
+# assumption asserted, and nonzero modes whose components carry the edge
+# magnitudes
+WELL_FORMED_TORUS = st.sampled_from([2, 4]).flatmap(
+    lambda n: st.fixed_dictionaries({
+        "n": st.just(n), "theta": st.just(torus_doc(n)["theta"]),
+        "diophantine_asserted": st.just(True),
+        "A": st.lists(st.fixed_dictionaries({
+            "alpha": st.integers(1, n),
+            "l": st.lists(st.integers(-2, 2), min_size=n,
+                          max_size=n).filter(any),
+            "re": NUMBER, "im": NUMBER}), min_size=1, max_size=3)}))
+TORUS_DOC = WELL_FORMED_TORUS | st.sampled_from([2, 3, 4]).flatmap(
+    _torus_fields)
 
 EXPONENT = st.integers(0, 2) | st.integers(0, 40)
 MONOMIAL = st.fixed_dictionaries({}, optional={
@@ -1145,7 +1242,7 @@ OVERFLOWING_TABLE = {
                          [1.1236409660810662, 0.5], [1e154, 5e-324]]},
     "lambda": 5e-324, "coefficients": {"1": 0.0}, "zeta0": 0.0}
 # of the 150 draws, at least this many exit 0
-WELL_FORMED_EXITS = {"suq2": 20, "action": 20}
+WELL_FORMED_EXITS = {"torus": 20, "suq2": 20, "action": 20}
 
 
 @pytest.mark.parametrize("command,flag,documents,extra", [
@@ -1203,6 +1300,86 @@ def test_deeply_nested_input_is_schema_error(tmp_path, capsys, command, flag,
     assert out == ""
     assert "Traceback" not in err and "cannot read input file" in err
 
+
+# option values: the edge magnitudes and their negatives, and small ones
+EDGE_OPTION = EDGE | EDGE.map(lambda x: -x)
+OPTION = EDGE_OPTION | st.floats(-6.0, 12.0)
+
+
+def _option(name, values):
+    """No such option, or the option with a drawn value."""
+    return st.just([]) | values.map(lambda v: [f"{name}={v!r}"])
+
+
+OPTION_ARGV = st.one_of(
+    st.tuples(st.integers(1, 6).map(lambda n: ["zeta", f"--n={n}"]),
+              st.tuples(OPTION, OPTION).map(
+                  lambda p: [f"--s={complex(*p)!r}"]),
+              _option("--tol", EDGE_OPTION)),
+    st.tuples(st.just(["suq2", "--one-form", "ONE_FORM"]),
+              _option("--q", OPTION), _option("--lambda", OPTION),
+              _option("--tol", EDGE_OPTION)),
+    st.tuples(st.sampled_from([["torus", "--input", "TORUS2"],
+                               ["torus", "--input", "TORUS4"]]),
+              OPTION.map(lambda v: [f"--lambda={v!r}"])),
+).map(lambda parts: sum(parts, []))
+# a non-finite number as Python or JSON spells it, as a whole word: the
+# report key "provenance" holds "nan"
+NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+class _Hang(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Hang
+
+
+def test_options_keep_exit_contract(tmp_path):
+    inputs = {"ONE_FORM": ASTAR_DA, "TORUS2": torus_doc(2),
+              "TORUS4": torus_doc(4)}
+    for name, doc in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(OPTION_ARGV)
+    # far real parts, where the theta routes used to hang or report a pole
+    @example(["zeta", "--n=3", "--s=-1e154+0.5j"])
+    @example(["zeta", "--n=3", "--s=1e154+2.2e-308j"])
+    @example(["zeta", "--n=3", "--s=1e154"])
+    @example(["zeta", "--n=3", "--s=1e300"])
+    @example(["zeta", "--n=3", "--s=-1e9+0.5j"])
+    @example(["zeta", "--n=5", "--s=-1e9+1j"])
+    @example(["zeta", "--n=5", "--s=1e154+1j"])
+    # huge |Im s|, where the mpmath L-series stalled, and at a loose --tol
+    # ran at one bit and grew past 6 GB
+    @example(["zeta", "--n=1", "--s=(-6+1e+154j)"])
+    @example(["zeta", "--n=1", "--s=(5e-324+1e+154j)", "--tol=1e+154"])
+    def run(argv):
+        argv = [str(tmp_path / f"{a}.json") if a in inputs else a
+                for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.setitimer(signal.ITIMER_REAL, 8.0)
+        try:
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                warnings.simplefilter("always")
+                code = main(argv)
+        except _Hang:
+            raise AssertionError(f"{argv} ran past 8 s") from None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3, 4)
+        assert not [str(w.message) for w in caught]
+        assert len(err.getvalue().splitlines()) <= 1
+        assert "Traceback" not in err.getvalue()
+        assert not NON_FINITE.search(out.getvalue() + err.getvalue())
+
+    run()
 
 class TestSelftestPlumbing:
     def test_exit_codes(self, monkeypatch, capsys):

@@ -301,29 +301,39 @@ def test_theta_owns_the_skew_check(name):
 
 
 def test_package_import_leaves_oracles_out():
-    loaded, exported = run_probe(
+    loaded, bound = run_probe(
         "import json, sys, ncspectral; print(json.dumps("
-        "['ncspectral.oracles' in sys.modules, ncspectral.__all__]))")
+        "['ncspectral.oracles' in sys.modules, sorted(vars(ncspectral))]))")
     assert not loaded
     oracle_names = {n for n in defined_names("oracles") if not n.startswith("_")}
     assert oracle_names
-    assert not set(exported) & (oracle_names | {"oracles"})
+    assert not set(bound) & (oracle_names | {"oracles"})
 
 
 def test_package_import_loads_no_submodule():
-    # the exported names load their modules on first access (PEP 562)
-    before, resolved, after = run_probe(
+    # each name is imported from its module: the package root runs none of
+    # them and holds no name of its own
+    loaded, public = run_probe(
         "import json, sys, ncspectral\n"
-        "before = sorted(m for m in sys.modules if m.startswith('ncspectral.'))\n"
-        "resolved = [n for n in ncspectral.__all__\n"
-        "            if getattr(ncspectral, n) is not None]\n"
-        "print(json.dumps([before, resolved, sorted(\n"
-        "    m for m in sys.modules if m.startswith('ncspectral.'))]))\n")
-    assert before == []
-    assert resolved == ncspectral.__all__ == sorted(ncspectral.__all__)
-    assert after == [f"ncspectral.{m}" for m in sorted(LIBRARY)]
-    with pytest.raises(AttributeError):
-        ncspectral.no_such_name
+        "print(json.dumps([\n"
+        "    sorted(m for m in sys.modules\n"
+        "           if m.startswith('ncspectral.')),\n"
+        "    sorted(n for n in vars(ncspectral)\n"
+        "           if not n.startswith('_'))]))\n")
+    assert loaded == []
+    assert public == []
+
+
+def test_readme_quick_tour_runs():
+    # the tour's imports are the documented way in; run it as written
+    root = PACKAGE.parent.parent
+    readme = (root / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("name", ["PoleError", "ToleranceError",
