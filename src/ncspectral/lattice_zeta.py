@@ -49,8 +49,8 @@ import numpy as np
 from .action_assembly import PoleError, ToleranceError, json_integer
 
 _MP_DPS = 30
-# the mpmath L-series gives up beyond this working precision
-_MP_MAX_DPS = 100
+# the mpmath L-series gives up past these digits, and these terms x digits
+_MP_MAX_DPS, _MP_WORK = 100, 4e6
 # digits the incomplete-gamma route may use: |Im s| to ~390 at tol 1e-10
 _GAMMAINC_MAX_DPS = 150
 
@@ -492,8 +492,10 @@ class EpsteinEvaluator:
     def _theta_shells(self, s: complex, lo: int, hi: int, counts):
         """sum over shells lo..hi of r(m) [G(s/2, pi m) + G((n-s)/2, pi m)],
         r(m) = counts[m] (radial_counts)."""
-        n = self.n
-        a1, a2 = mp.mpc(s) / 2, (n - mp.mpc(s)) / 2
+        # Gamma(a, x) is entire in a (DLMF 8.2(ii)): gammainc stalls near its
+        # poles on an Im a that moves log G by under the working precision
+        a1, a2 = (a.real if 0 < abs(a.imag) * (1 + abs(mp.log(a))) < mp.eps
+                  else a for a in (mp.mpc(s) / 2, (self.n - mp.mpc(s)) / 2))
         acc = mp.mpc(0)
         for m in range(lo, hi + 1):
             cnt = int(counts[m])
@@ -568,6 +570,9 @@ class EpsteinEvaluator:
         # stable form: Z = pi^{s/2} [ (s/2) I - 1 - s/(n-s) ] / Gamma(s/2+1)
         rgamma, rgamma_error = _rgamma(half + 1)
         pref = np.exp(half * _arith(float).log_pi) * rgamma
+        if s.imag and not sys.float_info.min <= abs(pref) < math.inf:
+            # under- or overflowed: s/2 may have rounded onto a trivial zero
+            raise OverflowError(f"pi^(s/2)/Gamma(s/2+1) at s = {s}")
         pole = s / (n - s)
         gap = abs(pref * half * (integral - coarse.sum()))
         # np.maximum, not max: a NaN (overflow far out in s) must fail
@@ -592,24 +597,34 @@ class EpsteinEvaluator:
         raise ToleranceError(failure)
 
     def _value_l_series_mpmath(self, s: complex) -> tuple:
-        """(Z_n(s), change) from the L-series in mpmath, n in {1, 2, 4, 6},
-        at the digits 0.1 tol needs plus five and at least a double's 16,
-        then ten more at a time up to _MP_MAX_DPS (_converge).  Where the
-        terms past the first, about 10^-tail, pass 10^(5 - first), their
-        phases need log10 |Im s| more digits; past _MP_MAX_DPS, overflow."""
+        """(Z_n(s), change) from the L-series in mpmath, n in {1, 2, 4, 6}, at
+        the digits 0.1 tol needs plus five (at least 16), then ten more at a
+        time up to _MP_MAX_DPS (_converge), on the rungs whose summed terms x
+        digits stay within _MP_WORK: under two, ToleranceError."""
+        n = self.n
         first = max(16, math.ceil(-math.log10(0.1 * self.tol)) + 5)
-        tail = ((s.real if self.n == 1 else s.real / 2) - 1) * math.log10(2)
-        if abs(s.imag) >= 10.0 ** (_MP_MAX_DPS - first) and tail <= first - 5:
-            raise OverflowError(f"the phases of Z_{self.n}({s}) overflow")
-        def approximations():
-            for dps in range(first, _MP_MAX_DPS + 1, 10):
-                with mp.workdps(dps):
-                    val = _l_series_mpmath(self.n, mp.mpc(s))
-                # outside workdps: _converge differences at the caller's
-                # precision
-                yield val
-
-        return self._converge(approximations(),
+        ladder = range(first, _MP_MAX_DPS + 1, 10)
+        right, t = max(s.real, n - s.real), abs(s.imag)
+        sigma, t = (right, t) if n == 1 else (right / 2 + 1 - n / 2, t / 2)
+        lg = math.log10(max(t, 1))
+        # log10 terms per Hurwitz zeta v of least Re at d digits (mpmath 1.3.0
+        # functions.zeta): Riemann-Siegel if |Im v| > 500 bits > 10 Re v sums
+        # sqrt|Im v|, (1 + Re v)^2 times more past Re v = 4, ~|Im v| for n = 2,
+        # 6; Euler-Maclaurin to |Im v| k^(-1-Re v) < 10^-d-6; n = 6, Re v<0: 3x
+        rs = lg / 2 + (2 * math.log10(1 + sigma) if sigma >= 4 else 0)
+        work = [d * 10 ** min(300, (rs if n in (1, 4) else lg)
+                              if t > 1700 * d and 10 * sigma < 3.32 * d
+                              else min(lg, (lg + d + 6) / (sigma + 1)))
+                * {1: 1, 2: 2, 4: 2, 6: 4 if sigma >= 0 else 12}[n]
+                for d in ladder]
+        rungs = [d for i, d in enumerate(ladder)
+                 if sum(work[:i + 1]) <= _MP_WORK]
+        if len(rungs) < 2:
+            raise ToleranceError(
+                f"Z_{n}({s}) is past the range of the mpmath L-series "
+                f"({sum(work[:2]):.0e} terms x digits)")
+        return self._converge((mp.workdps(dps)(_l_series_mpmath)(n, mp.mpc(s))
+                               for dps in rungs),
                               f"Epstein L-series did not converge for s = {s}")
 
     def _shells(self, s: complex) -> tuple:

@@ -10,6 +10,7 @@ import time
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -178,13 +179,16 @@ class TestZetaCommand:
         # quadrature and the L-series give nan or overflow, and at -345.5
         # 1/Gamma(s/2 + 1) overflows; none may print the nan or inf it met.
         # At |Im s| = 1e308 the float64 L-series' complex powers overflow
-        # their phase, which Python reports as a ZeroDivisionError
+        # their phase, which Python reports as a ZeroDivisionError.  For
+        # n in {1, 2, 4, 6} the mpmath L-series names its range instead:
+        # the value need not overflow (|Z_1(1e300 i)| is about 1e150)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
         assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert "overflows a double on every route" in err
+        assert ("past the range of the mpmath L-series" if n in "1246"
+                else "overflows a double on every route") in err
         assert "nan" not in err and "inf" not in err
 
     @pytest.mark.parametrize("n, s, message", [
@@ -242,6 +246,64 @@ class TestZetaCommand:
         # Z_1(-5001) overflows a double; at one bit it read 0.0
         code, out, err = run_cli(capsys, "zeta", "--n", "1", "--s=-5001",
                                  "--tol", "1e154")
+        assert code == 3
+        assert out == ""
+        assert "did not converge" in err
+
+    @pytest.mark.parametrize("n, s, tol", [
+        ("2", "0.5+1e9j", "1e-10"), ("1", "0.5+1e16j", "1e-10"),
+        ("6", "0.5+1e5j", "1e-10"), ("1", "3+1e16j", "1e154"),
+        ("2", "0.5+1e5j", "1e-10"), ("6", "9+1e5j", "1e-10")])
+    def test_mpmath_l_series_refuses_past_its_work(self, capsys, n, s, tol):
+        # mpmath's zeta and Hurwitz zeta sum about |Im s| terms on each of
+        # up to nine precisions: these ran from 2.4 s to past 10 s, or
+        # exited 4 with an empty message; their first two rungs pass the work
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "--n", n, f"--s={s}",
+                                 "--tol", tol)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "past the range of the mpmath L-series" in err
+
+    @pytest.mark.parametrize("n, s", [
+        ("1", "400+1e300j"), ("2", "800+1e9j"), ("4", "60+1e12j"),
+        ("2", "40+1e7j"), ("1", "0.5+1e8j"), ("4", "7+1e8j")])
+    def test_mpmath_l_series_serves_within_its_work(self, capsys, n, s):
+        # far right of n/2 the terms decay at once, and for n = 1 and 4
+        # mpmath sums the square root of |Im s| of them by Riemann-Siegel
+        code, out, _ = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
+        assert code == 0
+        doc = json.loads(out)["value"]
+        assert doc["provenance"] == lattice_zeta.ROUTE_L_SERIES_MPMATH
+        value = complex(doc["value"]["re"], doc["value"]["im"])
+        with mpmath.workdps(50):
+            reference = lattice_zeta._l_series_mpmath(
+                int(n), mpmath.mpc(complex(s)))
+            assert abs(mpmath.mpc(value) - reference) <= doc["tail_bound"]
+
+    @pytest.mark.parametrize("n, s, value", [
+        ("2", "0.5+1e4j", 38.52809094589474 - 59.25215050420631j),
+        ("4", "9+1e5j", 8.559260832265654 + 0.666563351459212j),
+        ("1", "9+1e12j", 1.9983037419478267 - 0.003485100919090738j)])
+    def test_mpmath_l_series_charges_only_the_rungs_it_runs(self, capsys, n,
+                                                           s, value):
+        # the whole ladder would pass the work (at 9 + 1e12j its third rung
+        # takes Riemann-Siegel at Re s = 9, which stalls), but the rungs up
+        # to the two that agree do not: the value is the one those give
+        code, out, _ = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
+        assert code == 0
+        doc = json.loads(out)["value"]
+        assert doc["provenance"] == lattice_zeta.ROUTE_L_SERIES_MPMATH
+        assert complex(doc["value"]["re"], doc["value"]["im"]) == value
+
+    def test_mpmath_l_series_that_never_agrees_stops_at_once(self, capsys):
+        # right of n/2, Z_2(1e300 + i) is its four nearest points, yet no
+        # two rungs agree; every rung run is charged, and all nine are cheap
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "--n", "2", "--s=1e300+1j")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
         assert "did not converge" in err
@@ -1311,11 +1373,34 @@ def _option(name, values):
     return st.just([]) | values.map(lambda v: [f"{name}={v!r}"])
 
 
+ZETA_N = st.integers(1, 6).map(lambda n: ["zeta", f"--n={n}"])
+# |Im s| log-uniform over [25, 1e20], where the mpmath L-series stalled
+HIGH_IM = st.tuples(st.floats(math.log10(25), 20), st.sampled_from([1, -1])
+                    ).map(lambda p: p[1] * 10 ** p[0])
+# Im s subnormal or tiny, where the theta routes stalled in gammainc near
+# its poles or read an underflowed prefactor as 0
+TINY_IM = st.floats(5e-324, 2.2e-308) | st.floats(-300, -20).map(
+    lambda e: 10.0 ** e)
+
+
+def _near_trivial_zero(p):
+    """zeta at -2k (k in 1..2000) or its mirror n + 2k, off the axis."""
+    n, k, mirror, im = p
+    re = n + 2 * k if mirror else -2 * k
+    return ["zeta", f"--n={n}", f"--s={complex(re, im)!r}"]
+
+
 OPTION_ARGV = st.one_of(
-    st.tuples(st.integers(1, 6).map(lambda n: ["zeta", f"--n={n}"]),
+    st.tuples(ZETA_N,
               st.tuples(OPTION, OPTION).map(
                   lambda p: [f"--s={complex(*p)!r}"]),
               _option("--tol", EDGE_OPTION)),
+    st.tuples(ZETA_N,
+              st.tuples(OPTION, HIGH_IM).map(
+                  lambda p: [f"--s={complex(*p)!r}"]),
+              _option("--tol", EDGE_OPTION)),
+    st.tuples(st.integers(1, 6), st.integers(1, 2000), st.booleans(),
+              TINY_IM).map(lambda p: [_near_trivial_zero(p)]),
     st.tuples(st.just(["suq2", "--one-form", "ONE_FORM"]),
               _option("--q", OPTION), _option("--lambda", OPTION),
               _option("--tol", EDGE_OPTION)),
@@ -1356,6 +1441,19 @@ def test_options_keep_exit_contract(tmp_path):
     # ran at one bit and grew past 6 GB
     @example(["zeta", "--n=1", "--s=(-6+1e+154j)"])
     @example(["zeta", "--n=1", "--s=(5e-324+1e+154j)", "--tol=1e+154"])
+    # mid-range |Im s|, where the mpmath L-series stalled, and subnormal
+    # Im s, where gammainc stalled or the quadrature read a false zero
+    @example(["zeta", "--n=2", "--s=0.5+1e9j"])
+    @example(["zeta", "--n=1", "--s=0.5+1e16j"])
+    @example(["zeta", "--n=6", "--s=0.5+1e5j"])
+    @example(["zeta", "--n=1", "--s=3+1e16j", "--tol=1e154"])
+    @example(["zeta", "--n=3", "--s=-400+5e-324j"])
+    @example(["zeta", "--n=3", "--s=-346+5e-324j"])
+    @example(["zeta", "--n=5", "--s=-1000+2.2e-308j"])
+    @example(["zeta", "--n=3", "--s=-300+5e-324j"])
+    @example(["zeta", "--n=3", "--s=-50+5e-324j"])
+    @example(["zeta", "--n=3", "--s=403+5e-324j"])
+    @example(["zeta", "--n=5", "--s=1005+5e-324j"])
     def run(argv):
         argv = [str(tmp_path / f"{a}.json") if a in inputs else a
                 for a in argv]

@@ -504,6 +504,54 @@ class TestEpsteinQuadrature:
             assert EpsteinEvaluator(n).value(0).value == -1.0
             assert EpsteinEvaluator(n).value(-2).value == 0.0
 
+    @pytest.mark.parametrize("n, s", [
+        (3, -50 + 5e-324j), (3, -100 + 5e-324j),
+        (3, 403 + 5e-324j), (5, 1005 + 5e-324j)])
+    def test_subnormal_imaginary_part_near_trivial_zeros(self, n, s):
+        # s/2 rounds onto the trivial zero, where the quadrature's
+        # prefactor is 0: it read -0.0 with a bound of 0 at -50 and -100.
+        # At the mirrors gammainc met a pole of its first argument with an
+        # Im a of 2.5e-324 and took minutes
+        start = time.perf_counter()
+        out = EpsteinEvaluator(n).value(s)
+        assert time.perf_counter() - start < 2.0
+        assert out.route == ROUTE_CONTINUATION
+        assert out.bound < 1e-10
+        with mpmath.workdps(60):
+            # 5e-324 is the double 4.94e-324: the reference starts from it
+            reference = _sixty_digits(n, s)
+            assert abs(mpmath.mpc(out.value) - reference) <= out.bound
+        if s.real < 0:
+            assert out.value.imag != 0.0
+
+    @pytest.mark.parametrize("s", [1e25 + 1e-6j, 1e31 + 1j])
+    def test_far_imaginary_part_is_kept(self, s):
+        # (n - s)/2 holds an Im a of 5e-7 and 0.5 that moves Gamma(a, x) by
+        # more than the working precision, far as |a| is: it stays in
+        out = EpsteinEvaluator(3).value(s)
+        assert out.route == ROUTE_CONTINUATION
+        with mpmath.workdps(60):
+            reference = _sixty_digits(3, s)
+            assert abs(mpmath.mpc(out.value) - reference) <= out.bound
+        assert abs(out.value - 6) < 1e-15
+
+
+def _sixty_digits(n, s):
+    """Z_n(s) at the working precision, n in {3, 5}: a direct sum over
+    |k| <= R (complete for Re s > 50 and n = 3, or Re s > 1000 and n = 5,
+    to 60 digits), and the functional equation left of n/2."""
+    s = mpmath.mpc(s)
+    if s.real < n / 2:
+        return (mpmath.power(mpmath.pi, s - n / 2) * mpmath.gamma((n - s) / 2)
+                * mpmath.rgamma(s / 2) * _sixty_digits(n, n - s))
+    radius = 20 if n == 3 else 3
+    counts = {}
+    for k in itertools.product(range(-radius, radius + 1), repeat=n):
+        q = sum(x * x for x in k)
+        if 0 < q <= radius * radius:
+            counts[q] = counts.get(q, 0) + 1
+    return mpmath.fsum(c * mpmath.power(q, -s / 2) for q, c in counts.items())
+
 
 def _laguerre_reference(count: int, dps: int = 40) -> tuple:
     """Nodes and weights of the count-point Gauss-Laguerre rule at dps
