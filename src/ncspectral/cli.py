@@ -160,6 +160,11 @@ def _run_torus(args) -> dict:
         raise ValueError(f"torus action implemented for n in {{2, 4}}, got {n}")
     moments = cutoff_moments({"family": args.cutoff}, [1, 2, 3, 4][:n])
     ym = nt.yang_mills(A, theta)
+    sums = [nt.cs_sums(A, theta, q) for q in (2, 3, 4)] if n == 4 else []
+    for name, v in zip(["the Yang-Mills density", "power sum q=2",
+                        "power sum q=3", "power sum q=4"], [ym, *sums]):
+        if not math.isfinite(v):
+            raise OverflowError(f"{name} overflows a double")
     report = {
         "command": "torus",
         "n": n,
@@ -167,8 +172,7 @@ def _run_torus(args) -> dict:
         "yang_mills": {"value": ym, "provenance": "curvature double trace"},
         "moments": moments.to_dict(),
     }
-    if n == 4:
-        sums = [nt.cs_sums(A, theta, q) for q in (2, 3, 4)]
+    if sums:
         report["power_sums"] = {
             str(q): {"value": v, "provenance": "closed finite sum"}
             for q, v in zip((2, 3, 4), sums)}

@@ -586,12 +586,19 @@ class EpsteinEvaluator:
     def _converge(self, approximations, failure: str) -> tuple:
         """The first of successive mpmath approximations that differs from
         the one before by less than 0.1 tol, and that change floored at
-        _BOUND_FLOOR; ToleranceError(failure) when they run out."""
+        _BOUND_FLOOR; ToleranceError(failure) when they run out.  It also
+        stops at two that agree within half their size where each, rounded
+        to a double, carries more than tol of rounding or overflows: no
+        later one could be kept, and `_first_kept` refuses this one."""
         prev = None
         for val in approximations:
             if prev is not None:
-                change = max(float(abs(val - prev)), self._BOUND_FLOOR)
-                if change < 0.1 * self.tol:
+                diff = abs(val - prev)
+                change = max(float(diff), self._BOUND_FLOOR)
+                if change < 0.1 * self.tol or (
+                        2 * diff < min(abs(val), abs(prev))
+                        and min(_to_double(v, 0)[1] for v in (val, prev))
+                        > self.tol):
                     return val, change
             prev = val
         raise ToleranceError(failure)

@@ -161,10 +161,12 @@ class LadderElem:
 
     @classmethod
     def _make(cls, words: dict) -> "LadderElem":
-        """Build from complex values at words already checked as tuples of
-        letters; `@` and the functions below skip the checks of __init__."""
+        """Build from a new table of complex values at words already checked
+        as tuples of letters, which it keeps where no value is zero; `@`
+        and the functions below skip the checks of __init__."""
         out = cls.__new__(cls)
-        out.words = {w: c for w, c in words.items() if c != 0}
+        out.words = words if all(words.values()) else {
+            w: c for w, c in words.items() if c}
         return out
 
     def __matmul__(self, other):
@@ -204,23 +206,9 @@ def delta_ladder(T: LadderElem) -> LadderElem:
                              for w, c in T.words.items()})
 
 
-def _one_form_sums(x: PBWElem, y: PBWElem) -> dict:
-    """The table of rep_ladder(x) @ delta_ladder(rep_ladder(y)) before `@`
-    drops its zero sums: the same sums in the same order, and no element
-    in between."""
-    dy = [(w, dv) for w, v in rep_ladder(y).words.items()
-          if (dv := word_degree(w) * v) != 0]
-    out: dict = {}
-    for w1, c1 in rep_ladder(x).words.items():
-        for w2, c2 in dy:
-            w = w1 + w2
-            out[w] = out.get(w, 0.0) + c1 * c2
-    return out
-
-
 def delta_one_form(x: PBWElem, y: PBWElem) -> LadderElem:
     """pi(x) delta(pi(y))."""
-    return LadderElem._make(_one_form_sums(x, y))
+    return rep_ladder(x) @ delta_ladder(rep_ladder(y))
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +579,8 @@ def one_form_from_pairs(pairs) -> LadderElem:
     for x, y, c in pairs:
         if c != 0 and x.coeffs and y.coeffs:
             c = complex(c)
-            for w, v in _one_form_sums(x, y).items():
-                if v != 0:
-                    words[w] = words.get(w, 0.0) + c * v
+            for w, v in delta_one_form(x, y).words.items():
+                words[w] = words.get(w, 0.0) + c * v
     # one sum in C; finite words can overflow it too, so the scan decides
     if not cmath.isfinite(sum(words.values())):
         for w, v in words.items():

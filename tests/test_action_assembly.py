@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import integrate, interpolate
 from scipy.linalg.lapack import dgtsv
 
@@ -321,7 +322,7 @@ _ENTRIES = (st.floats(-1e3, 1e3) | st.floats(allow_subnormal=False)
 def tridiagonal_systems(draw):
     """(dl, d, du, b) of an n x n system, n >= 2: dgtsv takes no n = 1."""
     n = draw(st.integers(2, 40))
-    return tuple(draw(st.lists(_ENTRIES, min_size=size, max_size=size))
+    return tuple(draw(arrays(np.float64, size, elements=_ENTRIES)).tolist()
                  for size in (n - 1, n, n - 1, n))
 
 

@@ -248,7 +248,26 @@ class TestZetaCommand:
                                  "--tol", "1e154")
         assert code == 3
         assert out == ""
-        assert "did not converge" in err
+        assert "overflows a double on every route" in err
+
+    @pytest.mark.parametrize("n, s, message", [
+        ("2", "-40+3000j", "no double holds"),
+        ("4", "-60+200j", "no double holds"),
+        ("1", "-300+2000j", "overflows a double on every route")])
+    def test_mpmath_l_series_stops_where_no_double_holds_the_value(
+            self, capsys, n, s, message):
+        # |Z| is about 2.7e110, 3.2e94 and 7.9e752: the first two rungs agree
+        # to 1e-14, and rounding alone passes --tol, so no later rung can
+        # keep the value; the ladder ran every rung before 'did not converge'
+        run_cli(capsys, "zeta", "--n", n, "--s=0.5")  # load the module
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "zeta", "--n", n, f"--s={s}")
+        assert time.perf_counter() - start < 0.1
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert message in err
+        assert not NON_FINITE.search(err)
 
     @pytest.mark.parametrize("n, s, tol", [
         ("2", "0.5+1e9j", "1e-10"), ("1", "0.5+1e16j", "1e-10"),
@@ -374,6 +393,24 @@ class TestTorusCommand:
         assert doc["zeta0_shift"]["value"] == pytest.approx(
             doc["zeta0_shift_power_sums"]["value"], abs=1e-10)
 
+    def test_overflow_names_the_quantity(self, tmp_path, capsys):
+        # yang_mills is -inf and the three power sums NaN: the report's
+        # catch-all named no quantity
+        doc = torus_doc()
+        doc["theta"] = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1],
+                        [0, 0, -1, 0]]
+        doc["A"] = [{"alpha": 1, "l": [10 ** 15, 0, 0, 0], "re": 1},
+                    {"alpha": 2, "l": [0, 1, 0, 0], "re": 1e200}]
+        path = tmp_path / "A4.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "torus", "--input", str(path),
+                                 "--lambda", "2")
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "numerical failure: the Yang-Mills density overflows a double"]
+        assert not NON_FINITE.search(err)
+
     def test_missing_flag_is_schema_error(self, tmp_path, capsys):
         doc = torus_doc()
         doc["diophantine_asserted"] = False
@@ -463,7 +500,7 @@ class TestTorusCommand:
         assert out == ""
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
-        assert "non-finite" in err
+        assert "the Yang-Mills density overflows a double" in err
 
     def test_lambda_power_overflow_names_the_power(self, tmp_path, capsys):
         path = tmp_path / "A4.json"
